@@ -25,7 +25,14 @@ from . import simplex
 from .grid import DEFAULT_MAX_POINTS, GridCapacityError, build_grid, count_grid_points
 from .metrology import quadrature_qfi
 from .phases import classify
-from .roof import SolverFailure, assemble_lp, estimate_nonclassicality, expand_histogram, refine
+from .roof import (
+    LatticeLps,
+    SolverFailure,
+    assemble_lp,
+    estimate_nonclassicality,
+    expand_histogram,
+    refine,
+)
 from .states import FockDiagonalState, mean_photon, simple_bound, truncated_thermal
 from .simplex import write_lp
 
@@ -123,15 +130,6 @@ def _emit(meta: dict, rows: list[dict], config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _lp_value(offset: int, pops: list[float], delta: float, max_iter: int) -> float:
-    """Nonclassicality estimate for a possibly untrimmed population vector."""
-    state = FockDiagonalState(offset, np.asarray(pops)).trimmed()
-    if state.rank == 1:
-        return float(state.offset)
-    value, _ = estimate_nonclassicality(state, delta, max_iter=max_iter)
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -198,16 +196,37 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(points, evaluate, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(pt) for pt in points]
+def _simplex_points(count: int, dims: int) -> list[tuple[int, ...]]:
+    """Nonnegative integer tuples of length dims with sum at most count, in
+    lexicographic order."""
+    if dims == 0:
+        return [()]
+    return [
+        (i, *rest)
+        for i in range(count + 1)
+        for rest in _simplex_points(count - i, dims - 1)
+    ]
 
 
-def _cmd_sweep3(args) -> int:
+def _populations(top: list[float]) -> np.ndarray:
+    """Full population vector from the upper populations, top level first;
+    the ground level takes the remainder."""
+    rest = 1.0
+    for p in top:
+        rest -= p
+    return np.asarray([max(rest, 0.0), *reversed(top)])
+
+
+def _cmd_sweep(args, rank: int) -> int:
+    """Phase diagram over the population simplex of a rank-3 or rank-4 window.
+
+    Rows run over p_{n+M-1}, ..., p_{n+1} on the step lattice, top level
+    outermost.  With --lp-check K every K-th point also gets the LP estimate
+    of its trimmed window; those windows' lattice LPs are built once, before
+    any worker starts.
+    """
     config = RunConfig(
-        command="sweep3",
+        command=f"sweep{rank}",
         delta=args.delta,
         offset_n=args.n,
         output_path=args.out,
@@ -219,83 +238,35 @@ def _cmd_sweep3(args) -> int:
     )
     n = config.offset_n
     step = config.sweep_step
-    count = int(round(1.0 / step))
-    points = []
-    for i in range(count + 1):  # p_{n+2} index
-        for j in range(count + 1 - i):  # p_{n+1} index
-            points.append((i, j))
+    tops = [
+        [i * step for i in point]
+        for point in _simplex_points(int(round(1.0 / step)), rank - 1)
+    ]
+    states = [FockDiagonalState(n, _populations(top)) for top in tops]
+    checked = range(0, len(states), config.lp_check) if config.lp_check else ()
+    windows = {idx: states[idx].trimmed() for idx in checked}
+    lattices = LatticeLps([w for w in windows.values() if w.rank > 1], config.delta)
 
-    def evaluate(item):
-        idx, (i, j) = item
-        p2, p1 = i * step, j * step
-        p0 = max(1.0 - p2 - p1, 0.0)
-        state = FockDiagonalState(n, np.asarray([p0, p1, p2]))
-        result = classify(state)
-        lp = None
-        if config.lp_check and idx % config.lp_check == 0:
-            lp = _lp_value(n, [p0, p1, p2], config.delta, config.max_iter)
-        return {
-            "p2": p2,
-            "p1": p1,
-            "label": result.label.value,
-            "value": float(result.value),
-            "n_lp": lp,
-        }
+    def evaluate(idx: int) -> dict:
+        result = classify(states[idx])
+        window = windows.get(idx)
+        if window is None:
+            lp = None
+        elif window.rank == 1:
+            lp = float(window.offset)
+        else:
+            lp = float(lattices.estimate(window, max_iter=config.max_iter)[0])
+        row = {f"p{rank - 1 - d}": p for d, p in enumerate(tops[idx])}
+        row.update(label=result.label.value, value=float(result.value), n_lp=lp)
+        return row
 
-    rows = _sweep_rows(list(enumerate(points)), evaluate, config.threads)
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            rows = list(pool.map(evaluate, range(len(states))))
+    else:
+        rows = [evaluate(idx) for idx in range(len(states))]
     meta = {
-        "command": "sweep3",
-        "n": n,
-        "step": step,
-        "delta": config.delta,
-        "lp_check": config.lp_check,
-    }
-    _emit(meta, rows, config)
-    return EXIT_OK
-
-
-def _cmd_sweep4(args) -> int:
-    config = RunConfig(
-        command="sweep4",
-        delta=args.delta,
-        offset_n=args.n,
-        output_path=args.out,
-        format=args.format,
-        max_iter=args.max_iter,
-        sweep_step=args.step,
-        threads=args.threads,
-        lp_check=args.lp_check,
-    )
-    n = config.offset_n
-    step = config.sweep_step
-    count = int(round(1.0 / step))
-    points = []
-    for i in range(count + 1):  # p_{n+3} index
-        for j in range(count + 1 - i):  # p_{n+2} index
-            for k in range(count + 1 - i - j):  # p_{n+1} index
-                points.append((i, j, k))
-
-    def evaluate(item):
-        idx, (i, j, k) = item
-        p3, p2, p1 = i * step, j * step, k * step
-        p0 = max(1.0 - p3 - p2 - p1, 0.0)
-        state = FockDiagonalState(n, np.asarray([p0, p1, p2, p3]))
-        result = classify(state)
-        lp = None
-        if config.lp_check and idx % config.lp_check == 0:
-            lp = _lp_value(n, [p0, p1, p2, p3], config.delta, config.max_iter)
-        return {
-            "p3": p3,
-            "p2": p2,
-            "p1": p1,
-            "label": result.label.value,
-            "value": float(result.value),
-            "n_lp": lp,
-        }
-
-    rows = _sweep_rows(list(enumerate(points)), evaluate, config.threads)
-    meta = {
-        "command": "sweep4",
+        "command": f"sweep{rank}",
         "n": n,
         "step": step,
         "delta": config.delta,
@@ -429,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s3.add_argument("--lp-check", type=int, default=0, metavar="STRIDE")
     p_s3.add_argument("--threads", type=int, default=1)
     add_common(p_s3)
-    p_s3.set_defaults(func=_cmd_sweep3)
+    p_s3.set_defaults(func=lambda args: _cmd_sweep(args, 3))
 
     p_s4 = sub.add_parser("sweep4", help="four-level phase diagram")
     p_s4.add_argument("--n", type=int, default=0)
@@ -438,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s4.add_argument("--lp-check", type=int, default=0, metavar="STRIDE")
     p_s4.add_argument("--threads", type=int, default=1)
     add_common(p_s4)
-    p_s4.set_defaults(func=_cmd_sweep4)
+    p_s4.set_defaults(func=lambda args: _cmd_sweep(args, 4))
 
     p_th = sub.add_parser("thermal", help="truncated thermal states")
     p_th.add_argument("--nth", type=float, required=True)

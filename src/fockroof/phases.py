@@ -12,21 +12,20 @@ Three-level values are believed exact; the four-level ones are close upper
 bounds, and every four-level result is flagged accordingly: states slightly
 beating the bounds are known to exist near the quartet/triplet-0 border.
 
-The four-level fractions f0..f3 and the pair fraction are located
-numerically by golden-section search on the invested-probability-weighted
-coherence; each objective has the form (a*sqrt(1-f) + b*sqrt(f))², which is
-unimodal on [0, 1].
+Every invested fraction f maximizes a probability-weighted coherence of the
+form s*(A*sqrt(f) + B*sqrt(1-f))² with A, B >= 0 read off the populations, so
+the maximizer A²/(A²+B²) and the maximum s*(A²+B²) are closed forms.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .optimize import bisect_root, golden_section_max
 from .states import FockDiagonalState, mean_photon, real_alpha
 
 _TIE_TOL = 1e-12
@@ -64,13 +63,9 @@ class AnsatzResult:
     upper_bound_only: bool = False
 
 
-class PairAnsatz(NamedTuple):
-    value: float
-    fraction: float
-    feasible: bool
+class FractionAnsatz(NamedTuple):
+    """Value, invested fraction and feasibility of a pair or triplet ansatz."""
 
-
-class TripletAnsatz(NamedTuple):
     value: float
     fraction: float
     feasible: bool
@@ -88,32 +83,17 @@ def _check_rank(state: FockDiagonalState, rank: int) -> None:
         raise ValueError(f"state must span exactly {rank} levels, got {state.rank}")
 
 
-def _maximize_fraction(objective) -> float:
-    """Maximizer of an invested-coherence objective over f in (0, 1).
+def _best_fraction(s: float, a: float, b: float) -> tuple[float, float]:
+    """Maximizer and maximum of s*(a*sqrt(f) + b*sqrt(1-f))² over f in [0, 1].
 
-    Golden-section alone localizes a flat maximum only to about sqrt(eps),
-    which is not enough for the fraction contracts.  Every objective here is
-    (a*sqrt(1-f) + b*sqrt(f))², so two well-separated samples of its square
-    root pin (a, b) and hence the exact maximizer b²/(a²+b²); the fit is
-    accepted only if it stays close to the search result and does not lower
-    the objective, falling back to the search otherwise.
+    By Cauchy-Schwarz the maximum is s*(a²+b²), reached at f = a²/(a²+b²).
+    With a = b = 0 the objective vanishes identically and f = 1 is returned:
+    the whole state is invested in the proportional atoms.
     """
-    coarse = golden_section_max(objective, 0.0, 1.0, tol=1e-12)
-    f1, f2 = 0.25, 0.75
-    s1 = np.sqrt(max(objective(f1), 0.0))
-    s2 = np.sqrt(max(objective(f2), 0.0))
-    u1, v1 = np.sqrt(1.0 - f1), np.sqrt(f1)
-    u2, v2 = np.sqrt(1.0 - f2), np.sqrt(f2)
-    det = u1 * v2 - u2 * v1
-    a = (s1 * v2 - s2 * v1) / det
-    b = (u1 * s2 - u2 * s1) / det
-    denom = a * a + b * b
-    if denom <= 0.0:
-        return coarse
-    polished = min(max(b * b / denom, 1e-12), 1.0)
-    if abs(polished - coarse) <= 1e-6 and objective(polished) >= objective(coarse) - 1e-12:
-        return polished
-    return coarse
+    norm = a * a + b * b
+    if norm == 0.0:
+        return 1.0, 0.0
+    return a * a / norm, s * norm
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +109,7 @@ def rank3_triplet(state: FockDiagonalState) -> float:
     return 2.0 * p2 + p1 + n - cross**2 * p1
 
 
-def rank3_upper_pair(state: FockDiagonalState) -> PairAnsatz:
+def rank3_upper_pair(state: FockDiagonalState) -> FractionAnsatz:
     """Pair the two upper levels; |n> enters the ensemble separately.
 
     The invested fraction f has the closed form
@@ -145,13 +125,13 @@ def rank3_upper_pair(state: FockDiagonalState) -> PairAnsatz:
     f = (2.0 + n) * p2 / ((1.0 + n) * p1 + (3.0 + 2.0 * n) * p2)
     if f <= 0.0:
         # p2 = 0: the pair carries no weight at any f, never a distinct phase.
-        return PairAnsatz(value=float("inf"), fraction=0.0, feasible=False)
+        return FractionAnsatz(value=float("inf"), fraction=0.0, feasible=False)
     x = np.array([np.sqrt(1.0 - f), np.sqrt(f * p1 / s), np.sqrt(f * p2 / s)])
     value = mean_photon(state) - s / f * real_alpha(x, n) ** 2
-    return PairAnsatz(value=value, fraction=f, feasible=s <= f + _FEAS_TOL)
+    return FractionAnsatz(value=value, fraction=f, feasible=s <= f + _FEAS_TOL)
 
 
-def rank3_lower_pair(state: FockDiagonalState) -> PairAnsatz:
+def rank3_lower_pair(state: FockDiagonalState) -> FractionAnsatz:
     """Pair the two lower levels; |n+2> enters the ensemble separately."""
     _check_rank(state, 3)
     n = state.offset
@@ -162,11 +142,11 @@ def rank3_lower_pair(state: FockDiagonalState) -> PairAnsatz:
         -3.0 - 2.0 * n + (1.0 + n) * p1 + (3.0 + 2.0 * n) * p2
     )
     if g <= 0.0:
-        return PairAnsatz(value=float("inf"), fraction=0.0, feasible=False)
+        return FractionAnsatz(value=float("inf"), fraction=0.0, feasible=False)
     r = 1.0 - p2
     x = np.array([np.sqrt(g * p0 / r), np.sqrt(g * p1 / r), np.sqrt(1.0 - g)])
     value = mean_photon(state) - r / g * real_alpha(x, n) ** 2
-    return PairAnsatz(value=value, fraction=g, feasible=r <= g + _FEAS_TOL)
+    return FractionAnsatz(value=value, fraction=g, feasible=r <= g + _FEAS_TOL)
 
 
 def classify_rank3(state: FockDiagonalState) -> AnsatzResult:
@@ -208,39 +188,34 @@ def rank4_quartet(state: FockDiagonalState) -> float:
     return mean_photon(state) - cross**2
 
 
-def _triplet_amplitudes(p, special, fraction):
-    """Amplitude vector with level ``special`` at sqrt(1-f) and the rest
-    carrying fraction f of their population ratios."""
-    rest = 1.0 - p[special]
-    x = np.sqrt(fraction * p / rest)
-    x[special] = np.sqrt(1.0 - fraction)
-    return x
-
-
-def rank4_triplet(state: FockDiagonalState, k: int) -> TripletAnsatz:
+def rank4_triplet(state: FockDiagonalState, k: int) -> FractionAnsatz:
     """Single out level n+k; the other three stay proportional in the atoms.
 
-    The invested fraction maximizes the probability-weighted coherence
-    (1-p_k)/f * <a>²(f); it is located numerically.  The phase is feasible
-    while that fraction is at least 1 - p_k.
+    The invested fraction f maximizes the probability-weighted coherence
+    (1-p_k)/f * <a>²(f).  Links between two proportional levels scale as f
+    and sum to A; links touching level n+k scale as sqrt(f(1-f)) and sum to
+    B.  The phase is feasible while f is at least 1 - p_k.
     """
     _check_rank(state, 4)
     if not 0 <= k <= 3:
         raise ValueError(f"k must be in 0..3, got {k}")
     n = state.offset
-    p = state.populations
+    p = state.populations.tolist()
     if p[k] >= 1.0:
         raise DegenerateStateError(f"triplet-{k} ansatz needs p_(n+{k}) < 1")
     rest = 1.0 - p[k]
-
-    def objective(f: float) -> float:
-        x = _triplet_amplitudes(p, k, f)
-        return rest / f * real_alpha(x, n) ** 2
-
-    f_best = _maximize_fraction(objective)
-    value = mean_photon(state) - objective(f_best)
-    return TripletAnsatz(
-        value=value, fraction=f_best, feasible=f_best >= rest - _FEAS_TOL
+    a = b = 0.0
+    for j in range(3):
+        weight = math.sqrt(n + j + 1.0)
+        if k == j:
+            b += weight * math.sqrt(p[j + 1] / rest)
+        elif k == j + 1:
+            b += weight * math.sqrt(p[j] / rest)
+        else:
+            a += weight * math.sqrt(p[j] * p[j + 1]) / rest
+    f, gain = _best_fraction(rest, a, b)
+    return FractionAnsatz(
+        value=mean_photon(state) - gain, fraction=f, feasible=f >= rest - _FEAS_TOL
     )
 
 
@@ -248,40 +223,33 @@ def rank4_pair(state: FockDiagonalState) -> Pair21Ansatz:
     """Pair the middle levels n+2, n+1; split |n+3> and |n> across the rest.
 
     The split g = (3+n) p2 / ((1+n) p1 + (3+n) p2) and the invested fraction
-    f depend only on the window offset and the middle populations.  Feasible
+    f depend only on the window offset and the middle populations: the
+    inner link scales as f, the two outer links as sqrt(f(1-f)).  Feasible
     while the pair atoms do not over-fill the total, top or bottom
     populations.
     """
     _check_rank(state, 4)
     n = state.offset
-    p0, p1, p2, p3 = state.populations
+    p0, p1, p2, p3 = state.populations.tolist()
     s = p1 + p2
     if s <= 0.0:
         raise DegenerateStateError("pair ansatz needs p1 + p2 > 0")
     g = (3.0 + n) * p2 / ((1.0 + n) * p1 + (3.0 + n) * p2)
-
-    def amplitudes(f: float) -> np.ndarray:
-        return np.array(
-            [
-                np.sqrt((1.0 - f) * (1.0 - g)),
-                np.sqrt(f * p1 / s),
-                np.sqrt(f * p2 / s),
-                np.sqrt((1.0 - f) * g),
-            ]
+    a = math.sqrt(n + 2.0) * math.sqrt(p1 * p2) / s
+    b = math.sqrt(n + 1.0) * math.sqrt((1.0 - g) * p1 / s) + math.sqrt(
+        n + 3.0
+    ) * math.sqrt(g * p2 / s)
+    f, gain = _best_fraction(s, a, b)
+    # f = 0 invests nothing in the pair atoms, which then cannot carry s
+    feasible = f > 0.0 and s <= f + _FEAS_TOL
+    if feasible:
+        leftover = (1.0 - f) / f * s
+        feasible = (
+            leftover * g <= p3 + _FEAS_TOL and leftover * (1.0 - g) <= p0 + _FEAS_TOL
         )
-
-    def objective(f: float) -> float:
-        return s / f * real_alpha(amplitudes(f), n) ** 2
-
-    f_best = _maximize_fraction(objective)
-    value = mean_photon(state) - objective(f_best)
-    leftover = (1.0 - f_best) / f_best * s
-    feasible = (
-        s <= f_best + _FEAS_TOL
-        and leftover * g <= p3 + _FEAS_TOL
-        and leftover * (1.0 - g) <= p0 + _FEAS_TOL
+    return Pair21Ansatz(
+        value=mean_photon(state) - gain, fraction=f, split=g, feasible=feasible
     )
-    return Pair21Ansatz(value=value, fraction=f_best, split=g, feasible=feasible)
 
 
 def classify_rank4(state: FockDiagonalState) -> AnsatzResult:
@@ -334,19 +302,16 @@ def classify(state: FockDiagonalState) -> AnsatzResult:
 
 
 def pair_fraction_balance(offset: int, p_upper: float, p_lower: float) -> float:
-    """Upper-pair fraction from its stationarity balance, solved numerically.
+    """Upper-pair fraction from its stationarity balance.
 
     The optimal fraction equates the weighted marginal coherence gains of the
-    paired levels, (n+2) p2/(p2+p1) / f = (n+1) / (1-f); bisection on that
-    balance must agree with the closed form used by :func:`rank3_upper_pair`.
+    paired levels, (n+2) p2/(p2+p1) / f = (n+1) / (1-f).  The balance is
+    linear in f; its root must agree with the closed form used by
+    :func:`rank3_upper_pair`.
     """
     s = p_upper + p_lower
     if s <= 0.0 or p_upper <= 0.0:
         raise DegenerateStateError("balance needs p_upper > 0")
     a = (offset + 2.0) * p_upper / s
     b = offset + 1.0
-
-    def balance(f: float) -> float:
-        return a * (1.0 - f) - b * f
-
-    return bisect_root(balance, 0.0, 1.0, tol=1e-15)
+    return a / (a + b)

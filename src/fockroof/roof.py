@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .grid import (
     build_grid,
     neighborhood_grid,
 )
-from .simplex import LpSolution, LpStatus, StandardFormLp
+from .simplex import LpStatus, StandardFormLp
 from .states import FockDiagonalState, PureFockWindowState, mean_photon, simple_bound
 
 SUPPORT_TOL = 1e-10
@@ -140,10 +142,25 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
     free_sq = grid.free_amplitudes**2
     rows = np.vstack([np.ones(grid.n_points), free_sq.T])
-    rhs = np.concatenate([[1.0], state.populations[1:]])
     return StandardFormLp(
-        objective=grid.objective_coeffs(state.offset), row_matrix=rows, rhs=rhs
+        objective=grid.objective_coeffs(state.offset),
+        row_matrix=rows,
+        rhs=_population_rhs(state),
     )
+
+
+def _population_rhs(state: FockDiagonalState) -> np.ndarray:
+    return np.concatenate([[1.0], state.populations[1:]])
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` that attributes a warning to the first caller outside
+    this module, however deep inside it the warning is raised."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level += 1
+        frame = frame.f_back
+    return level
 
 
 def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
@@ -157,17 +174,17 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
             f"populations of levels {tiny} are below 4*delta^2; the lattice cannot "
             f"resolve their amplitudes, consider a smaller delta",
             GridResolutionWarning,
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
 
 
 def _solve_on_grid(
     state: FockDiagonalState,
     grid: AmplitudeGrid,
+    lp: StandardFormLp,
     feas_tol: float,
     max_iter: int,
-) -> tuple[float, Histogram, LpSolution]:
-    lp = assemble_lp(state, grid)
+) -> tuple[float, Histogram]:
     sol = simplex.solve(lp, feas_tol=feas_tol, max_iter=max_iter)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
@@ -176,7 +193,55 @@ def _solve_on_grid(
     weights = sol.primal.values[keep]
     order = np.argsort(indices)
     hist = Histogram(grid=grid, indices=indices[order], weights=weights[order])
-    return mean_photon(state) - sol.objective_value, hist, sol
+    return mean_photon(state) - sol.objective_value, hist
+
+
+class LatticeLps:
+    """Full-lattice histogram LPs at one spacing, shared by many states.
+
+    The grid depends only on the window rank and the objective only on the
+    rank and the offset; a state enters the LP through its right-hand side
+    alone.  Each grid is enumerated once per rank and each LP matrix built
+    once per window of the given states; the instance is read-only
+    afterwards, so threads may share it.
+    """
+
+    def __init__(
+        self,
+        states: Iterable[FockDiagonalState],
+        delta: float,
+        max_points: int = DEFAULT_MAX_POINTS,
+    ):
+        self.delta = delta
+        grids: dict[int, AmplitudeGrid] = {}
+        self._lps: dict[tuple[int, int], tuple[AmplitudeGrid, StandardFormLp]] = {}
+        for state in states:
+            _require_lp_ready(state)
+            window = (state.rank, state.offset)
+            if window in self._lps:
+                continue
+            if state.rank not in grids:
+                grids[state.rank] = build_grid(state.rank, delta, max_points=max_points)
+            grid = grids[state.rank]
+            self._lps[window] = (grid, assemble_lp(state, grid))
+
+    def estimate(
+        self,
+        state: FockDiagonalState,
+        feas_tol: float = simplex.DEFAULT_FEAS_TOL,
+        max_iter: int = simplex.DEFAULT_MAX_ITER,
+    ) -> tuple[float, Histogram]:
+        """One-sided estimate and optimal histogram for a state whose window
+        was among those given at construction."""
+        _require_lp_ready(state)
+        window = (state.rank, state.offset)
+        if window not in self._lps:
+            raise ValueError(f"no lattice LP was built for window (rank, offset) {window}")
+        _warn_fine_populations(state, self.delta)
+        grid, lp = self._lps[window]
+        return _solve_on_grid(
+            state, grid, replace(lp, rhs=_population_rhs(state)), feas_tol, max_iter
+        )
 
 
 def estimate_nonclassicality(
@@ -191,11 +256,8 @@ def estimate_nonclassicality(
     Returns the estimate (mean photon number minus the LP optimum, never
     below the true value) together with the optimal histogram.
     """
-    _require_lp_ready(state)
-    _warn_fine_populations(state, delta)
-    grid = build_grid(state.rank, delta, max_points=max_points)
-    value, hist, _ = _solve_on_grid(state, grid, feas_tol, max_iter)
-    return value, hist
+    lattice = LatticeLps([state], delta, max_points=max_points)
+    return lattice.estimate(state, feas_tol=feas_tol, max_iter=max_iter)
 
 
 def _refine_impl(state, delta_start, levels, feas_tol, max_iter, max_points):
@@ -219,7 +281,9 @@ def _refine_impl(state, delta_start, levels, feas_tol, max_iter, max_points):
                 radius=radius,
                 max_points=max_points,
             )
-        value, hist, _ = _solve_on_grid(state, grid, feas_tol, max_iter)
+        value, hist = _solve_on_grid(
+            state, grid, assemble_lp(state, grid), feas_tol, max_iter
+        )
         steps.append((delta, value))
     return steps, hist
 

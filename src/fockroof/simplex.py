@@ -270,16 +270,15 @@ def solve(
         raise ValueError("pricing_block must be positive")
 
     rows, cols = lp.n_rows, lp.n_cols
-    a = lp.row_matrix.copy()
     b = lp.rhs.copy()
     flip = b < 0
-    a[flip] *= -1.0
     b[flip] *= -1.0
 
     budget = _IterationBudget(max_iter)
 
     # Phase 1: artificial variables on every row, maximize minus their sum.
-    a_ext = np.hstack([a, np.eye(rows)])
+    a_ext = np.hstack([lp.row_matrix, np.eye(rows)])
+    a_ext[flip, :cols] *= -1.0
     c_phase1 = np.concatenate([np.zeros(cols), -np.ones(rows)])
     tab = _Tableau(a_ext, b, list(range(cols, cols + rows)))
     outcome = _run_phase(tab, c_phase1, feas_tol, pricing_block, budget)

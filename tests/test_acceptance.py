@@ -30,7 +30,6 @@ from fockroof import (
     truncated_thermal,
 )
 from fockroof.cli import main
-from fockroof.optimize import bisect_root
 
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
 from test_simplex import bounded_random_lp
@@ -46,6 +45,23 @@ EXCEPTION_STATE_B = [0.83, 0.15, 0.01, 0.01]
 
 def state(offset, pops):
     return FockDiagonalState(offset, np.asarray(pops, float))
+
+
+def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14) -> float:
+    """Root of fn on a sign-changing bracket [lo, hi], to within tol."""
+    flo = fn(lo)
+    if (flo > 0) == (fn(hi) > 0):
+        raise ValueError("fn must change sign on [lo, hi]")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def report(num: int, description: str, ok: bool, detail: str = ""):

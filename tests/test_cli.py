@@ -204,6 +204,16 @@ class TestSweep4:
         assert by_point[(0.0, 1.0, 0.0)]["value"] == pytest.approx(2.0)
         assert by_point[(1.0, 0.0, 0.0)]["value"] == pytest.approx(3.0)
 
+    def test_lp_check_threads_do_not_change_output(self, tmp_path):
+        # the checked windows span ranks 1-4, so the workers share several lattices
+        argv = ["sweep4", "--step", "0.25", "--lp-check", "2", "--delta", "0.1", "--format", "csv"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--threads", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        rows = read_csv_text(a.read_text())
+        assert sum(1 for r in rows[1:] if r[-1] != "") == 18
+
     def test_rank3_face_embedding(self, capsys):
         sweep4 = run_json(capsys, "sweep4", "--step", "0.2", "--format", "json")
         sweep3 = run_json(capsys, "sweep3", "--step", "0.2", "--format", "json")

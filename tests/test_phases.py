@@ -9,6 +9,7 @@ from fockroof import (
     classify_rank3,
     classify_rank4,
     estimate_nonclassicality,
+    mean_photon,
     pair_fraction_balance,
     rank2_nonclassicality,
     rank3_lower_pair,
@@ -20,7 +21,6 @@ from fockroof import (
     real_alpha,
     simple_bound,
 )
-from fockroof.optimize import bisect_root, golden_section_max
 
 from conftest import random_trimmed_state
 
@@ -379,15 +379,80 @@ class TestPairFractionBalance:
             pair_fraction_balance(0, 0.0, 0.0)
 
 
-class TestScalarOptimizers:
-    def test_golden_section_quadratic(self):
-        argmax = golden_section_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-12)
-        assert argmax == pytest.approx(0.3, abs=1e-10)
+def link_sums(amplitudes, offset):
+    """(A, B) of a fraction family whose coherence is f*A + sqrt(f(1-f))*B.
 
-    def test_bisect_linear(self):
-        root = bisect_root(lambda x: 2.0 * x - 0.5, 0.0, 1.0)
-        assert root == pytest.approx(0.25, abs=1e-12)
+    Read off the family's own amplitude vectors: <a> is A at f = 1 and
+    (A + B)/2 at f = 1/2.
+    """
+    a = real_alpha(amplitudes(1.0), offset)
+    b = 2.0 * real_alpha(amplitudes(0.5), offset) - a
+    return a, b
 
-    def test_bisect_requires_bracket(self):
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x + 1.0, 0.0, 1.0)
+
+class TestFractionClosedForms:
+    """Every fraction objective is s*(A*sqrt(f) + B*sqrt(1-f))²: the fraction
+    is A²/(A²+B²) and the value mean_photon - s*(A²+B²)."""
+
+    def test_triplet_fraction_and_value(self, rng):
+        checked = 0
+        while checked < 40:
+            s = random_trimmed_state(rng, max_rank=4)
+            if s.rank != 4:
+                continue
+            checked += 1
+            p = s.populations
+            for k in range(4):
+                rest = 1.0 - p[k]
+
+                def amplitudes(f):
+                    x = np.sqrt(f * p / rest)
+                    x[k] = np.sqrt(1.0 - f)
+                    return x
+
+                a, b = link_sums(amplitudes, s.offset)
+                result = rank4_triplet(s, k)
+                assert result.fraction == pytest.approx(a * a / (a * a + b * b), abs=1e-12)
+                expected = mean_photon(s) - rest * (a * a + b * b)
+                assert result.value == pytest.approx(expected, abs=1e-12)
+
+    def test_pair_fraction_and_value(self, rng):
+        checked = 0
+        while checked < 40:
+            s = random_trimmed_state(rng, max_rank=4)
+            if s.rank != 4:
+                continue
+            checked += 1
+            n = s.offset
+            p0, p1, p2, p3 = s.populations
+            sm = p1 + p2
+            g = (3.0 + n) * p2 / ((1.0 + n) * p1 + (3.0 + n) * p2)
+
+            def amplitudes(f):
+                return np.array(
+                    [
+                        np.sqrt((1 - f) * (1 - g)),
+                        np.sqrt(f * p1 / sm),
+                        np.sqrt(f * p2 / sm),
+                        np.sqrt((1 - f) * g),
+                    ]
+                )
+
+            a, b = link_sums(amplitudes, n)
+            result = rank4_pair(s)
+            assert result.fraction == pytest.approx(a * a / (a * a + b * b), abs=1e-12)
+            expected = mean_photon(s) - sm * (a * a + b * b)
+            assert result.value == pytest.approx(expected, abs=1e-12)
+
+    def test_vanishing_coherence_keeps_quartet(self):
+        # outer levels only: every triplet link vanishes (A = B = 0), the
+        # objective is zero for every f and the fraction is pinned to one
+        s = state(0, [0.5, 0.0, 0.0, 0.5])
+        for k in (0, 3):
+            result = rank4_triplet(s, k)
+            assert result.fraction == 1.0
+            assert result.feasible
+            assert result.value == pytest.approx(1.5, abs=1e-12)
+        best = classify_rank4(s)
+        assert best.label is PhaseLabel.QUARTET
+        assert best.value == pytest.approx(1.5, abs=1e-12)

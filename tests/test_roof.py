@@ -24,6 +24,8 @@ from fockroof import (
     simple_bound,
 )
 
+from fockroof.roof import LatticeLps
+
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
 
 
@@ -94,6 +96,37 @@ class TestEstimate:
     def test_tiny_population_warns(self):
         with pytest.warns(GridResolutionWarning):
             estimate_nonclassicality(state(0, [0.995, 0.004, 0.001]), 0.05)
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda s: estimate_nonclassicality(s, 0.05),
+            lambda s: refine(s, 0.05, 2),
+            lambda s: refined_histogram(s, 0.05, 2),
+        ],
+        ids=["estimate_nonclassicality", "refine", "refined_histogram"],
+    )
+    def test_warning_points_at_caller(self, estimate):
+        with pytest.warns(GridResolutionWarning) as record:
+            estimate(state(0, [0.995, 0.004, 0.001]))
+        assert [w.filename for w in record] == [__file__]
+
+    def test_shared_lattice_matches_single_state(self):
+        states = [
+            state(0, [0.6, 0.2, 0.2]),
+            state(1, [0.3, 0.45, 0.25]),
+            state(0, [0.5, 0.25, 0.25]),
+            state(2, [0.7, 0.3]),
+        ]
+        lattices = LatticeLps(states, 0.05)
+        for s in states:
+            shared, shared_hist = lattices.estimate(s)
+            alone, alone_hist = estimate_nonclassicality(s, 0.05)
+            assert shared == alone
+            np.testing.assert_array_equal(shared_hist.indices, alone_hist.indices)
+            np.testing.assert_array_equal(shared_hist.weights, alone_hist.weights)
+        with pytest.raises(ValueError, match="window"):
+            lattices.estimate(state(3, [0.6, 0.2, 0.2]))
 
     def test_solver_failure_propagates(self):
         with pytest.raises(SolverFailure):
