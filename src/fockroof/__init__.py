@@ -7,7 +7,7 @@ three- and four-level windows and a quadrature-Fisher-information lower
 bound cross-check the LP from above and below.
 """
 
-from .grid import AmplitudeGrid, GridCapacityError, GridPoint, build_grid, count_grid_points
+from .grid import AmplitudeGrid, GridCapacityError, build_grid, count_grid_points
 from .metrology import QfiReport, quadrature_qfi
 from .phases import (
     AnsatzResult,
@@ -69,7 +69,6 @@ __all__ = [
     "ExplicitDecomposition",
     "FockDiagonalState",
     "GridCapacityError",
-    "GridPoint",
     "GridResolutionWarning",
     "Histogram",
     "LpSolution",

@@ -223,7 +223,7 @@ def _cmd_sweep(args, rank: int) -> int:
     Rows run over p_{n+M-1}, ..., p_{n+1} on the step lattice, top level
     outermost.  With --lp-check K every K-th point also gets the LP estimate
     of its trimmed window; those windows' lattice LPs are built once, before
-    any worker starts.
+    any worker starts, and only their solves are spread over the threads.
     """
     config = RunConfig(
         command=f"sweep{rank}",
@@ -247,24 +247,24 @@ def _cmd_sweep(args, rank: int) -> int:
     windows = {idx: states[idx].trimmed() for idx in checked}
     lattices = LatticeLps([w for w in windows.values() if w.rank > 1], config.delta)
 
-    def evaluate(idx: int) -> dict:
-        result = classify(states[idx])
-        window = windows.get(idx)
-        if window is None:
-            lp = None
-        elif window.rank == 1:
-            lp = float(window.offset)
-        else:
-            lp = float(lattices.estimate(window, max_iter=config.max_iter)[0])
-        row = {f"p{rank - 1 - d}": p for d, p in enumerate(tops[idx])}
-        row.update(label=result.label.value, value=float(result.value), n_lp=lp)
-        return row
+    def lp_value(idx: int) -> float:
+        window = windows[idx]
+        if window.rank == 1:
+            return float(window.offset)
+        return float(lattices.estimate(window, max_iter=config.max_iter)[0])
 
+    # classify holds the interpreter lock; only the LP solves can overlap
+    results = [classify(state) for state in states]
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(evaluate, range(len(states))))
+            lps = dict(zip(windows, pool.map(lp_value, windows)))
     else:
-        rows = [evaluate(idx) for idx in range(len(states))]
+        lps = {idx: lp_value(idx) for idx in windows}
+    rows = []
+    for idx, (top, result) in enumerate(zip(tops, results)):
+        row = {f"p{rank - 1 - d}": p for d, p in enumerate(top)}
+        row.update(label=result.label.value, value=float(result.value), n_lp=lps.get(idx))
+        rows.append(row)
     meta = {
         "command": f"sweep{rank}",
         "n": n,

@@ -10,7 +10,6 @@ integer tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -58,46 +57,34 @@ def count_grid_points(rank: int, delta: float) -> int:
     return int(counts[limit])
 
 
-def _enumerate_lattice(budget: int, dims: int) -> np.ndarray:
-    if dims == 1:
-        return np.arange(isqrt(budget) + 1, dtype=np.int32)[:, None]
-    blocks = []
-    for l in range(isqrt(budget) + 1):
-        sub = _enumerate_lattice(budget - l * l, dims - 1)
-        lead = np.full((sub.shape[0], 1), l, dtype=np.int32)
-        blocks.append(np.hstack([lead, sub]))
-    return np.vstack(blocks)
+def _isqrt(values: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(v)) of nonnegative int64 values, exactly.
 
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One decomposition amplitude vector.
-
-    ``free_amplitudes`` are (x_1, ..., x_{M-1}); ``x0`` is the normalization
-    remainder.  ``objective_coeff`` is the squared coherence kernel, filled in
-    once the point is bound to a window offset.
+    The float root is off by at most one, which the two corrections undo.
     """
+    root = np.sqrt(values.astype(float)).astype(np.int64)
+    root -= root * root > values
+    root += (root + 1) * (root + 1) <= values
+    return root
 
-    free_amplitudes: tuple[float, ...]
-    x0: float
-    objective_coeff: float | None = None
 
+def _enumerate_lattice(limit: int, dims: int) -> np.ndarray:
+    """All nonnegative integer vectors of length ``dims`` with sum of squares
+    at most ``limit``, as int32 rows in lexicographic order.
 
-class _PointView:
-    """Lazy sequence of GridPoint over the grid arrays."""
-
-    def __init__(self, grid: "AmplitudeGrid"):
-        self._grid = grid
-
-    def __len__(self) -> int:
-        return self._grid.n_points
-
-    def __getitem__(self, i) -> GridPoint:
-        return self._grid.point(int(i))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self._grid.point(i)
+    Built one coordinate at a time: every prefix is repeated once for each
+    value 0..isqrt(budget left) of the next coordinate, in increasing order.
+    """
+    rows = np.zeros((1, 0), dtype=np.int32)
+    left = np.array([limit], dtype=np.int64)
+    for k in range(dims):
+        counts = _isqrt(left) + 1
+        coord = np.arange(counts.sum(), dtype=np.int64)
+        coord -= np.repeat(np.cumsum(counts) - counts, counts)
+        if k + 1 < dims:
+            left = np.repeat(left, counts) - coord * coord
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), coord.astype(np.int32)])
+    return rows
 
 
 class AmplitudeGrid:
@@ -124,32 +111,12 @@ class AmplitudeGrid:
     def __len__(self) -> int:
         return self.n_points
 
-    @property
-    def points(self) -> _PointView:
-        return _PointView(self)
-
-    def point(self, i: int, offset: int | None = None) -> GridPoint:
-        coeff = None
-        if offset is not None:
-            amps = np.concatenate([[self.x0[i]], self.free_amplitudes[i]])
-            k = np.arange(self.rank - 1)
-            coeff = float(np.sum(amps[1:] * amps[:-1] * np.sqrt(offset + k + 1.0)) ** 2)
-        return GridPoint(
-            free_amplitudes=tuple(self.free_amplitudes[i]),
-            x0=float(self.x0[i]),
-            objective_coeff=coeff,
-        )
-
-    def amplitude_matrix(self) -> np.ndarray:
-        """(n_points, rank) array of full amplitude vectors (x0, x1, ...)."""
-        return np.hstack([self.x0[:, None], self.free_amplitudes])
-
     def objective_coeffs(self, offset: int) -> np.ndarray:
         """Squared coherence kernel of every point for a window starting at offset."""
-        x = self.amplitude_matrix()
+        x = [self.x0, *self.free_amplitudes.T]
         alpha = np.zeros(self.n_points)
         for k in range(self.rank - 1):
-            alpha += x[:, k] * x[:, k + 1] * np.sqrt(offset + k + 1.0)
+            alpha += x[k] * x[k + 1] * np.sqrt(offset + k + 1.0)
         return alpha**2
 
 
@@ -168,6 +135,25 @@ def build_grid(
         raise GridCapacityError(n, max_points)
     lattice = _enumerate_lattice(_lattice_radius_sq(delta), rank - 1)
     return AmplitudeGrid(rank, delta, lattice)
+
+
+def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
+    """Distinct rows in lexicographic order, for nonnegative entries below ``radix``.
+
+    Each row is read as one mixed-radix int64 number, whose order is the
+    rows' lexicographic order.  Where ``radix**columns`` would overflow int64
+    the rows are sorted with ``np.lexsort`` instead.
+    """
+    if radix ** rows.shape[1] <= np.iinfo(np.int64).max:
+        key = np.zeros(rows.shape[0], dtype=np.int64)
+        for col in rows.T:
+            key = key * radix + col
+        _, first = np.unique(key, return_index=True)
+        return rows[first]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[fresh]
 
 
 def neighborhood_grid(
@@ -196,7 +182,7 @@ def neighborhood_grid(
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=1)
         blocks.append(pts[np.sum(pts * pts, axis=1) <= limit])
-    pts = np.unique(np.vstack(blocks), axis=0)
+    pts = _unique_rows(np.vstack(blocks), isqrt(limit) + 1)
     if pts.shape[0] > max_points:
         raise GridCapacityError(int(pts.shape[0]), max_points)
     return AmplitudeGrid(rank, delta, pts.astype(np.int32))

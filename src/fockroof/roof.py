@@ -36,10 +36,12 @@ SUPPORT_TOL = 1e-10
 
 
 class SolverFailure(Exception):
-    """The decomposition LP did not reach an optimal vertex."""
+    """The decomposition LP did not reach an optimal vertex, or the vertex it
+    reached does not reproduce the state within the feasibility tolerance."""
 
-    def __init__(self, status: LpStatus):
-        super().__init__(f"linear program ended with status {status.value}")
+    def __init__(self, status: LpStatus, detail: str = ""):
+        message = f"linear program ended with status {status.value}"
+        super().__init__(f"{message}; {detail}" if detail else message)
         self.status = status
 
 
@@ -188,6 +190,13 @@ def _solve_on_grid(
     sol = simplex.solve(lp, feas_tol=feas_tol, max_iter=max_iter)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
+    eq, neg = simplex.residuals(lp, sol)
+    if eq > feas_tol or neg < 0.0:
+        raise SolverFailure(
+            sol.status,
+            f"histogram residuals exceed {feas_tol:g}: "
+            f"equality {eq:.3g}, most negative weight {neg:.3g}",
+        )
     keep = sol.primal.values > SUPPORT_TOL
     indices = sol.primal.indices[keep]
     weights = sol.primal.values[keep]

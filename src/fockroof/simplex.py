@@ -6,7 +6,8 @@ thousand columns, so the cost of a pivot is dominated by pricing.  Pricing is
 vectorized over column blocks (partial pricing, Dantzig rule within a block);
 the basis inverse is kept dense and refactorized periodically.  Cycling at
 degenerate vertices is handled by a lexicographic ratio test with a fallback
-to Bland's rule after a run of degenerate pivots.
+to Bland's rule after a run of degenerate pivots, kept until the next pivot
+that moves the objective.
 """
 
 from __future__ import annotations
@@ -218,6 +219,7 @@ def _run_phase(tab: _Tableau, c, tol, block, budget: _IterationBudget):
                 bland = True
         else:
             stalls = 0
+            bland = False
         if since_refactor >= _REFACTOR_EVERY:
             tab.refactor()
             since_refactor = 0

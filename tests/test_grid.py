@@ -1,10 +1,11 @@
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from fockroof import GridCapacityError, build_grid, count_grid_points
-from fockroof.grid import neighborhood_grid
+from fockroof.grid import DEFAULT_MAX_POINTS, neighborhood_grid
 
 
 def brute_force_lattice(rank, delta):
@@ -17,6 +18,35 @@ def brute_force_lattice(rank, delta):
         if sum(l * l for l in ls) <= limit
     ]
     return sorted(pts)
+
+
+def recursive_lattice(budget, dims):
+    """The lattice as it was first enumerated: one recursive call per
+    leading coordinate value, blocks stacked in order."""
+    if dims == 1:
+        return np.arange(isqrt(budget) + 1, dtype=np.int32)[:, None]
+    blocks = []
+    for l in range(isqrt(budget) + 1):
+        sub = recursive_lattice(budget - l * l, dims - 1)
+        lead = np.full((sub.shape[0], 1), l, dtype=np.int32)
+        blocks.append(np.hstack([lead, sub]))
+    return np.vstack(blocks)
+
+
+def radius_sq(delta):
+    return int((1.0 + 1e-12) / (delta * delta) + 1e-9)
+
+
+def reference_neighborhood(delta, centers, center_delta, radius):
+    """Every box point by itertools, deduplicated with np.unique(axis=0)."""
+    limit = radius_sq(delta)
+    steps = int(round(radius / delta))
+    rows = []
+    for center in centers:
+        mids = [int(round(c * center_delta / delta)) for c in center]
+        ranges = [range(max(0, m - steps), m + steps + 1) for m in mids]
+        rows += [p for p in product(*ranges) if sum(l * l for l in p) <= limit]
+    return np.unique(np.array(rows, dtype=np.int64), axis=0)
 
 
 class TestCounts:
@@ -44,6 +74,21 @@ class TestCounts:
         expected = brute_force_lattice(rank, delta)
         assert grid.n_points == len(expected)
         assert sorted(map(tuple, grid.lattice.tolist())) == expected
+
+    @pytest.mark.parametrize("delta", [0.3, 0.05, 0.01])
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_matches_recursive_enumeration(self, rank, delta):
+        count = count_grid_points(rank, delta)
+        if count > DEFAULT_MAX_POINTS:
+            with pytest.raises(GridCapacityError) as err:
+                build_grid(rank, delta)
+            assert err.value.requested == count
+            return
+        grid = build_grid(rank, delta)
+        expected = recursive_lattice(radius_sq(delta), rank - 1)
+        assert grid.n_points == count
+        assert grid.lattice.dtype == expected.dtype
+        np.testing.assert_array_equal(grid.lattice, expected)
 
     def test_count_without_materializing(self):
         for rank, delta in [(2, 0.03), (3, 0.05), (4, 0.1), (5, 0.2)]:
@@ -73,25 +118,23 @@ class TestGridGeometry:
 
     def test_point_view(self):
         grid = build_grid(2, 0.5)
-        pts = grid.points
-        assert len(pts) == 3
-        assert [p.free_amplitudes for p in pts] == [(0.0,), (0.5,), (1.0,)]
-        assert pts[0].x0 == pytest.approx(1.0)
-        assert pts[2].x0 == pytest.approx(0.0)
+        assert len(grid) == 3
+        assert grid.free_amplitudes.tolist() == [[0.0], [0.5], [1.0]]
+        assert grid.x0[0] == pytest.approx(1.0)
+        assert grid.x0[2] == pytest.approx(0.0)
 
     def test_objective_coeff_binding(self):
         grid = build_grid(3, 0.5)
         idx = [tuple(l) for l in grid.lattice.tolist()].index((1, 1))
-        point = grid.point(idx, offset=0)
-        assert point.objective_coeff == pytest.approx(0.5, abs=1e-12)
+        assert grid.objective_coeffs(0)[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_objective_coeffs_vectorized(self):
         grid = build_grid(3, 0.25)
         coeffs = grid.objective_coeffs(1)
         for i in (0, 5, len(grid) - 1):
-            assert coeffs[i] == pytest.approx(
-                grid.point(i, offset=1).objective_coeff, abs=1e-14
-            )
+            x0, (x1, x2) = grid.x0[i], grid.free_amplitudes[i]
+            alpha = x0 * x1 * np.sqrt(2.0) + x1 * x2 * np.sqrt(3.0)
+            assert coeffs[i] == pytest.approx(alpha**2, abs=1e-14)
 
 
 class TestCapacity:
@@ -133,3 +176,29 @@ class TestNeighborhood:
         fine = neighborhood_grid(2, 0.1, coarse.lattice, center_delta=0.2, radius=0.4)
         rows = list(map(tuple, fine.lattice.tolist()))
         assert rows == sorted(set(rows))
+
+    @pytest.mark.parametrize(
+        "rank,delta,center_delta,picks",
+        [
+            (3, 0.05, 0.1, [0, 10, -1]),
+            (4, 0.05, 0.1, [3, 40, 41, 200, -1]),
+            (6, 0.025, 0.05, [0, 1000, 333333, -1]),
+        ],
+    )
+    def test_matches_unique_rows(self, rank, delta, center_delta, picks):
+        coarse = build_grid(rank, center_delta)
+        centers = coarse.lattice[picks]
+        radius = 2.0 * center_delta
+        fine = neighborhood_grid(rank, delta, centers, center_delta, radius)
+        expected = reference_neighborhood(delta, centers, center_delta, radius)
+        np.testing.assert_array_equal(fine.lattice, expected)
+
+    def test_matches_unique_rows_past_int64_key(self):
+        # 2001 values per coordinate: a 6-digit key in that radix overflows int64
+        delta, center_delta = 5e-4, 1e-3
+        assert (isqrt(radius_sq(delta)) + 1) ** 6 > np.iinfo(np.int64).max
+        centers = np.array([[100, 200, 0, 50, 300, 10]])
+        fine = neighborhood_grid(7, delta, centers, center_delta, radius=center_delta)
+        expected = reference_neighborhood(delta, centers, center_delta, center_delta)
+        assert fine.n_points == 5**5 * 3
+        np.testing.assert_array_equal(fine.lattice, expected)

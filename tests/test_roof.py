@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fockroof import (
     simple_bound,
 )
 
+from fockroof import simplex
 from fockroof.roof import LatticeLps
 
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
@@ -131,6 +133,20 @@ class TestEstimate:
     def test_solver_failure_propagates(self):
         with pytest.raises(SolverFailure):
             estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.05, max_iter=1)
+
+    @pytest.mark.parametrize("shift", [1e-6, -1.0])
+    def test_histogram_residuals_are_checked(self, monkeypatch, shift):
+        real_solve = simplex.solve
+
+        def perturbed_solve(lp, **kwargs):
+            sol = real_solve(lp, **kwargs)
+            values = sol.primal.values.copy()
+            values[0] += shift
+            return replace(sol, primal=replace(sol.primal, values=values))
+
+        monkeypatch.setattr(simplex, "solve", perturbed_solve)
+        with pytest.raises(SolverFailure, match="residuals"):
+            estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.05)
 
 
 class TestOneSidedness:

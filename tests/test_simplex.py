@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from fockroof import (
+    FockDiagonalState,
     LpSolution,
     LpStatus,
     SparseVector,
     StandardFormLp,
+    assemble_lp,
+    build_grid,
+    mean_photon,
     residuals,
     solve,
     write_lp,
@@ -169,6 +173,19 @@ class TestDegeneracy:
         assert sol.objective_value == pytest.approx(
             brute_force_optimum(lp), abs=1e-8
         )
+
+    def test_blands_rule_ends_with_the_degenerate_run(self):
+        # a long degenerate run on the 537,052-column lattice; keeping Bland's
+        # full-column pricing for the rest of the phase took 7,849 pivots
+        state = FockDiagonalState(0, np.array([0.4, 0.5, 0.0, 0.1]))
+        lp = assemble_lp(state, build_grid(4, 0.00999))
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations < 1000
+        assert mean_photon(state) - sol.objective_value == pytest.approx(
+            0.5778693086369322, abs=1e-9
+        )
+
 
 
 class TestDeterminism:
