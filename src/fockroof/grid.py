@@ -43,18 +43,24 @@ def _lattice_radius_sq(delta: float) -> int:
 def count_grid_points(rank: int, delta: float) -> int:
     """Number of lattice points for the given window rank, without building them.
 
-    Counts by convolving shell counts one free coordinate at a time.
+    ``counts[j]`` is the number of points of the first k free coordinates
+    with sum of squares at most j: one coordinate alone has ``isqrt(j) + 1``,
+    each further coordinate convolves with the squares, and the last one is
+    needed only at ``j = limit``.
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     limit = _lattice_radius_sq(delta)
-    counts = np.ones(limit + 1, dtype=np.int64)
-    for _ in range(rank - 1):
+    if rank == 2:
+        return isqrt(limit) + 1
+    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
+    counts = _isqrt(np.arange(limit + 1, dtype=np.int64)) + 1
+    for _ in range(rank - 3):
         acc = np.zeros(limit + 1, dtype=np.int64)
-        for l in range(isqrt(limit) + 1):
-            acc[l * l :] += counts[: limit + 1 - l * l]
+        for sq in squares:
+            acc[sq:] += counts[: limit + 1 - sq]
         counts = acc
-    return int(counts[limit])
+    return int(counts[limit - squares].sum())
 
 
 def _isqrt(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,18 @@ the basis inverse is kept dense and refactorized periodically.  Cycling at
 degenerate vertices is handled by a lexicographic ratio test with a fallback
 to Bland's rule after a run of degenerate pivots, kept until the next pivot
 that moves the objective.
-"""
+
+The default block of 16,384 columns was measured on the rank-4 lattice at
+delta = 0.00999 (537,052 columns): against 4,096 it takes seven such programs
+from 5,812 to 1,539 pivots and from 675 ms to 262 ms (one BLAS thread, 2
+vCPUs), and the 15 rank-2..6 programs of ``thermal --nth 0.5 --m-range 1:6
+--delta 0.05 --levels 3`` from 1,606 to 859 pivots in about the same time.
+
+Phase 1 adds one artificial per row without storing it: a basis index
+``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
+structural columns are priced, so an artificial that leaves never re-enters.
+Both phases read the caller's row matrix; rows are flipped on a copy only
+when some right-hand side is negative."""
 
 from __future__ import annotations
 
@@ -19,7 +30,7 @@ import numpy as np
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
-DEFAULT_PRICING_BLOCK = 4096
+DEFAULT_PRICING_BLOCK = 16384
 
 _PIVOT_TOL = 1e-11
 _REFACTOR_EVERY = 64
@@ -35,7 +46,10 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class StandardFormLp:
-    """maximize objective·q  subject to  row_matrix·q = rhs,  q >= 0."""
+    """maximize objective·q  subject to  row_matrix·q = rhs,  q >= 0.
+
+    The three arrays are stored as read-only views.
+    """
 
     objective: np.ndarray
     row_matrix: np.ndarray
@@ -54,12 +68,15 @@ class StandardFormLp:
             )
         if rows > cols:
             raise ValueError(f"need at least as many columns as rows ({rows}x{cols})")
+        # Read-only views: the solver reads these arrays without copying, and
+        # one matrix may be shared by many programs and threads.  The
+        # caller's own arrays keep their flags.
         for name, arr in (("objective", c), ("row_matrix", a), ("rhs", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "row_matrix", a)
-        object.__setattr__(self, "rhs", b)
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def n_rows(self) -> int:
@@ -102,7 +119,11 @@ def _empty_primal(size: int) -> SparseVector:
 
 
 class _Tableau:
-    """Mutable simplex state: basis, dense basis inverse and basic values."""
+    """Mutable simplex state: basis, dense basis inverse and basic values.
+
+    A basis index ``j >= a.shape[1]`` is the phase-1 artificial column
+    ``e_(j - a.shape[1])``; artificial columns are never stored.
+    """
 
     def __init__(self, a, b, basis):
         self.a = a
@@ -111,7 +132,13 @@ class _Tableau:
         self.refactor()
 
     def refactor(self):
-        self.b_inv = np.linalg.inv(self.a[:, self.basis])
+        rows, n = self.a.shape
+        basis = np.asarray(self.basis)
+        artificial = basis >= n
+        b_mat = np.zeros((rows, rows))
+        b_mat[:, ~artificial] = self.a[:, basis[~artificial]]
+        b_mat[basis[artificial] - n, np.nonzero(artificial)[0]] = 1.0
+        self.b_inv = np.linalg.inv(b_mat)
         self.x_b = np.maximum(self.b_inv @ self.b, 0.0)
 
     def pivot(self, entering: int, leaving_row: int, w: np.ndarray):
@@ -193,7 +220,8 @@ class _IterationBudget:
 def _run_phase(tab: _Tableau, c, tol, block, budget: _IterationBudget):
     """Iterate to optimality of c over the current feasible basis.
 
-    Returns "optimal", "unbounded" or "iter_limit".
+    ``c`` covers the basis indices; only the structural columns of
+    ``tab.a`` are priced.  Returns "optimal", "unbounded" or "iter_limit".
     """
     bland = False
     stalls = 0
@@ -225,17 +253,19 @@ def _run_phase(tab: _Tableau, c, tol, block, budget: _IterationBudget):
             since_refactor = 0
 
 
-def _drive_out_artificials(tab: _Tableau, n_struct: int):
+def _drive_out_artificials(tab: _Tableau):
     """Pivot zero-level artificial variables out of the basis.
 
     Rows whose artificial cannot be replaced by any structural column are
-    linearly dependent on the rest and are dropped.
+    linearly dependent on the rest and are dropped.  An artificial never
+    re-enters, so the one for row ``r`` sits at basis position ``r``.
     """
+    n_struct = tab.a.shape[1]
     drop = []
     for r in range(len(tab.basis)):
         if tab.basis[r] < n_struct:
             continue
-        row = tab.b_inv[r] @ tab.a[:, :n_struct]
+        row = tab.b_inv[r] @ tab.a
         in_basis = set(tab.basis)
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         entering = next((int(j) for j in candidates if j not in in_basis), -1)
@@ -248,9 +278,8 @@ def _drive_out_artificials(tab: _Tableau, n_struct: int):
         keep = [r for r in range(len(tab.basis)) if r not in drop]
         tab.a = tab.a[keep]
         tab.b = tab.b[keep]
-        tab.b_inv = None
         tab.basis = [tab.basis[r] for r in keep]
-        tab.refactor()
+    tab.refactor()
 
 
 def solve(
@@ -272,17 +301,18 @@ def solve(
         raise ValueError("pricing_block must be positive")
 
     rows, cols = lp.n_rows, lp.n_cols
-    b = lp.rhs.copy()
+    a, b = lp.row_matrix, lp.rhs
     flip = b < 0
-    b[flip] *= -1.0
+    if flip.any():
+        a, b = a.copy(), b.copy()
+        a[flip] *= -1.0
+        b[flip] *= -1.0
 
     budget = _IterationBudget(max_iter)
 
-    # Phase 1: artificial variables on every row, maximize minus their sum.
-    a_ext = np.hstack([lp.row_matrix, np.eye(rows)])
-    a_ext[flip, :cols] *= -1.0
+    # Phase 1: an implicit artificial on every row, maximize minus their sum.
     c_phase1 = np.concatenate([np.zeros(cols), -np.ones(rows)])
-    tab = _Tableau(a_ext, b, list(range(cols, cols + rows)))
+    tab = _Tableau(a, b, list(range(cols, cols + rows)))
     outcome = _run_phase(tab, c_phase1, feas_tol, pricing_block, budget)
     if outcome == "iter_limit":
         return _finish(lp, tab, cols, budget, LpStatus.ITERATION_LIMIT)
@@ -293,13 +323,9 @@ def solve(
         return LpSolution(
             LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols), list(tab.basis), budget.used
         )
-    _drive_out_artificials(tab, cols)
+    _drive_out_artificials(tab)
 
-    # Phase 2 runs on structural columns only.
-    tab.a = tab.a[:, :cols]
-    tab.refactor()
-    c_phase2 = lp.objective
-    outcome = _run_phase(tab, c_phase2, feas_tol, pricing_block, budget)
+    outcome = _run_phase(tab, lp.objective, feas_tol, pricing_block, budget)
     if outcome == "unbounded":
         return LpSolution(
             LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols), list(tab.basis), budget.used

@@ -94,6 +94,11 @@ class TestCounts:
         for rank, delta in [(2, 0.03), (3, 0.05), (4, 0.1), (5, 0.2)]:
             assert count_grid_points(rank, delta) == build_grid(rank, delta).n_points
 
+    @pytest.mark.parametrize("rank,count", [(2, 1001), (3, 786388)])
+    def test_fine_spacing_pins(self, rank, count):
+        # a radius range of 10^6 squared units, counted without building
+        assert count_grid_points(rank, 0.001) == count
+
     def test_paper_scale_pin(self):
         # the published rank-4 instance: 537052 columns at spacing 0.00999
         assert count_grid_points(4, 0.00999) == 537052

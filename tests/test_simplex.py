@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from fockroof import (
     solve,
     write_lp,
 )
-from fockroof.simplex import read_lp
+from fockroof.simplex import DEFAULT_PRICING_BLOCK, read_lp
 
 
 def make_lp(c, a, b):
@@ -87,6 +88,29 @@ class TestBasics:
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
+
+    def test_arrays_are_read_only_views(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        lp = make_lp([1.0, 1.0], a, [1.0, 2.0])
+        assert np.shares_memory(lp.row_matrix, a)
+        with pytest.raises(ValueError, match="read-only"):
+            lp.row_matrix[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            lp.rhs[0] = 5.0
+        assert a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "c,a,b",
+        [
+            ([1.0, 2.0], [[-1.0, -1.0]], [-1.0]),
+            ([1.0, 1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]], [1.0, 0.5]),
+        ],
+    )
+    def test_solve_leaves_the_program_unchanged(self, c, a, b):
+        lp = make_lp(c, a, b)
+        before = [arr.tobytes() for arr in (lp.objective, lp.row_matrix, lp.rhs)]
+        assert solve(lp).status is LpStatus.OPTIMAL
+        assert [arr.tobytes() for arr in (lp.objective, lp.row_matrix, lp.rhs)] == before
 
     def test_redundant_row_is_tolerated(self):
         # second row is twice the first: phase 1 must drop it, not fail
@@ -186,6 +210,33 @@ class TestDegeneracy:
             0.5778693086369322, abs=1e-9
         )
 
+
+class TestLatticeProgram:
+    """A rank-4 lattice program at delta = 0.02: 68,393 columns, several
+    pricing blocks even at the default block size."""
+
+    @pytest.fixture(scope="class")
+    def lp(self):
+        state = FockDiagonalState(0, np.array([0.6, 0.2, 0.15, 0.05]))
+        return assemble_lp(state, build_grid(4, 0.02))
+
+    def test_pricing_blocks_agree(self, lp):
+        sols = [solve(lp, pricing_block=b) for b in (512, 4096, DEFAULT_PRICING_BLOCK)]
+        for sol in sols:
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.primal.indices.tolist() == [0, 53214, 53215, 53248]
+            assert sol.objective_value == pytest.approx(
+                sols[0].objective_value, abs=1e-12
+            )
+
+    def test_solve_makes_no_copy_of_the_matrix(self, lp):
+        tracemalloc.start()
+        try:
+            solve(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lp.row_matrix.nbytes
 
 
 class TestDeterminism:
