@@ -14,6 +14,8 @@ delta = 0.00999 (537,052 columns): against 4,096 it takes seven such programs
 from 5,812 to 1,539 pivots and from 675 ms to 262 ms (one BLAS thread, 2
 vCPUs), and the 15 rank-2..6 programs of ``thermal --nth 0.5 --m-range 1:6
 --delta 0.05 --levels 3`` from 1,606 to 859 pivots in about the same time.
+Some mid-size lattices are slower with it: the rank-5 program at delta = 0.04
+(137,521 columns) takes fewer pivots but 16-22 ms against 11.5-12.3 ms.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
@@ -168,7 +170,7 @@ def _choose_entering(c, a, y, cursor, block, tol, bland):
     """
     n = a.shape[1]
     if bland:
-        d = c - y @ a
+        d = _price_block(c, a, y, 0, n)
         eligible = np.nonzero(d > tol)[0]
         if eligible.size == 0:
             return -1, cursor

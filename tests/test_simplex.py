@@ -17,6 +17,7 @@ from fockroof import (
     solve,
     write_lp,
 )
+from fockroof import simplex
 from fockroof.simplex import DEFAULT_PRICING_BLOCK, read_lp
 
 
@@ -180,6 +181,19 @@ class TestDegeneracy:
         sol = solve(make_lp(c, a, [0.0, 0.0, 1.0]))
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(0.05, abs=1e-10)
+
+    def test_blands_rule_in_both_phases(self, monkeypatch):
+        # Bland's rule from the first degenerate pivot; the zero rhs entries
+        # make phase 1 degenerate from its first pivot, so Bland pricing runs
+        # while the phase-1 objective also covers the implicit artificials
+        state = FockDiagonalState(0, np.array([0.4, 0.5, 0.0, 0.1]))
+        lp = assemble_lp(state, build_grid(4, 0.05))
+        expected = solve(lp).objective_value
+        monkeypatch.setattr(simplex, "_BLAND_AFTER_STALLS", 1)
+        self.test_classic_cycling_instance()
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_degenerate_vertices_still_terminate(self, seed):
