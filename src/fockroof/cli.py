@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .grid import DEFAULT_MAX_POINTS, GridCapacityError, build_grid, count_grid_points
+from .grid import DEFAULT_MAX_POINTS, GridCapacityError, build_grid, checked_count
 from .metrology import quadrature_qfi
 from .phases import classify
 from .roof import (
@@ -334,12 +334,10 @@ def _cmd_grid_info(args) -> int:
     )
     if args.m < 2:
         raise ValueError(f"m must be >= 2, got {args.m}")
-    points = count_grid_points(args.m, config.delta)
+    points = checked_count(args.m, config.delta, DEFAULT_MAX_POINTS)
     free = args.m - 1
     grid_bytes = points * (4 * free + 8 * free + 8)  # int lattice + float coords + x0
     lp_bytes = points * 8 * (args.m + 1)  # row matrix plus objective
-    if points > DEFAULT_MAX_POINTS:
-        raise GridCapacityError(points, DEFAULT_MAX_POINTS)
     rows = [
         {
             "rank": args.m,

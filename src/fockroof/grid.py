@@ -10,6 +10,7 @@ integer tuples.
 
 from __future__ import annotations
 
+import math
 from math import isqrt
 
 import numpy as np
@@ -20,9 +21,10 @@ DEFAULT_MAX_POINTS = 5_000_000
 class GridCapacityError(Exception):
     """Requested grid would exceed the configured point budget."""
 
-    def __init__(self, requested: int, budget: int):
+    def __init__(self, requested: int, budget: int, at_least: bool = False):
+        bound = "at least " if at_least else ""
         super().__init__(
-            f"grid would contain {requested} points, exceeding the budget of {budget}"
+            f"grid would contain {bound}{requested} points, exceeding the budget of {budget}"
         )
         self.requested = requested
         self.budget = budget
@@ -54,6 +56,8 @@ def count_grid_points(rank: int, delta: float) -> int:
     if rank == 2:
         return isqrt(limit) + 1
     squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
+    if rank == 3:
+        return int((_isqrt(limit - squares) + 1).sum())
     counts = _isqrt(np.arange(limit + 1, dtype=np.int64)) + 1
     for _ in range(rank - 3):
         acc = np.zeros(limit + 1, dtype=np.int64)
@@ -61,6 +65,34 @@ def count_grid_points(rank: int, delta: float) -> int:
             acc[sq:] += counts[: limit + 1 - sq]
         counts = acc
     return int(counts[limit - squares].sum())
+
+
+def checked_count(rank: int, delta: float, max_points: int) -> int:
+    """:func:`count_grid_points`, raising :class:`GridCapacityError` past
+    ``max_points``.
+
+    An exact count of rank >= 4 holds arrays of length L + 1 (L = the squared
+    lattice radius).  Where that is more than ``max_points`` entries, the
+    volume of the positive-orthant ball of radius sqrt(L) is checked first:
+    the unit cells [l, l + 1) of the lattice points cover that ball, so the
+    count is at least its volume.
+    """
+    limit = _lattice_radius_sq(delta)
+    if rank >= 4 and limit + 1 > max_points:
+        dims = rank - 1
+        log_volume = (
+            dims / 2 * math.log(math.pi * limit)
+            - math.lgamma(dims / 2 + 1)
+            - dims * math.log(2.0)
+        )
+        # rounded down to stay a lower bound; e^700 exceeds any budget
+        bound = math.ceil(math.exp(min(log_volume, 700.0)) * (1.0 - 1e-9))
+        if bound > max_points:
+            raise GridCapacityError(bound, max_points, at_least=True)
+    n = count_grid_points(rank, delta)
+    if n > max_points:
+        raise GridCapacityError(n, max_points)
+    return n
 
 
 def _isqrt(values: np.ndarray) -> np.ndarray:
@@ -136,9 +168,7 @@ def build_grid(
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
-    n = count_grid_points(rank, delta)
-    if n > max_points:
-        raise GridCapacityError(n, max_points)
+    checked_count(rank, delta, max_points)
     lattice = _enumerate_lattice(_lattice_radius_sq(delta), rank - 1)
     return AmplitudeGrid(rank, delta, lattice)
 

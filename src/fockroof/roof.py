@@ -17,8 +17,10 @@ import enum
 import json
 import sys
 import warnings
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from math import isqrt
 
 import numpy as np
 
@@ -180,6 +182,45 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
         )
 
 
+def _lattice_index(lattice: np.ndarray, point: list[int]) -> int:
+    """Row of ``point`` in a lexicographically sorted lattice, or -1."""
+    key = tuple(point)
+    i = bisect_left(lattice, key, key=lambda row: tuple(row.tolist()))
+    if i < lattice.shape[0] and tuple(lattice[i].tolist()) == key:
+        return i
+    return -1
+
+
+def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | None:
+    """Grid columns of the Kuhn simplex around sqrt(p): a feasible basis.
+
+    In squared coordinates u_k = (l_k*delta)^2 the populations lie in the
+    lattice cell with corner lo_k = floor(sqrt(p_k)/delta), at the fraction
+    t_k = (p_k - lo_k^2 delta^2) / ((2 lo_k + 1) delta^2) of each edge.  The
+    cell's Kuhn simplex through lo and unit steps taken in order of
+    decreasing t_k (ties by k) contains p, with barycentric weights
+    1 - t_1st, t_1st - t_2nd, ..., t_last.  None when a vertex is not on the
+    grid (outside the ball or a refinement neighbourhood).
+    """
+    delta = grid.delta
+    dn, dd = delta.as_integer_ratio()
+    pops = [float(p) for p in state.populations[1:]]
+    corner = []
+    for p in pops:
+        pn, pd = p.as_integer_ratio()
+        corner.append(isqrt(pn * dd * dd // (pd * dn * dn)))
+    frac = [
+        (p - l * l * delta * delta) / ((2 * l + 1) * delta * delta)
+        for p, l in zip(pops, corner)
+    ]
+    vertex = list(corner)
+    columns = [_lattice_index(grid.lattice, vertex)]
+    for k in sorted(range(len(corner)), key=lambda k: (-frac[k], k)):
+        vertex[k] += 1
+        columns.append(_lattice_index(grid.lattice, vertex))
+    return None if min(columns) < 0 else columns
+
+
 def _solve_on_grid(
     state: FockDiagonalState,
     grid: AmplitudeGrid,
@@ -187,7 +228,9 @@ def _solve_on_grid(
     feas_tol: float,
     max_iter: int,
 ) -> tuple[float, Histogram]:
-    sol = simplex.solve(lp, feas_tol=feas_tol, max_iter=max_iter)
+    sol = simplex.solve(
+        lp, feas_tol=feas_tol, max_iter=max_iter, start=_kuhn_start(state, grid)
+    )
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
     eq, neg = simplex.residuals(lp, sol)

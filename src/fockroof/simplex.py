@@ -9,13 +9,20 @@ degenerate vertices is handled by a lexicographic ratio test with a fallback
 to Bland's rule after a run of degenerate pivots, kept until the next pivot
 that moves the objective.
 
-The default block of 16,384 columns was measured on the rank-4 lattice at
-delta = 0.00999 (537,052 columns): against 4,096 it takes seven such programs
-from 5,812 to 1,539 pivots and from 675 ms to 262 ms (one BLAS thread, 2
-vCPUs), and the 15 rank-2..6 programs of ``thermal --nth 0.5 --m-range 1:6
---delta 0.05 --levels 3`` from 1,606 to 859 pivots in about the same time.
-Some mid-size lattices are slower with it: the rank-5 program at delta = 0.04
-(137,521 columns) takes fewer pivots but 16-22 ms against 11.5-12.3 ms.
+A caller that knows a feasible basis passes it as ``start`` (one structural
+column per row).  If those columns are nonsingular and their basic solution
+is nonnegative within the feasibility tolerance, phase 1 is skipped;
+otherwise the solve runs phase 1 exactly as without a start.  The lattice
+programs start from the Kuhn simplex around sqrt(p) (``roof._kuhn_start``):
+the seven programs that ``eval_rank4`` and ``sweep4_lpcheck`` solve at
+delta = 0.00999 take 1,395 pivots from phase 1 and 423 from that start.
+
+The default block of 16,384 columns was chosen from the phase-1 start on
+seven rank-4 programs at delta = 0.00999 (5,812 pivots at 4,096, 1,539 at
+16,384), though the rank-5 program at delta = 0.04 was slower with it
+(16-22 ms against 11.5-12.3 ms).  From the crash start no block from 4,096
+to 32,768 is faster beyond run-to-run noise, on those programs, the
+``thermal`` refinement programs or the rank-5 one.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
@@ -26,6 +33,7 @@ when some right-hand side is negative."""
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +117,16 @@ class SparseVector:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Result of :func:`solve`.  ``iterations`` counts all pivots and
+    ``phase1_iterations`` those spent finding a feasible basis, 0 when the
+    ``start`` basis was accepted."""
+
     status: LpStatus
     objective_value: float
     primal: SparseVector
     basis: list[int]
     iterations: int
+    phase1_iterations: int = 0
 
 
 def _empty_primal(size: int) -> SparseVector:
@@ -284,16 +297,51 @@ def _drive_out_artificials(tab: _Tableau):
     tab.refactor()
 
 
+def _check_start(start: Sequence[int], rows: int, cols: int) -> list[int]:
+    basis = [int(j) for j in start]
+    if len(basis) != rows:
+        raise ValueError(f"start needs one column index per row ({rows}), got {len(basis)}")
+    if len(set(basis)) != rows:
+        raise ValueError("start repeats a column index")
+    if any(not 0 <= j < cols for j in basis):
+        raise ValueError(f"start column indices must lie in [0, {cols})")
+    return basis
+
+
+def _crash_tableau(a, b, start, feas_tol):
+    """Tableau on the structural basis ``start``, or None when that basis is
+    singular or its basic solution is negative beyond ``feas_tol``.
+
+    Singular means a 1-norm condition number of at least 1/(rows * eps), the
+    tolerance ``np.linalg.matrix_rank`` applies to singular values.
+    """
+    try:
+        tab = _Tableau(a, b, start)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.linalg.norm(a[:, start], 1) * np.linalg.norm(tab.b_inv, 1)
+    if cond * len(start) * np.finfo(float).eps >= 1.0:
+        return None
+    if np.any(tab.b_inv @ b < -feas_tol):
+        return None
+    return tab
+
+
 def solve(
     lp: StandardFormLp,
     feas_tol: float = DEFAULT_FEAS_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     pricing_block: int = DEFAULT_PRICING_BLOCK,
+    start: Sequence[int] | None = None,
 ) -> LpSolution:
     """Solve the LP with a two-phase revised simplex.
 
-    Deterministic for fixed inputs: pricing scans blocks in a fixed order and
-    all tie-breaking is index-based, so repeated calls return the same basis.
+    ``start`` optionally names one structural column per row.  When those
+    columns form a nonsingular basis whose basic solution is nonnegative
+    within ``feas_tol``, phase 1 is skipped; otherwise the solve proceeds as
+    without it.  Deterministic for fixed inputs: pricing scans blocks in a
+    fixed order and all tie-breaking is index-based, so repeated calls return
+    the same basis.
     """
     if feas_tol <= 0:
         raise ValueError("feas_tol must be positive")
@@ -303,6 +351,8 @@ def solve(
         raise ValueError("pricing_block must be positive")
 
     rows, cols = lp.n_rows, lp.n_cols
+    if start is not None:
+        start = _check_start(start, rows, cols)
     a, b = lp.row_matrix, lp.rhs
     flip = b < 0
     if flip.any():
@@ -311,32 +361,36 @@ def solve(
         b[flip] *= -1.0
 
     budget = _IterationBudget(max_iter)
-
-    # Phase 1: an implicit artificial on every row, maximize minus their sum.
-    c_phase1 = np.concatenate([np.zeros(cols), -np.ones(rows)])
-    tab = _Tableau(a, b, list(range(cols, cols + rows)))
-    outcome = _run_phase(tab, c_phase1, feas_tol, pricing_block, budget)
-    if outcome == "iter_limit":
-        return _finish(lp, tab, cols, budget, LpStatus.ITERATION_LIMIT)
-    artificial_mass = sum(
-        tab.x_b[r] for r in range(len(tab.basis)) if tab.basis[r] >= cols
-    )
-    if artificial_mass > feas_tol:
-        return LpSolution(
-            LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols), list(tab.basis), budget.used
+    tab = None if start is None else _crash_tableau(a, b, start, feas_tol)
+    if tab is None:
+        # Phase 1: an implicit artificial on every row, maximize minus their sum.
+        c_phase1 = np.concatenate([np.zeros(cols), -np.ones(rows)])
+        tab = _Tableau(a, b, list(range(cols, cols + rows)))
+        outcome = _run_phase(tab, c_phase1, feas_tol, pricing_block, budget)
+        if outcome == "iter_limit":
+            return _finish(lp, tab, cols, budget, LpStatus.ITERATION_LIMIT, budget.used)
+        artificial_mass = sum(
+            tab.x_b[r] for r in range(len(tab.basis)) if tab.basis[r] >= cols
         )
-    _drive_out_artificials(tab)
+        if artificial_mass > feas_tol:
+            return LpSolution(
+                LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols),
+                list(tab.basis), budget.used, budget.used,
+            )
+        _drive_out_artificials(tab)
+    phase1 = budget.used
 
     outcome = _run_phase(tab, lp.objective, feas_tol, pricing_block, budget)
     if outcome == "unbounded":
         return LpSolution(
-            LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols), list(tab.basis), budget.used
+            LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols),
+            list(tab.basis), budget.used, phase1,
         )
     status = LpStatus.OPTIMAL if outcome == "optimal" else LpStatus.ITERATION_LIMIT
-    return _finish(lp, tab, cols, budget, status)
+    return _finish(lp, tab, cols, budget, status, phase1)
 
 
-def _finish(lp, tab, n_struct, budget, status) -> LpSolution:
+def _finish(lp, tab, n_struct, budget, status, phase1) -> LpSolution:
     tab.refactor()
     order = np.argsort(tab.basis, kind="stable")
     idx, vals = [], []
@@ -347,7 +401,7 @@ def _finish(lp, tab, n_struct, budget, status) -> LpSolution:
             vals.append(max(tab.x_b[r], 0.0))
     primal = SparseVector(n_struct, np.asarray(idx, dtype=np.intp), np.asarray(vals))
     obj = float(lp.objective[primal.indices] @ primal.values) if primal.nnz else 0.0
-    return LpSolution(status, obj, primal, list(tab.basis), budget.used)
+    return LpSolution(status, obj, primal, list(tab.basis), budget.used, phase1)
 
 
 def residuals(lp: StandardFormLp, solution: LpSolution) -> tuple[float, float]:

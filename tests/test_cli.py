@@ -127,6 +127,11 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "grid-info", "--m", "4", "--delta", "0.003")
         assert code == 4
 
+    def test_capacity_from_the_volume_bound(self, capsys):
+        code = main(["grid-info", "--m", "4", "--delta", "1e-4"])
+        assert code == 4
+        assert "at least" in capsys.readouterr().err
+
     def test_solver_failure(self, capsys):
         code, _ = run_cli(
             capsys, "eval", "--p", "0.6,0.2,0.2", "--delta", "0.05", "--max-iter", "1"

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from itertools import product
 from math import isqrt
 
@@ -148,6 +150,28 @@ class TestCapacity:
             build_grid(3, 0.01, max_points=100)
         assert err.value.requested == count_grid_points(3, 0.01)
         assert err.value.budget == 100
+
+    def test_fine_spacing_rejected_before_allocating(self):
+        # an exact rank-4 count at delta = 1e-4 would hold arrays of 10^8 + 1
+        # int64 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCapacityError, match="at least") as err:
+                build_grid(4, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # an eighth of the volume of the 3-ball of radius sqrt(L)
+        limit = radius_sq(1e-4)
+        assert err.value.requested == pytest.approx(math.pi / 6 * limit**1.5, rel=1e-8)
+
+    @pytest.mark.parametrize("rank", [4, 5, 6, 7])
+    @pytest.mark.parametrize("delta", [0.3, 0.11, 0.05])
+    def test_volume_bound_is_a_lower_bound(self, rank, delta):
+        with pytest.raises(GridCapacityError, match="at least") as err:
+            build_grid(rank, delta, max_points=1)
+        assert 1 < err.value.requested <= count_grid_points(rank, delta)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -23,9 +23,10 @@ from fockroof import (
     refine,
     refined_histogram,
     simple_bound,
+    truncated_thermal,
 )
 
-from fockroof import simplex
+from fockroof import roof, simplex
 from fockroof.roof import LatticeLps
 
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
@@ -230,6 +231,110 @@ class TestRefine:
 
         with pytest.raises(GridCapacityError):
             refine(state(0, [0.6, 0.2, 0.2]), 0.05, 2, max_points=10)
+
+
+def _start_from_phase_one(monkeypatch):
+    monkeypatch.setattr(roof, "_kuhn_start", lambda state, grid: None)
+
+
+# The paper's two rank-4 exception states and the five windows that
+# `sweep4 --n 0 --step 0.05 --lp-check 300` solves, all at delta = 0.00999.
+REFERENCE_PROGRAMS = [
+    (0, [0.92, 0.06, 0.01, 0.01]),
+    (0, [0.83, 0.15, 0.01, 0.01]),
+    (0, [0.19999999999999984, 0.6000000000000001, 0.15000000000000002, 0.05]),
+    (0, [0.09999999999999998, 0.25, 0.55, 0.1]),
+    (0, [0.45, 0.0, 0.35000000000000003, 0.2]),
+    (1, [0.2, 0.5, 0.30000000000000004]),
+    (0, [0.25, 0.2, 0.05, 0.5]),
+]
+
+
+class TestCrashStart:
+    """Lattice solves start from the Kuhn simplex around sqrt(p) and fall
+    back to phase 1 when a vertex is off the grid."""
+
+    STATES = [
+        (0, [0.84, 0.16]),
+        (2, [0.35, 0.65]),
+        (0, [0.6, 0.2, 0.2]),
+        (1, [0.3, 0.45, 0.25]),
+        (0, [0.6, 0.2, 0.15, 0.05]),
+        (2, [0.1, 0.4, 0.3, 0.2]),
+        (0, [0.5, 0.2, 0.15, 0.1, 0.05]),
+        (1, [0.3, 0.25, 0.2, 0.15, 0.1]),
+    ]
+
+    @pytest.mark.parametrize("delta", [0.05, 0.02])
+    def test_same_value_as_phase_one(self, monkeypatch, delta):
+        states = [state(n, p) for n, p in self.STATES]
+        lattices = LatticeLps(states, delta)
+        crashed = [lattices.estimate(s)[0] for s in states]
+        _start_from_phase_one(monkeypatch)
+        plain = [lattices.estimate(s)[0] for s in states]
+        np.testing.assert_allclose(crashed, plain, rtol=0.0, atol=1e-12)
+
+    def test_start_is_a_feasible_basis(self):
+        for n, pops in self.STATES:
+            s = state(n, pops)
+            grid = build_grid(s.rank, 0.05)
+            start = roof._kuhn_start(s, grid)
+            assert start is not None and len(start) == s.rank
+            sol = simplex.solve(assemble_lp(s, grid), start=start)
+            assert sol.phase1_iterations == 0
+
+    @pytest.mark.parametrize(
+        "pops,delta,started",
+        [
+            ([0.001, 0.5, 0.499], 0.00999, False),  # top vertex outside the ball
+            ([0.5, 0.25, 0.25], 0.05, True),  # exact squares: a zero-weight vertex
+            ([0.4, 0.5, 0.0, 0.1], 0.05, True),  # the stalling state
+            ([0.4, 0.5, 0.0, 0.1], 0.00999, True),
+        ],
+    )
+    def test_edge_cases(self, monkeypatch, pops, delta, started):
+        s = state(0, pops)
+        grid = build_grid(s.rank, delta)
+        assert (roof._kuhn_start(s, grid) is not None) == started
+        crashed, crashed_hist = estimate_nonclassicality(s, delta)
+        _start_from_phase_one(monkeypatch)
+        plain, plain_hist = estimate_nonclassicality(s, delta)
+        assert crashed == pytest.approx(plain, abs=1e-12)
+        np.testing.assert_array_equal(crashed_hist.indices, plain_hist.indices)
+
+    def test_refinement_neighbourhood_without_the_simplex(self, monkeypatch):
+        s = truncated_thermal(0.5, 4)
+        starts = []
+        kuhn_start = roof._kuhn_start
+
+        def recorded(st, grid):
+            starts.append(kuhn_start(st, grid))
+            return starts[-1]
+
+        monkeypatch.setattr(roof, "_kuhn_start", recorded)
+        crashed = refine(s, 0.05, 3)
+        assert [start is None for start in starts] == [False, False, True]
+        _start_from_phase_one(monkeypatch)
+        plain = refine(s, 0.05, 3)
+        assert [d for d, _ in crashed] == [d for d, _ in plain]
+        np.testing.assert_allclose(
+            [v for _, v in crashed], [v for _, v in plain], rtol=0.0, atol=1e-12
+        )
+
+    def test_reference_programs_skip_phase_one(self):
+        grids = {rank: build_grid(rank, 0.00999) for rank in (3, 4)}
+        for n, pops in REFERENCE_PROGRAMS:
+            s = state(n, pops).trimmed()
+            grid = grids[s.rank]
+            lp = assemble_lp(s, grid)
+            crashed = simplex.solve(lp, start=roof._kuhn_start(s, grid))
+            plain = simplex.solve(lp)
+            assert crashed.phase1_iterations == 0
+            assert plain.phase1_iterations > 0
+            assert crashed.iterations < plain.iterations
+            assert crashed.objective_value == pytest.approx(
+                plain.objective_value, abs=1e-12
+            )
 
 
 class TestExpansion:

@@ -17,7 +17,7 @@ from fockroof import (
     solve,
     write_lp,
 )
-from fockroof import simplex
+from fockroof import roof, simplex
 from fockroof.simplex import DEFAULT_PRICING_BLOCK, read_lp
 
 
@@ -251,6 +251,75 @@ class TestLatticeProgram:
         finally:
             tracemalloc.stop()
         assert peak < lp.row_matrix.nbytes
+
+
+class TestStart:
+    """A starting basis of structural columns skips phase 1 when it is
+    feasible; a singular or infeasible one changes nothing."""
+
+    @pytest.fixture
+    def lp(self):
+        return bounded_random_lp(np.random.default_rng(7), 3, 12)
+
+    @staticmethod
+    def assert_same_solution(sol, ref):
+        assert sol.status is ref.status
+        assert sol.basis == ref.basis
+        assert (sol.iterations, sol.phase1_iterations) == (
+            ref.iterations,
+            ref.phase1_iterations,
+        )
+        np.testing.assert_array_equal(sol.primal.indices, ref.primal.indices)
+        np.testing.assert_array_equal(sol.primal.values, ref.primal.values)
+
+    @pytest.mark.parametrize(
+        "start,match",
+        [
+            ([0, 1], "one column index per row"),
+            ([0, 1, 2, 3], "one column index per row"),
+            ([0, 1, 1], "repeats"),
+            ([0, 1, 12], "must lie in"),
+            ([-1, 0, 1], "must lie in"),
+        ],
+    )
+    def test_rejects_malformed_start(self, lp, start, match):
+        with pytest.raises(ValueError, match=match):
+            solve(lp, start=start)
+
+    def test_optimal_start_needs_no_pivot(self, lp):
+        plain = solve(lp)
+        assert plain.phase1_iterations > 0
+        started = solve(lp, start=plain.basis)
+        assert (started.iterations, started.phase1_iterations) == (0, 0)
+        assert started.objective_value == pytest.approx(plain.objective_value, abs=1e-12)
+
+    def test_singular_start_is_ignored(self, lp):
+        a = lp.row_matrix.copy()
+        a[:, 1] = 2.0 * a[:, 0]
+        singular = make_lp(lp.objective, a, lp.rhs)
+        self.assert_same_solution(solve(singular, start=[0, 1, 2]), solve(singular))
+
+    def test_infeasible_start_is_ignored(self, lp):
+        infeasible = next(
+            list(cols)
+            for cols in combinations(range(lp.n_cols), lp.n_rows)
+            if abs(np.linalg.det(lp.row_matrix[:, cols])) > 1e-6
+            and np.linalg.solve(lp.row_matrix[:, cols], lp.rhs).min() < -1e-3
+        )
+        self.assert_same_solution(solve(lp, start=infeasible), solve(lp))
+
+    def test_blands_rule_from_a_start(self, monkeypatch):
+        # the stalling lattice program, degenerate from its crash basis on
+        state = FockDiagonalState(0, np.array([0.4, 0.5, 0.0, 0.1]))
+        grid = build_grid(4, 0.05)
+        lp = assemble_lp(state, grid)
+        start = roof._kuhn_start(state, grid)
+        expected = solve(lp).objective_value
+        monkeypatch.setattr(simplex, "_BLAND_AFTER_STALLS", 1)
+        sol = solve(lp, start=start)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.phase1_iterations == 0
+        assert sol.objective_value == pytest.approx(expected, abs=1e-12)
 
 
 class TestDeterminism:
