@@ -16,12 +16,10 @@ from .phases import (
     classify,
     classify_rank3,
     classify_rank4,
-    pair_fraction_balance,
     rank3_lower_pair,
     rank3_triplet,
     rank3_upper_pair,
     rank4_pair,
-    rank4_quartet,
     rank4_triplet,
 )
 from .roof import (
@@ -35,7 +33,6 @@ from .roof import (
     estimate_nonclassicality,
     expand_histogram,
     refine,
-    refined_histogram,
 )
 from .simplex import (
     LpSolution,
@@ -91,7 +88,6 @@ __all__ = [
     "expand_histogram",
     "mean_photon",
     "moments",
-    "pair_fraction_balance",
     "pure_nonclassicality",
     "quadrature_qfi",
     "rank2_nonclassicality",
@@ -99,11 +95,9 @@ __all__ = [
     "rank3_triplet",
     "rank3_upper_pair",
     "rank4_pair",
-    "rank4_quartet",
     "rank4_triplet",
     "real_alpha",
     "refine",
-    "refined_histogram",
     "residuals",
     "simple_bound",
     "solve",

@@ -46,9 +46,11 @@ def count_grid_points(rank: int, delta: float) -> int:
     """Number of lattice points for the given window rank, without building them.
 
     ``counts[j]`` is the number of points of the first k free coordinates
-    with sum of squares at most j: one coordinate alone has ``isqrt(j) + 1``,
-    each further coordinate convolves with the squares, and the last one is
-    needed only at ``j = limit``.
+    with sum of squares at most j: one coordinate alone has ``isqrt(j) + 1``
+    and each further coordinate convolves with the squares.  The last one
+    (rank 3) or two (rank >= 4) coordinates are needed only at the budgets
+    ``limit - c²`` or ``limit - b² - c²`` they leave, so rank 4 sums
+    ``isqrt`` over the points of the rank-3 lattice.
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
@@ -58,21 +60,25 @@ def count_grid_points(rank: int, delta: float) -> int:
     squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
     if rank == 3:
         return int((_isqrt(limit - squares) + 1).sum())
+    b, c = _enumerate_lattice(limit, 2).astype(np.int64).T
+    left = limit - b * b - c * c
+    if rank == 4:
+        return int((_isqrt(left) + 1).sum())
     counts = _isqrt(np.arange(limit + 1, dtype=np.int64)) + 1
-    for _ in range(rank - 3):
+    for _ in range(rank - 4):
         acc = np.zeros(limit + 1, dtype=np.int64)
         for sq in squares:
             acc[sq:] += counts[: limit + 1 - sq]
         counts = acc
-    return int(counts[limit - squares].sum())
+    return int(counts[left].sum())
 
 
 def checked_count(rank: int, delta: float, max_points: int) -> int:
     """:func:`count_grid_points`, raising :class:`GridCapacityError` past
     ``max_points``.
 
-    An exact count of rank >= 4 holds arrays of length L + 1 (L = the squared
-    lattice radius).  Where that is more than ``max_points`` entries, the
+    An exact count of rank >= 4 holds arrays of about L entries (L = the
+    squared lattice radius).  Where L + 1 is more than ``max_points``, the
     volume of the positive-orthant ball of radius sqrt(L) is checked first:
     the unit cells [l, l + 1) of the lattice points cover that ball, so the
     count is at least its volume.
@@ -198,7 +204,6 @@ def neighborhood_grid(
     centers: np.ndarray,
     center_delta: float,
     radius: float,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> AmplitudeGrid:
     """Lattice points of spacing ``delta`` within a per-coordinate radius of
     the given centers (centers are lattice vectors at ``center_delta``).
@@ -219,6 +224,6 @@ def neighborhood_grid(
         pts = np.stack([g.ravel() for g in mesh], axis=1)
         blocks.append(pts[np.sum(pts * pts, axis=1) <= limit])
     pts = _unique_rows(np.vstack(blocks), isqrt(limit) + 1)
-    if pts.shape[0] > max_points:
-        raise GridCapacityError(int(pts.shape[0]), max_points)
+    if pts.shape[0] > DEFAULT_MAX_POINTS:
+        raise GridCapacityError(int(pts.shape[0]), DEFAULT_MAX_POINTS)
     return AmplitudeGrid(rank, delta, pts.astype(np.int32))

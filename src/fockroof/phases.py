@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import FockDiagonalState, mean_photon, real_alpha
+from .states import FockDiagonalState, mean_photon, real_alpha, simple_bound
 
 _TIE_TOL = 1e-12
 _FEAS_TOL = 1e-12
@@ -178,16 +178,6 @@ def classify_rank3(state: FockDiagonalState) -> AnsatzResult:
 # four-level window
 
 
-def rank4_quartet(state: FockDiagonalState) -> float:
-    """Value of the symmetric sqrt-population decomposition (= simple bound)."""
-    _check_rank(state, 4)
-    n = state.offset
-    p = state.populations
-    k = np.arange(3)
-    cross = float(np.sum(np.sqrt(p[1:] * p[:-1] * (n + k + 1.0))))
-    return mean_photon(state) - cross**2
-
-
 def rank4_triplet(state: FockDiagonalState, k: int) -> FractionAnsatz:
     """Single out level n+k; the other three stay proportional in the atoms.
 
@@ -260,7 +250,7 @@ def classify_rank4(state: FockDiagonalState) -> AnsatzResult:
     """
     _check_rank(state, 4)
     candidates: list[tuple[PhaseLabel, float, dict]] = [
-        (PhaseLabel.QUARTET, rank4_quartet(state), {})
+        (PhaseLabel.QUARTET, simple_bound(state), {})
     ]
     triplet_labels = (
         PhaseLabel.TRIPLET0,
@@ -300,18 +290,3 @@ def classify(state: FockDiagonalState) -> AnsatzResult:
         return classify_rank4(state)
     raise ValueError(f"no ansatz catalogue for rank {state.rank}")
 
-
-def pair_fraction_balance(offset: int, p_upper: float, p_lower: float) -> float:
-    """Upper-pair fraction from its stationarity balance.
-
-    The optimal fraction equates the weighted marginal coherence gains of the
-    paired levels, (n+2) p2/(p2+p1) / f = (n+1) / (1-f).  The balance is
-    linear in f; its root must agree with the closed form used by
-    :func:`rank3_upper_pair`.
-    """
-    s = p_upper + p_lower
-    if s <= 0.0 or p_upper <= 0.0:
-        raise DegenerateStateError("balance needs p_upper > 0")
-    a = (offset + 2.0) * p_upper / s
-    b = offset + 1.0
-    return a / (a + b)

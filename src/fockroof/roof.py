@@ -25,12 +25,7 @@ from math import isqrt
 import numpy as np
 
 from . import simplex
-from .grid import (
-    DEFAULT_MAX_POINTS,
-    AmplitudeGrid,
-    build_grid,
-    neighborhood_grid,
-)
+from .grid import AmplitudeGrid, build_grid, neighborhood_grid
 from .simplex import LpStatus, StandardFormLp
 from .states import FockDiagonalState, PureFockWindowState, mean_photon, simple_bound
 
@@ -225,19 +220,16 @@ def _solve_on_grid(
     state: FockDiagonalState,
     grid: AmplitudeGrid,
     lp: StandardFormLp,
-    feas_tol: float,
     max_iter: int,
 ) -> tuple[float, Histogram]:
-    sol = simplex.solve(
-        lp, feas_tol=feas_tol, max_iter=max_iter, start=_kuhn_start(state, grid)
-    )
+    sol = simplex.solve(lp, max_iter=max_iter, start=_kuhn_start(state, grid))
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
     eq, neg = simplex.residuals(lp, sol)
-    if eq > feas_tol or neg < 0.0:
+    if eq > simplex.FEAS_TOL or neg < 0.0:
         raise SolverFailure(
             sol.status,
-            f"histogram residuals exceed {feas_tol:g}: "
+            f"histogram residuals exceed {simplex.FEAS_TOL:g}: "
             f"equality {eq:.3g}, most negative weight {neg:.3g}",
         )
     keep = sol.primal.values > SUPPORT_TOL
@@ -258,12 +250,7 @@ class LatticeLps:
     afterwards, so threads may share it.
     """
 
-    def __init__(
-        self,
-        states: Iterable[FockDiagonalState],
-        delta: float,
-        max_points: int = DEFAULT_MAX_POINTS,
-    ):
+    def __init__(self, states: Iterable[FockDiagonalState], delta: float):
         self.delta = delta
         grids: dict[int, AmplitudeGrid] = {}
         self._lps: dict[tuple[int, int], tuple[AmplitudeGrid, StandardFormLp]] = {}
@@ -273,15 +260,12 @@ class LatticeLps:
             if window in self._lps:
                 continue
             if state.rank not in grids:
-                grids[state.rank] = build_grid(state.rank, delta, max_points=max_points)
+                grids[state.rank] = build_grid(state.rank, delta)
             grid = grids[state.rank]
             self._lps[window] = (grid, assemble_lp(state, grid))
 
     def estimate(
-        self,
-        state: FockDiagonalState,
-        feas_tol: float = simplex.DEFAULT_FEAS_TOL,
-        max_iter: int = simplex.DEFAULT_MAX_ITER,
+        self, state: FockDiagonalState, max_iter: int = simplex.DEFAULT_MAX_ITER
     ) -> tuple[float, Histogram]:
         """One-sided estimate and optimal histogram for a state whose window
         was among those given at construction."""
@@ -292,33 +276,43 @@ class LatticeLps:
         _warn_fine_populations(state, self.delta)
         grid, lp = self._lps[window]
         return _solve_on_grid(
-            state, grid, replace(lp, rhs=_population_rhs(state)), feas_tol, max_iter
+            state, grid, replace(lp, rhs=_population_rhs(state)), max_iter
         )
 
 
 def estimate_nonclassicality(
     state: FockDiagonalState,
     delta: float,
-    feas_tol: float = simplex.DEFAULT_FEAS_TOL,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> tuple[float, Histogram]:
     """One-sided nonclassicality estimate on the full lattice of spacing delta.
 
     Returns the estimate (mean photon number minus the LP optimum, never
     below the true value) together with the optimal histogram.
     """
-    lattice = LatticeLps([state], delta, max_points=max_points)
-    return lattice.estimate(state, feas_tol=feas_tol, max_iter=max_iter)
+    return LatticeLps([state], delta).estimate(state, max_iter=max_iter)
 
 
-def _refine_impl(state, delta_start, levels, feas_tol, max_iter, max_points):
+def refine(
+    state: FockDiagonalState,
+    delta_start: float,
+    levels: int,
+    max_iter: int = simplex.DEFAULT_MAX_ITER,
+) -> list[tuple[float, float]]:
+    """Estimate with local grid refinement around the optimal support.
+
+    Level 1 solves on the full lattice at ``delta_start``.  Each further
+    level halves the spacing and re-grids only a neighborhood of radius
+    2*delta_prev per coordinate around the previous support (which is itself
+    retained, so the estimate sequence cannot increase).  Returns the
+    (delta, estimate) pairs in level order.
+    """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     _require_lp_ready(state)
     _warn_fine_populations(state, delta_start)
     delta = delta_start
-    grid = build_grid(state.rank, delta, max_points=max_points)
+    grid = build_grid(state.rank, delta)
     steps: list[tuple[float, float]] = []
     hist = None
     for level in range(levels):
@@ -331,46 +325,10 @@ def _refine_impl(state, delta_start, levels, feas_tol, max_iter, max_points):
                 hist.support_lattice(),
                 center_delta=2.0 * delta,
                 radius=radius,
-                max_points=max_points,
             )
-        value, hist = _solve_on_grid(
-            state, grid, assemble_lp(state, grid), feas_tol, max_iter
-        )
+        value, hist = _solve_on_grid(state, grid, assemble_lp(state, grid), max_iter)
         steps.append((delta, value))
-    return steps, hist
-
-
-def refine(
-    state: FockDiagonalState,
-    delta_start: float,
-    levels: int,
-    feas_tol: float = simplex.DEFAULT_FEAS_TOL,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> list[tuple[float, float]]:
-    """Estimate with local grid refinement around the optimal support.
-
-    Level 1 solves on the full lattice at ``delta_start``.  Each further
-    level halves the spacing and re-grids only a neighborhood of radius
-    2*delta_prev per coordinate around the previous support (which is itself
-    retained, so the estimate sequence cannot increase).  Returns the
-    (delta, estimate) pairs in level order.
-    """
-    steps, _ = _refine_impl(state, delta_start, levels, feas_tol, max_iter, max_points)
     return steps
-
-
-def refined_histogram(
-    state: FockDiagonalState,
-    delta_start: float,
-    levels: int,
-    feas_tol: float = simplex.DEFAULT_FEAS_TOL,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> tuple[float, Histogram]:
-    """Like :func:`refine` but returning the final level's value and histogram."""
-    steps, hist = _refine_impl(state, delta_start, levels, feas_tol, max_iter, max_points)
-    return steps[-1][1], hist
 
 
 def expand_histogram(
@@ -404,7 +362,6 @@ def expand_histogram(
 def classify_decomposition(
     state: FockDiagonalState,
     delta: float,
-    feas_tol: float = simplex.DEFAULT_FEAS_TOL,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
 ) -> DecompositionKind:
     """Decide whether the single-point decomposition is already optimal.
@@ -413,9 +370,7 @@ def classify_decomposition(
     bound; the tolerance leaves room for the lattice's own resolution error,
     which scales with delta².
     """
-    value, _ = estimate_nonclassicality(
-        state, delta, feas_tol=feas_tol, max_iter=max_iter
-    )
+    value, _ = estimate_nonclassicality(state, delta, max_iter=max_iter)
     tol = 1e-6 + 10.0 * delta * delta
     if simple_bound(state) - value <= tol:
         return DecompositionKind.SIMPLY_DECOMPOSED

@@ -17,7 +17,7 @@ programs start from the Kuhn simplex around sqrt(p) (``roof._kuhn_start``):
 the seven programs that ``eval_rank4`` and ``sweep4_lpcheck`` solve at
 delta = 0.00999 take 1,395 pivots from phase 1 and 423 from that start.
 
-The default block of 16,384 columns was chosen from the phase-1 start on
+The block of 16,384 columns was chosen from the phase-1 start on
 seven rank-4 programs at delta = 0.00999 (5,812 pivots at 4,096, 1,539 at
 16,384), though the rank-5 program at delta = 0.04 was slower with it
 (16-22 ms against 11.5-12.3 ms).  From the crash start no block from 4,096
@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_FEAS_TOL = 1e-9
+FEAS_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
-DEFAULT_PRICING_BLOCK = 16384
 
+_PRICING_BLOCK = 16384
 _PIVOT_TOL = 1e-11
 _REFACTOR_EVERY = 64
 _BLAND_AFTER_STALLS = 50
@@ -223,38 +223,34 @@ def _choose_leaving(tab: _Tableau, w, bland):
     return int(sel[0])
 
 
-class _IterationBudget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
-
-def _run_phase(tab: _Tableau, c, tol, block, budget: _IterationBudget):
-    """Iterate to optimality of c over the current feasible basis.
+def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
+    """Iterate to optimality of c over the current feasible basis, taking at
+    most ``pivots_left`` pivots.
 
     ``c`` covers the basis indices; only the structural columns of
-    ``tab.a`` are priced.  Returns "optimal", "unbounded" or "iter_limit".
+    ``tab.a`` are priced.  Returns the outcome ("optimal", "unbounded" or
+    "iter_limit") and the number of pivots taken.
     """
     bland = False
     stalls = 0
     cursor = 0
     since_refactor = 0
+    pivots = 0
     while True:
-        if budget.exhausted():
-            return "iter_limit"
+        if pivots >= pivots_left:
+            return "iter_limit", pivots
         y = tab.b_inv.T @ c[tab.basis]
-        entering, cursor = _choose_entering(c, tab.a, y, cursor, block, tol, bland)
+        entering, cursor = _choose_entering(
+            c, tab.a, y, cursor, _PRICING_BLOCK, FEAS_TOL, bland
+        )
         if entering < 0:
-            return "optimal"
+            return "optimal", pivots
         w = tab.b_inv @ tab.a[:, entering]
         leaving = _choose_leaving(tab, w, bland)
         if leaving < 0:
-            return "unbounded"
+            return "unbounded", pivots
         step = tab.pivot(entering, leaving, w)
-        budget.used += 1
+        pivots += 1
         since_refactor += 1
         if step <= 1e-13:
             stalls += 1
@@ -308,9 +304,9 @@ def _check_start(start: Sequence[int], rows: int, cols: int) -> list[int]:
     return basis
 
 
-def _crash_tableau(a, b, start, feas_tol):
+def _crash_tableau(a, b, start):
     """Tableau on the structural basis ``start``, or None when that basis is
-    singular or its basic solution is negative beyond ``feas_tol``.
+    singular or its basic solution is negative beyond ``FEAS_TOL``.
 
     Singular means a 1-norm condition number of at least 1/(rows * eps), the
     tolerance ``np.linalg.matrix_rank`` applies to singular values.
@@ -322,33 +318,27 @@ def _crash_tableau(a, b, start, feas_tol):
     cond = np.linalg.norm(a[:, start], 1) * np.linalg.norm(tab.b_inv, 1)
     if cond * len(start) * np.finfo(float).eps >= 1.0:
         return None
-    if np.any(tab.b_inv @ b < -feas_tol):
+    if np.any(tab.b_inv @ b < -FEAS_TOL):
         return None
     return tab
 
 
 def solve(
     lp: StandardFormLp,
-    feas_tol: float = DEFAULT_FEAS_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    pricing_block: int = DEFAULT_PRICING_BLOCK,
     start: Sequence[int] | None = None,
 ) -> LpSolution:
     """Solve the LP with a two-phase revised simplex.
 
     ``start`` optionally names one structural column per row.  When those
     columns form a nonsingular basis whose basic solution is nonnegative
-    within ``feas_tol``, phase 1 is skipped; otherwise the solve proceeds as
+    within ``FEAS_TOL``, phase 1 is skipped; otherwise the solve proceeds as
     without it.  Deterministic for fixed inputs: pricing scans blocks in a
     fixed order and all tie-breaking is index-based, so repeated calls return
     the same basis.
     """
-    if feas_tol <= 0:
-        raise ValueError("feas_tol must be positive")
     if max_iter <= 0:
         raise ValueError("max_iter must be positive")
-    if pricing_block <= 0:
-        raise ValueError("pricing_block must be positive")
 
     rows, cols = lp.n_rows, lp.n_cols
     if start is not None:
@@ -360,37 +350,36 @@ def solve(
         a[flip] *= -1.0
         b[flip] *= -1.0
 
-    budget = _IterationBudget(max_iter)
-    tab = None if start is None else _crash_tableau(a, b, start, feas_tol)
+    tab = None if start is None else _crash_tableau(a, b, start)
+    phase1 = 0
     if tab is None:
         # Phase 1: an implicit artificial on every row, maximize minus their sum.
         c_phase1 = np.concatenate([np.zeros(cols), -np.ones(rows)])
         tab = _Tableau(a, b, list(range(cols, cols + rows)))
-        outcome = _run_phase(tab, c_phase1, feas_tol, pricing_block, budget)
+        outcome, phase1 = _run_phase(tab, c_phase1, max_iter)
         if outcome == "iter_limit":
-            return _finish(lp, tab, cols, budget, LpStatus.ITERATION_LIMIT, budget.used)
+            return _finish(lp, tab, cols, LpStatus.ITERATION_LIMIT, phase1, phase1)
         artificial_mass = sum(
             tab.x_b[r] for r in range(len(tab.basis)) if tab.basis[r] >= cols
         )
-        if artificial_mass > feas_tol:
+        if artificial_mass > FEAS_TOL:
             return LpSolution(
                 LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols),
-                list(tab.basis), budget.used, budget.used,
+                list(tab.basis), phase1, phase1,
             )
         _drive_out_artificials(tab)
-    phase1 = budget.used
 
-    outcome = _run_phase(tab, lp.objective, feas_tol, pricing_block, budget)
+    outcome, phase2 = _run_phase(tab, lp.objective, max_iter - phase1)
     if outcome == "unbounded":
         return LpSolution(
             LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols),
-            list(tab.basis), budget.used, phase1,
+            list(tab.basis), phase1 + phase2, phase1,
         )
     status = LpStatus.OPTIMAL if outcome == "optimal" else LpStatus.ITERATION_LIMIT
-    return _finish(lp, tab, cols, budget, status, phase1)
+    return _finish(lp, tab, cols, status, phase1 + phase2, phase1)
 
 
-def _finish(lp, tab, n_struct, budget, status, phase1) -> LpSolution:
+def _finish(lp, tab, n_struct, status, iterations, phase1) -> LpSolution:
     tab.refactor()
     order = np.argsort(tab.basis, kind="stable")
     idx, vals = [], []
@@ -401,7 +390,7 @@ def _finish(lp, tab, n_struct, budget, status, phase1) -> LpSolution:
             vals.append(max(tab.x_b[r], 0.0))
     primal = SparseVector(n_struct, np.asarray(idx, dtype=np.intp), np.asarray(vals))
     obj = float(lp.objective[primal.indices] @ primal.values) if primal.nnz else 0.0
-    return LpSolution(status, obj, primal, list(tab.basis), budget.used, phase1)
+    return LpSolution(status, obj, primal, list(tab.basis), iterations, phase1)
 
 
 def residuals(lp: StandardFormLp, solution: LpSolution) -> tuple[float, float]:

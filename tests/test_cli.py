@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from fockroof.cli import main
 from fockroof.simplex import read_lp
 from fockroof import FockDiagonalState, assemble_lp, build_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +150,50 @@ class TestExitCodes:
             "--expansion-P", "3",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "eval --p 1 --delta 0.7",
+            "eval --p 1 --delta 0",
+            "eval --p 1 --n -1",
+            "eval --p 1 --max-iter 0",
+            "eval --p 0.5,0.5 --expansion-P 2",
+            "eval --p 1 --format xml",
+            "sweep3 --step 0",
+            "sweep3 --step 0.6",
+            "sweep3 --n -1",
+            "sweep4 --threads 0",
+            "sweep4 --lp-check -1",
+            "thermal --nth 0",
+            "thermal --nth 1 --levels 0",
+            "thermal --nth 1 --m-range a:b",
+            "thermal --nth 1 --m-range 0:2",
+            "grid-info --m 1 --delta 0.1",
+            "grid-info --m 3 --delta 0.9",
+            "dump-lp --p 0.84,0.16 --delta 0.7 --out OUT",
+        ],
+    )
+    def test_invalid_argument(self, argv, tmp_path, capsys):
+        out = tmp_path / "program.lp"
+        code = main([str(out) if tok == "OUT" else tok for tok in argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_process_exit_codes(self):
+        def run(*argv):
+            env = {**os.environ, "PYTHONPATH": str(SRC)}
+            cmd = [sys.executable, "-m", "fockroof.cli", *argv]
+            return subprocess.run(cmd, env=env, capture_output=True).returncode
+
+        assert run("eval", "--p", "0.84,0.16", "--delta", "0.1") == 0
+        assert run("eval", "--p", "0.84,0.16", "--delta", "0.7") == 2
+        # a missing required option exits through argparse itself
+        assert run("eval") == 2
+        assert run("grid-info", "--m", "4", "--delta", "0.003") == 4
 
 
 class TestSweep3:

@@ -96,10 +96,14 @@ class TestCounts:
         for rank, delta in [(2, 0.03), (3, 0.05), (4, 0.1), (5, 0.2)]:
             assert count_grid_points(rank, delta) == build_grid(rank, delta).n_points
 
-    @pytest.mark.parametrize("rank,count", [(2, 1001), (3, 786388)])
+    @pytest.mark.parametrize("rank,count", [(2, 1001), (3, 786388), (4, 524_776_511)])
     def test_fine_spacing_pins(self, rank, count):
         # a radius range of 10^6 squared units, counted without building
         assert count_grid_points(rank, 0.001) == count
+        if count > DEFAULT_MAX_POINTS:
+            with pytest.raises(GridCapacityError) as err:
+                build_grid(rank, 0.001)
+            assert err.value.requested == count
 
     def test_paper_scale_pin(self):
         # the published rank-4 instance: 537052 columns at spacing 0.00999

@@ -10,13 +10,11 @@ from fockroof import (
     classify_rank4,
     estimate_nonclassicality,
     mean_photon,
-    pair_fraction_balance,
     rank2_nonclassicality,
     rank3_lower_pair,
     rank3_triplet,
     rank3_upper_pair,
     rank4_pair,
-    rank4_quartet,
     rank4_triplet,
     real_alpha,
     simple_bound,
@@ -183,21 +181,14 @@ class TestBoundaryCoincidence:
 
 class TestRank4Quartet:
     def test_equal_populations(self):
-        value = rank4_quartet(state(0, [0.25, 0.25, 0.25, 0.25]))
+        value = simple_bound(state(0, [0.25, 0.25, 0.25, 0.25]))
         cross = 0.25 + 0.25 * np.sqrt(2.0) + 0.25 * np.sqrt(3.0)
         assert value == pytest.approx(1.5 - cross**2, abs=1e-12)
         assert value == pytest.approx(0.4255307, abs=1e-7)
 
     def test_corner_values(self):
-        assert rank4_quartet(state(0, [1.0, 0, 0, 0])) == pytest.approx(0.0)
-        assert rank4_quartet(state(0, [0, 0, 0, 1.0])) == pytest.approx(3.0)
-
-    def test_equals_simple_bound(self, rng):
-        for _ in range(30):
-            s = random_trimmed_state(rng, max_rank=4)
-            if s.rank != 4:
-                continue
-            assert rank4_quartet(s) == pytest.approx(simple_bound(s), abs=1e-12)
+        assert simple_bound(state(0, [1.0, 0, 0, 0])) == pytest.approx(0.0)
+        assert simple_bound(state(0, [0, 0, 0, 1.0])) == pytest.approx(3.0)
 
 
 class TestRank4Triplet:
@@ -358,25 +349,6 @@ class TestClassifyRank4:
         assert classify(state(0, [0.6, 0.2, 0.2])).label is PhaseLabel.UPPER_PAIR
         with pytest.raises(ValueError, match="rank"):
             classify(state(0, [0.5, 0.5]))
-
-
-class TestPairFractionBalance:
-    def test_symmetric_case(self):
-        assert pair_fraction_balance(0, 0.2, 0.2) == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "n,p2,p1", [(0, 0.2, 0.2), (1, 0.3, 0.1), (2, 0.15, 0.55), (0, 0.45, 0.05)]
-    )
-    def test_matches_closed_form(self, n, p2, p1):
-        closed = (2.0 + n) * p2 / ((1.0 + n) * p1 + (3.0 + 2.0 * n) * p2)
-        assert pair_fraction_balance(n, p2, p1) == pytest.approx(closed, abs=1e-12)
-
-    def test_vanishing_upper_population(self):
-        assert pair_fraction_balance(0, 1e-9, 0.5) == pytest.approx(0.0, abs=1e-8)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateStateError):
-            pair_fraction_balance(0, 0.0, 0.0)
 
 
 def link_sums(amplitudes, offset):

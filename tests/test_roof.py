@@ -21,7 +21,6 @@ from fockroof import (
     quadrature_qfi,
     rank2_nonclassicality,
     refine,
-    refined_histogram,
     simple_bound,
     truncated_thermal,
 )
@@ -105,9 +104,8 @@ class TestEstimate:
         [
             lambda s: estimate_nonclassicality(s, 0.05),
             lambda s: refine(s, 0.05, 2),
-            lambda s: refined_histogram(s, 0.05, 2),
         ],
-        ids=["estimate_nonclassicality", "refine", "refined_histogram"],
+        ids=["estimate_nonclassicality", "refine"],
     )
     def test_warning_points_at_caller(self, estimate):
         with pytest.warns(GridResolutionWarning) as record:
@@ -219,18 +217,12 @@ class TestRefine:
             values = [v for _, v in steps]
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_refined_histogram_matches_last_level(self):
-        s = state(0, [0.6, 0.2, 0.2])
-        steps = refine(s, 0.05, 2)
-        value, hist = refined_histogram(s, 0.05, 2)
-        assert value == steps[-1][1]
-        assert hist.grid.delta == pytest.approx(0.025)
-
     def test_capacity_error_propagates(self):
         from fockroof import GridCapacityError
 
         with pytest.raises(GridCapacityError):
-            refine(state(0, [0.6, 0.2, 0.2]), 0.05, 2, max_points=10)
+            # the rank-3 lattice at this spacing has about 8.7M points
+            refine(state(0, [0.6, 0.2, 0.2]), 3e-4, 2)
 
 
 def _start_from_phase_one(monkeypatch):

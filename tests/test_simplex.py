@@ -18,7 +18,7 @@ from fockroof import (
     write_lp,
 )
 from fockroof import roof, simplex
-from fockroof.simplex import DEFAULT_PRICING_BLOCK, read_lp
+from fockroof.simplex import read_lp
 
 
 def make_lp(c, a, b):
@@ -157,11 +157,12 @@ class TestVertexProperty:
         assert eq <= 1e-9
         assert neg >= -1e-9
 
-    def test_partial_pricing_blocks(self):
+    def test_partial_pricing_blocks(self, monkeypatch):
         rng = np.random.default_rng(99)
         lp = bounded_random_lp(rng, 3, 50)
         full = solve(lp)
-        blocked = solve(lp, pricing_block=7)
+        monkeypatch.setattr(simplex, "_PRICING_BLOCK", 7)
+        blocked = solve(lp)
         assert blocked.status is LpStatus.OPTIMAL
         assert blocked.objective_value == pytest.approx(
             full.objective_value, abs=1e-9
@@ -234,8 +235,11 @@ class TestLatticeProgram:
         state = FockDiagonalState(0, np.array([0.6, 0.2, 0.15, 0.05]))
         return assemble_lp(state, build_grid(4, 0.02))
 
-    def test_pricing_blocks_agree(self, lp):
-        sols = [solve(lp, pricing_block=b) for b in (512, 4096, DEFAULT_PRICING_BLOCK)]
+    def test_pricing_blocks_agree(self, lp, monkeypatch):
+        sols = []
+        for block in (512, 4096, simplex._PRICING_BLOCK):
+            monkeypatch.setattr(simplex, "_PRICING_BLOCK", block)
+            sols.append(solve(lp))
         for sol in sols:
             assert sol.status is LpStatus.OPTIMAL
             assert sol.primal.indices.tolist() == [0, 53214, 53215, 53248]
