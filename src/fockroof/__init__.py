@@ -14,6 +14,7 @@ from .phases import (
     DegenerateStateError,
     PhaseLabel,
     classify,
+    classify_many,
     classify_rank3,
     classify_rank4,
     rank3_lower_pair,
@@ -81,6 +82,7 @@ __all__ = [
     "build_grid",
     "classify",
     "classify_decomposition",
+    "classify_many",
     "classify_rank3",
     "classify_rank4",
     "count_grid_points",

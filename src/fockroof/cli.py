@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import simplex
 from .grid import DEFAULT_MAX_POINTS, GridCapacityError, build_grid, checked_count
 from .metrology import quadrature_qfi
-from .phases import classify
+from .phases import classify, classify_many
 from .roof import (
     LatticeLps,
     SolverFailure,
@@ -33,7 +32,13 @@ from .roof import (
     expand_histogram,
     refine,
 )
-from .states import FockDiagonalState, mean_photon, simple_bound, truncated_thermal
+from .states import (
+    FockDiagonalState,
+    check_populations,
+    mean_photon,
+    simple_bound,
+    truncated_thermal,
+)
 from .simplex import write_lp
 
 EXIT_OK = 0
@@ -198,44 +203,39 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _simplex_points(count: int, dims: int) -> list[tuple[int, ...]]:
-    """Nonnegative integer tuples of length dims with sum at most count, in
-    lexicographic order."""
-    if dims == 0:
-        return [()]
-    return [
-        (i, *rest)
-        for i in range(count + 1)
-        for rest in _simplex_points(count - i, dims - 1)
-    ]
-
-
-def _populations(top: list[float]) -> np.ndarray:
-    """Full population vector from the upper populations, top level first;
-    the ground level takes the remainder."""
-    rest = 1.0
-    for p in top:
-        rest -= p
-    return np.asarray([max(rest, 0.0), *reversed(top)])
+def _simplex_lattice(count: int, dims: int) -> np.ndarray:
+    """(N, dims) nonnegative integer points with sum at most count, in
+    lexicographic order, built one column at a time."""
+    points = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dims):
+        reps = count - points.sum(axis=1) + 1
+        column = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        points = np.column_stack([np.repeat(points, reps, axis=0), column])
+    return points
 
 
 def _cmd_sweep(args, rank: int) -> int:
     """Phase diagram over the population simplex of a rank-3 or rank-4 window.
 
     Rows run over p_{n+M-1}, ..., p_{n+1} on the step lattice, top level
-    outermost.  With --lp-check K every K-th point also gets the LP estimate
-    of its trimmed window; those windows' lattice LPs are built once, before
-    any worker starts, and only their solves are spread over the threads.
+    outermost; the ground level takes the remainder, subtracted top level
+    first.  The whole lattice is checked and classified in one array pass.
+    With --lp-check K every K-th point also gets the LP estimate of its
+    trimmed window; those windows' lattice LPs are built once, before any
+    worker starts, and only their solves are spread over the threads.
     """
     n = args.n
-    step = args.step
-    tops = [
-        [i * step for i in point]
-        for point in _simplex_points(int(round(1.0 / step)), rank - 1)
-    ]
-    states = [FockDiagonalState(n, _populations(top)) for top in tops]
-    checked = range(0, len(states), args.lp_check) if args.lp_check else ()
-    windows = {idx: states[idx].trimmed() for idx in checked}
+    # the epsilon keeps the top corner of steps such as 0.00032, whose
+    # reciprocal rounds just below an integer
+    tops = _simplex_lattice(int(1.0 / args.step + 1e-9), rank - 1) * args.step
+    rest = np.ones(len(tops))
+    for column in tops.T:
+        rest -= column
+    pops = np.column_stack([np.maximum(rest, 0.0), tops[:, ::-1]])
+    check_populations(pops)
+    labels, values = classify_many(n, pops)
+    checked = range(0, len(pops), args.lp_check) if args.lp_check else ()
+    windows = {idx: FockDiagonalState(n, pops[idx]).trimmed() for idx in checked}
     lattices = LatticeLps([w for w in windows.values() if w.rank > 1], args.delta)
 
     def lp_value(idx: int) -> float:
@@ -244,22 +244,23 @@ def _cmd_sweep(args, rank: int) -> int:
             return float(window.offset)
         return float(lattices.estimate(window, max_iter=args.max_iter)[0])
 
-    # classify holds the interpreter lock; only the LP solves can overlap
-    results = [classify(state) for state in states]
+    # the solves' numpy work releases the interpreter lock, so threads overlap it
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             lps = dict(zip(windows, pool.map(lp_value, windows)))
     else:
         lps = {idx: lp_value(idx) for idx in windows}
     rows = []
-    for idx, (top, result) in enumerate(zip(tops, results)):
+    for idx, (top, label, value) in enumerate(zip(tops.tolist(), labels, values.tolist())):
         row = {f"p{rank - 1 - d}": p for d, p in enumerate(top)}
-        row.update(label=result.label.value, value=float(result.value), n_lp=lps.get(idx))
+        row.update(label=label.value, value=value, n_lp=lps.get(idx))
         rows.append(row)
     meta = {
         "command": f"sweep{rank}",
         "n": n,
-        "step": step,
+        "step": args.step,
         "delta": args.delta,
         "lp_check": args.lp_check,
     }

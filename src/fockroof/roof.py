@@ -139,8 +139,11 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     _require_lp_ready(state)
     if grid.rank != state.rank:
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
-    free_sq = grid.free_amplitudes**2
-    rows = np.vstack([np.ones(grid.n_points), free_sq.T])
+    # column-major, as np.vstack laid out every rank >= 3 matrix: pricing
+    # rounds differently in the other layout, which changes pivot sequences
+    rows = np.empty((state.rank, grid.n_points), order="F")
+    rows[0] = 1.0
+    np.square(grid.free_amplitudes.T, out=rows[1:])
     return StandardFormLp(
         objective=grid.objective_coeffs(state.offset),
         row_matrix=rows,

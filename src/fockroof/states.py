@@ -27,6 +27,22 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_populations(populations: np.ndarray) -> None:
+    """Raise ValueError unless every row of a (..., M) array is nonnegative,
+    finite and sums to 1 within CONSTRUCTION_TOL; the message names the
+    first offending row."""
+    rows = populations.reshape(-1, populations.shape[-1])
+    negative = np.any(rows < 0.0, axis=1)
+    if negative.any():
+        raise ValueError(f"populations must be nonnegative, got {rows[negative][0]}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("populations must be finite")
+    totals = rows.sum(axis=1)
+    off = np.abs(totals - 1.0) > CONSTRUCTION_TOL
+    if off.any():
+        raise ValueError(f"populations must sum to 1 (got {float(totals[off][0])!r})")
+
+
 @dataclass(frozen=True, eq=False)
 class FockDiagonalState:
     """Mixed state diagonal in the Fock basis on a contiguous window.
@@ -46,13 +62,7 @@ class FockDiagonalState:
         pops = np.asarray(self.populations, dtype=float)
         if pops.ndim != 1 or pops.size < 1:
             raise ValueError("populations must be a nonempty 1-d vector")
-        if np.any(pops < 0.0):
-            raise ValueError(f"populations must be nonnegative, got {pops}")
-        if not np.all(np.isfinite(pops)):
-            raise ValueError("populations must be finite")
-        total = float(pops.sum())
-        if abs(total - 1.0) > CONSTRUCTION_TOL:
-            raise ValueError(f"populations must sum to 1 (got {total!r})")
+        check_populations(pops)
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "populations", _readonly(pops))
 
@@ -191,6 +201,22 @@ def rank2_nonclassicality(offset: int, p_upper: float) -> float:
     return n + p_upper - (n + 1) * p_upper * (1.0 - p_upper)
 
 
+def mean_photons(offset: int, populations: np.ndarray) -> np.ndarray:
+    """<a†a> of every row of an (N, M) population array.
+
+    One np.dot per row, as in :func:`mean_photon`: a whole-array product sum
+    or matrix product rounds differently on some rows.
+    """
+    k = offset + np.arange(populations.shape[1], dtype=float)
+    return np.array([np.dot(k, row) for row in populations])
+
+
+def pow_square(x: np.ndarray) -> np.ndarray:
+    """Per-element x ** 2 through the scalar power function, which differs
+    from an array square (x*x) in the last bit on some inputs."""
+    return np.array([v**2 for v in x.tolist()])
+
+
 def simple_bound(state: FockDiagonalState) -> float:
     """Upper bound from the single-point decomposition with amplitudes sqrt(p).
 
@@ -198,13 +224,15 @@ def simple_bound(state: FockDiagonalState) -> float:
     neighboring populations, and saturated exactly by the simply-decomposed
     states of higher rank.
     """
-    p = state.populations
-    if p.size == 1:
-        return mean_photon(state)
-    n = state.offset
-    k = np.arange(p.size - 1)
-    cross = float(np.sum(np.sqrt(p[1:] * p[:-1] * (n + k + 1.0))))
-    return mean_photon(state) - cross**2
+    return float(simple_bounds(state.offset, state.populations[None, :])[0])
+
+
+def simple_bounds(offset: int, populations: np.ndarray) -> np.ndarray:
+    """:func:`simple_bound` of every row of an (N, M) population array."""
+    p = populations
+    k = np.arange(p.shape[1] - 1)
+    cross = np.sqrt(p[:, 1:] * p[:, :-1] * (offset + k + 1.0)).sum(axis=1)
+    return mean_photons(offset, p) - pow_square(cross)
 
 
 def truncated_thermal(n_th: float, rank: int) -> FockDiagonalState:

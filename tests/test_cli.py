@@ -11,7 +11,7 @@ import pytest
 
 from fockroof.cli import main
 from fockroof.simplex import read_lp
-from fockroof import FockDiagonalState, assemble_lp, build_grid
+from fockroof import FockDiagonalState, assemble_lp, build_grid, classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -278,6 +278,49 @@ class TestSweep4:
         for r3 in sweep3["rows"]:
             r4 = face[(r3["p2"], r3["p1"])]
             assert r4["value"] == pytest.approx(r3["value"], abs=1e-10)
+
+
+def sweep_populations(row, rank):
+    """Populations of a sweep row, rebuilt as the sweep builds them: the
+    ground level takes the remainder, subtracted top level first."""
+    top = [row[f"p{k}"] for k in range(rank - 1, 0, -1)]
+    rest = 1.0
+    for p in top:
+        rest -= p
+    return np.asarray([max(rest, 0.0), *reversed(top)])
+
+
+class TestSweepArrayPass:
+    @pytest.mark.parametrize("rank, step", [(3, "0.05"), (4, "0.1")])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_rows_equal_one_state_classify(self, capsys, rank, step, n):
+        payload = run_json(capsys, f"sweep{rank}", "--n", str(n), "--step", step)
+        for row in payload["rows"]:
+            result = classify(FockDiagonalState(n, sweep_populations(row, rank)))
+            assert row["label"] == result.label.value
+            assert row["value"] == result.value
+
+    @pytest.mark.parametrize("rank, step, count", [(3, "0.15", 28), (4, "0.35", 10)])
+    def test_step_with_large_fractional_reciprocal(self, capsys, rank, step, count):
+        # 1/step has fractional part >= 0.5: rounding it up would put the
+        # top corner outside the simplex
+        payload = run_json(capsys, f"sweep{rank}", "--step", step)
+        rows = payload["rows"]
+        assert len(rows) == count
+        for row in rows:
+            FockDiagonalState(0, sweep_populations(row, rank))
+
+    def test_step_just_above_reciprocal_keeps_top_corner(self, capsys):
+        # 1/0.10000000000000002 rounds to 9.999999999999998
+        rows = run_json(capsys, "sweep3", "--step", "0.10000000000000002")["rows"]
+        assert len(rows) == 66
+        assert rows[-1]["p2"] == 10 * 0.10000000000000002
+
+    def test_cli_import_leaves_thread_pool_unloaded(self):
+        code = "import sys, fockroof.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert out.stdout.decode().strip() == "False"
 
 
 class TestThermal:

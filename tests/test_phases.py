@@ -6,6 +6,7 @@ from fockroof import (
     FockDiagonalState,
     PhaseLabel,
     classify,
+    classify_many,
     classify_rank3,
     classify_rank4,
     estimate_nonclassicality,
@@ -428,3 +429,59 @@ class TestFractionClosedForms:
         best = classify_rank4(s)
         assert best.label is PhaseLabel.QUARTET
         assert best.value == pytest.approx(1.5, abs=1e-12)
+
+
+class TestClassifyMany:
+    """The array kernels score a stack of states exactly as one-row calls do."""
+
+    @pytest.mark.parametrize(
+        "rank, rows",
+        [
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0, 0.5], [0.6, 0.2, 0.2]]),
+            (
+                4,
+                [
+                    [1, 0, 0, 0],
+                    [0, 1, 0, 0],
+                    [0, 0, 1, 0],
+                    [0, 0, 0, 1],
+                    [0.5, 0, 0, 0.5],
+                    [0.92, 0.06, 0.01, 0.01],
+                ],
+            ),
+        ],
+    )
+    def test_vertices_and_degenerate_rows(self, rank, rows):
+        pops = np.asarray(rows, float)
+        labels, values = classify_many(1, pops)
+        for row, label, value in zip(pops, labels, values):
+            expected = classify(state(1, row))
+            assert label is expected.label
+            assert value == expected.value
+
+    def test_degenerate_rows_raise_in_one_row_calls(self):
+        with pytest.raises(DegenerateStateError, match="p1 \\+ p2 > 0"):
+            rank3_upper_pair(state(0, [1.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateStateError, match="p2 < 1"):
+            rank3_lower_pair(state(0, [0.0, 0.0, 1.0]))
+        with pytest.raises(DegenerateStateError, match="p1 \\+ p2 > 0"):
+            rank4_pair(state(0, [0.5, 0.0, 0.0, 0.5]))
+        for k in range(4):
+            pops = np.zeros(4)
+            pops[k] = 1.0
+            with pytest.raises(DegenerateStateError, match=f"triplet-{k}"):
+                rank4_triplet(state(0, pops), k)
+
+    def test_random_stack_matches_one_row_calls(self, rng):
+        for rank in (3, 4):
+            pops = rng.dirichlet(np.ones(rank), size=200)
+            pops[:, 0] = 1.0 - pops[:, 1:].sum(axis=1)
+            pops = pops[pops[:, 0] >= 0.0]
+            labels, values = classify_many(2, pops)
+            for row, label, value in zip(pops, labels, values):
+                expected = classify(state(2, row))
+                assert (label, value) == (expected.label, expected.value)
+
+    def test_rank_without_catalogue(self):
+        with pytest.raises(ValueError, match="rank 5"):
+            classify_many(0, np.full((2, 5), 0.2))

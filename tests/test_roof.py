@@ -55,6 +55,15 @@ class TestAssemble:
         idx = [tuple(l) for l in grid.lattice.tolist()].index((1, 1))
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
+    def test_row_matrix_is_column_major_squares(self):
+        # pricing rounds differently on a row-major matrix of rank >= 3,
+        # which changes the pivot sequence of some solves
+        grid = build_grid(4, 0.1)
+        rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
+        assert rows.flags.f_contiguous
+        expected = np.vstack([np.ones(grid.n_points), (grid.free_amplitudes**2).T])
+        assert np.array_equal(rows, expected)
+
     def test_requires_matching_rank(self):
         with pytest.raises(ValueError, match="rank"):
             assemble_lp(state(0, [0.84, 0.16]), build_grid(3, 0.1))

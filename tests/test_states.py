@@ -14,6 +14,8 @@ from fockroof import (
     truncated_thermal,
 )
 
+from fockroof.states import check_populations
+
 from conftest import random_trimmed_state
 
 
@@ -52,6 +54,31 @@ class TestFockDiagonalState:
         state = FockDiagonalState(0, [0.5, 0.0, 0.5])
         t = state.trimmed()
         assert t is state
+
+
+class TestCheckPopulations:
+    """The array check raises the dataclass's message for the first bad row."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.6, -0.1, 0.5], [0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, 0.4, 0.2]],
+        ids=["negative", "nan", "inf", "off-sum"],
+    )
+    def test_array_row_message_matches_dataclass(self, bad):
+        good = [0.2, 0.3, 0.5]
+        with pytest.raises(ValueError) as from_state:
+            FockDiagonalState(0, bad)
+        with pytest.raises(ValueError) as from_array:
+            check_populations(np.asarray([good, bad, good], float))
+        assert str(from_array.value) == str(from_state.value)
+
+    def test_first_offending_row_is_named(self):
+        pops = np.asarray([[0.5, 0.5], [0.7, 0.4], [0.6, 0.2]])
+        with pytest.raises(ValueError, match=r"\(got 1\.1\)"):
+            check_populations(pops)
+
+    def test_valid_stack_passes(self):
+        check_populations(np.asarray([[1.0, 0.0], [0.5, 0.5 + 5e-13]]))
 
 
 class TestMeanPhoton:
