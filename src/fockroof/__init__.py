@@ -40,7 +40,6 @@ from .simplex import (
     LpStatus,
     SparseVector,
     StandardFormLp,
-    residuals,
     solve,
     write_lp,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "rank4_triplet",
     "real_alpha",
     "refine",
-    "residuals",
     "simple_bound",
     "solve",
     "truncated_thermal",

@@ -168,8 +168,8 @@ def _cmd_eval(args) -> int:
     else:
         n_lp, hist = estimate_nonclassicality(work, args.delta, max_iter=args.max_iter)
         support = [
-            {"x": [float(v) for v in hist.grid.free_amplitudes[idx]], "weight": float(w)}
-            for idx, w in zip(hist.indices, hist.weights)
+            {"x": [float(v) for v in row[1:]], "weight": float(w)}
+            for row, w in zip(hist.amplitudes, hist.weights)
         ]
         decomposition = expand_histogram(work, hist, expansion).to_jsonable()
     if work.rank in (3, 4):
@@ -303,8 +303,7 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_grid_info(args) -> int:
     points = checked_count(args.m, args.delta, DEFAULT_MAX_POINTS)
-    free = args.m - 1
-    grid_bytes = points * (4 * free + 8 * free + 8)  # int lattice + float coords + x0
+    grid_bytes = points * 8 * args.m  # free coordinates plus x0
     lp_bytes = points * 8 * (args.m + 1)  # row matrix plus objective
     rows = [
         {

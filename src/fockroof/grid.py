@@ -5,7 +5,8 @@ with after the optimization) by the nonnegative amplitudes of the M - 1
 upper levels; the ground amplitude follows from normalization.  The grid
 enumerates all vectors (l_1*delta, ..., l_{M-1}*delta) with nonnegative
 integers l_k and sum of squares at most 1, in lexicographic order of the
-integer tuples.
+integer tuples.  The integer rows exist only while a grid is built; a grid
+holds the amplitude vectors as floats.
 """
 
 from __future__ import annotations
@@ -45,25 +46,23 @@ def _lattice_radius_sq(delta: float) -> int:
 def count_grid_points(rank: int, delta: float) -> int:
     """Number of lattice points for the given window rank, without building them.
 
-    ``counts[j]`` is the number of points of the first k free coordinates
-    with sum of squares at most j: one coordinate alone has ``isqrt(j) + 1``
-    and each further coordinate convolves with the squares.  The last one
-    (rank 3) or two (rank >= 4) coordinates are needed only at the budgets
-    ``limit - c²`` or ``limit - b² - c²`` they leave, so rank 4 sums
-    ``isqrt`` over the points of the rank-3 lattice.
+    The last ``min(2, M - 2)`` free coordinates are enumerated, leaving the
+    budgets ``left = L - (their squares)`` for the rest.  With one free
+    coordinate left (M <= 4) each budget admits ``isqrt(left) + 1`` values;
+    otherwise ``counts[j]``, the number of points of the first M - 3 free
+    coordinates with sum of squares at most j, starts from one coordinate's
+    ``isqrt(j) + 1`` and is convolved with the squares once per further
+    coordinate.
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     limit = _lattice_radius_sq(delta)
-    if rank == 2:
-        return isqrt(limit) + 1
-    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
-    if rank == 3:
-        return int((_isqrt(limit - squares) + 1).sum())
-    b, c = _enumerate_lattice(limit, 2).astype(np.int64).T
-    left = limit - b * b - c * c
-    if rank == 4:
+    left = np.array([limit], dtype=np.int64)
+    for col in _enumerate_lattice(limit, min(2, rank - 2)).astype(np.int64).T:
+        left = left - col * col
+    if rank <= 4:
         return int((_isqrt(left) + 1).sum())
+    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
     counts = _isqrt(np.arange(limit + 1, dtype=np.int64)) + 1
     for _ in range(rank - 4):
         acc = np.zeros(limit + 1, dtype=np.int64)
@@ -132,16 +131,18 @@ def _enumerate_lattice(limit: int, dims: int) -> np.ndarray:
 
 
 class AmplitudeGrid:
-    """All lattice amplitude vectors for one window rank and spacing."""
+    """All lattice amplitude vectors for one window rank and spacing.
+
+    Built from integer lattice rows, which are not kept: point i is the
+    amplitude vector (x0[i], *free_amplitudes[i]), the free coordinates being
+    the rows times ``delta``.
+    """
 
     def __init__(self, rank: int, delta: float, lattice: np.ndarray):
         if lattice.ndim != 2 or lattice.shape[1] != rank - 1:
             raise ValueError("lattice must be (n_points, rank-1)")
         self.rank = rank
         self.delta = float(delta)
-        lattice = np.ascontiguousarray(lattice, dtype=np.int32)
-        lattice.setflags(write=False)
-        self.lattice = lattice
         free = lattice.astype(float) * self.delta
         self.free_amplitudes = free
         self.x0 = np.sqrt(np.clip(1.0 - np.sum(free * free, axis=1), 0.0, None))
@@ -150,7 +151,7 @@ class AmplitudeGrid:
 
     @property
     def n_points(self) -> int:
-        return self.lattice.shape[0]
+        return self.x0.size
 
     def __len__(self) -> int:
         return self.n_points
@@ -199,24 +200,20 @@ def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
 
 
 def neighborhood_grid(
-    rank: int,
-    delta: float,
-    centers: np.ndarray,
-    center_delta: float,
-    radius: float,
+    rank: int, delta: float, centers: np.ndarray, radius: float
 ) -> AmplitudeGrid:
     """Lattice points of spacing ``delta`` within a per-coordinate radius of
-    the given centers (centers are lattice vectors at ``center_delta``).
+    the given centers (rows of free amplitudes).
 
-    The centers themselves are kept, so any histogram supported on them stays
-    feasible on the refined grid.
+    Each center is rounded to its nearest lattice point.  A center on the
+    lattice of spacing 2*delta rounds to itself (halving a double is exact),
+    so a histogram supported on the previous refinement level stays feasible
+    on the refined grid.
     """
     limit = _lattice_radius_sq(delta)
-    scale = center_delta / delta
     steps = int(round(radius / delta))
     blocks = []
-    for center in np.atleast_2d(centers):
-        mids = np.rint(np.asarray(center, dtype=float) * scale).astype(np.int64)
+    for mids in np.rint(np.atleast_2d(centers) / delta).astype(np.int64):
         axes = [
             np.arange(max(0, m - steps), m + steps + 1, dtype=np.int64) for m in mids
         ]
@@ -226,4 +223,4 @@ def neighborhood_grid(
     pts = _unique_rows(np.vstack(blocks), isqrt(limit) + 1)
     if pts.shape[0] > DEFAULT_MAX_POINTS:
         raise GridCapacityError(int(pts.shape[0]), DEFAULT_MAX_POINTS)
-    return AmplitudeGrid(rank, delta, pts.astype(np.int32))
+    return AmplitudeGrid(rank, delta, pts)

@@ -63,7 +63,6 @@ class AnsatzResult:
     label: PhaseLabel
     value: float
     params: dict = field(default_factory=dict)
-    feasible: bool = True
     upper_bound_only: bool = False
 
 

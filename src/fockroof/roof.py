@@ -6,7 +6,9 @@ that reproduce the populations.  Restricting the decomposition amplitudes to
 a lattice turns that maximization into a linear program over a histogram of
 weights, one column per lattice point: the LP optimum is a one-sided
 (never-below) estimate of the true nonclassicality that tightens as the
-spacing shrinks.  Phases never need to be enumerated; an optimal histogram
+spacing shrinks.  An optimal histogram is returned as the amplitude vectors
+of its support and their weights, and is checked against the populations
+before it is returned.  Phases never need to be enumerated; the histogram
 expands into an explicit ensemble by splitting every support point across
 roots-of-unity phase patterns.
 """
@@ -53,39 +55,28 @@ class DecompositionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Histogram:
-    """Nonnegative weights on grid points whose mixture reproduces the state.
+    """Nonnegative weights on amplitude vectors whose mixture reproduces the state.
 
-    ``indices`` are grid point indices in increasing (lattice) order.  The
-    weights sum to one and satisfy sum_i Q_i x_k(i)^2 = p_{n+k} for every
-    window level, both within the solver feasibility tolerance.
+    ``amplitudes`` holds one (x0, ..., x_{M-1}) row per support point, in
+    lattice order.  The weights sum to one and satisfy
+    sum_i Q_i x_k(i)^2 = p_{n+k} for every window level, both within the
+    solver feasibility tolerance.
     """
 
-    grid: AmplitudeGrid
-    indices: np.ndarray
+    amplitudes: np.ndarray
     weights: np.ndarray
 
     @property
     def support_size(self) -> int:
-        return self.indices.size
-
-    def support_lattice(self) -> np.ndarray:
-        return self.grid.lattice[self.indices]
-
-    def support_amplitudes(self) -> np.ndarray:
-        """(support, rank) amplitude vectors including x0."""
-        return np.hstack(
-            [self.grid.x0[self.indices, None], self.grid.free_amplitudes[self.indices]]
-        )
+        return self.weights.size
 
     def to_csv(self, path) -> None:
-        """Write ``x1,...,x{M-1},weight`` rows, sorted by lattice index."""
-        names = ",".join(f"x{k}" for k in range(1, self.grid.rank))
+        """Write ``x1,...,x{M-1},weight`` rows, in lattice order."""
+        names = ",".join(f"x{k}" for k in range(1, self.amplitudes.shape[1]))
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{names},weight\n")
-            for idx, w in zip(self.indices, self.weights):
-                coords = ",".join(
-                    f"{v:.17g}" for v in self.grid.free_amplitudes[idx]
-                )
+            for row, w in zip(self.amplitudes, self.weights):
+                coords = ",".join(f"{v:.17g}" for v in row[1:])
                 fh.write(f"{coords},{w:.17g}\n")
 
 
@@ -180,11 +171,16 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
         )
 
 
-def _lattice_index(lattice: np.ndarray, point: list[int]) -> int:
-    """Row of ``point`` in a lexicographically sorted lattice, or -1."""
-    key = tuple(point)
-    i = bisect_left(lattice, key, key=lambda row: tuple(row.tolist()))
-    if i < lattice.shape[0] and tuple(lattice[i].tolist()) == key:
+def _column_index(grid: AmplitudeGrid, point: list[int]) -> int:
+    """Column of the integer lattice ``point`` on a grid, or -1.
+
+    ``l * delta`` is the product that built the grid's free amplitudes, and
+    the grid's rows are in lexicographic order.
+    """
+    key = tuple(l * grid.delta for l in point)
+    rows = grid.free_amplitudes
+    i = bisect_left(rows, key, key=lambda row: tuple(row.tolist()))
+    if i < rows.shape[0] and tuple(rows[i].tolist()) == key:
         return i
     return -1
 
@@ -212,10 +208,10 @@ def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | No
         for p, l in zip(pops, corner)
     ]
     vertex = list(corner)
-    columns = [_lattice_index(grid.lattice, vertex)]
+    columns = [_column_index(grid, vertex)]
     for k in sorted(range(len(corner)), key=lambda k: (-frac[k], k)):
         vertex[k] += 1
-        columns.append(_lattice_index(grid.lattice, vertex))
+        columns.append(_column_index(grid, vertex))
     return None if min(columns) < 0 else columns
 
 
@@ -228,19 +224,19 @@ def _solve_on_grid(
     sol = simplex.solve(lp, max_iter=max_iter, start=_kuhn_start(state, grid))
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
-    eq, neg = simplex.residuals(lp, sol)
-    if eq > simplex.FEAS_TOL or neg < 0.0:
+    keep = sol.primal.values > SUPPORT_TOL
+    order = np.argsort(sol.primal.indices[keep])
+    idx = sol.primal.indices[keep][order]
+    weights = sol.primal.values[keep][order]
+    amplitudes = np.column_stack([grid.x0[idx], grid.free_amplitudes[idx]])
+    reproduced = np.concatenate([[weights.sum()], weights @ amplitudes[:, 1:] ** 2])
+    residual = float(np.max(np.abs(reproduced - lp.rhs)))
+    if residual > simplex.FEAS_TOL:
         raise SolverFailure(
             sol.status,
-            f"histogram residuals exceed {simplex.FEAS_TOL:g}: "
-            f"equality {eq:.3g}, most negative weight {neg:.3g}",
+            f"histogram residuals exceed {simplex.FEAS_TOL:g}: {residual:.3g}",
         )
-    keep = sol.primal.values > SUPPORT_TOL
-    indices = sol.primal.indices[keep]
-    weights = sol.primal.values[keep]
-    order = np.argsort(indices)
-    hist = Histogram(grid=grid, indices=indices[order], weights=weights[order])
-    return mean_photon(state) - sol.objective_value, hist
+    return mean_photon(state) - sol.objective_value, Histogram(amplitudes, weights)
 
 
 class LatticeLps:
@@ -323,11 +319,7 @@ def refine(
             radius = 2.0 * delta
             delta = delta / 2.0
             grid = neighborhood_grid(
-                state.rank,
-                delta,
-                hist.support_lattice(),
-                center_delta=2.0 * delta,
-                radius=radius,
+                state.rank, delta, hist.amplitudes[:, 1:], radius=radius
             )
         value, hist = _solve_on_grid(state, grid, assemble_lp(state, grid), max_iter)
         steps.append((delta, value))
@@ -351,10 +343,9 @@ def expand_histogram(
         raise ValueError(
             f"phase_order must be >= max(3, M) = {max(3, m)}, got {phase_order}"
         )
-    amps = histogram.support_amplitudes()
     ks = np.arange(m)
     atoms: list[tuple[float, PureFockWindowState]] = []
-    for row, w in zip(amps, histogram.weights):
+    for row, w in zip(histogram.amplitudes, histogram.weights):
         for j in range(phase_order):
             phases = np.exp(2j * np.pi * j * (m - 1 - ks) / phase_order)
             psi = PureFockWindowState(state.offset, row * phases)

@@ -105,11 +105,6 @@ class SparseVector:
     indices: np.ndarray
     values: np.ndarray
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        out[self.indices] = self.values
-        return out
-
     @property
     def nnz(self) -> int:
         return self.indices.size
@@ -391,19 +386,6 @@ def _finish(lp, tab, n_struct, status, iterations, phase1) -> LpSolution:
     primal = SparseVector(n_struct, np.asarray(idx, dtype=np.intp), np.asarray(vals))
     obj = float(lp.objective[primal.indices] @ primal.values) if primal.nnz else 0.0
     return LpSolution(status, obj, primal, list(tab.basis), iterations, phase1)
-
-
-def residuals(lp: StandardFormLp, solution: LpSolution) -> tuple[float, float]:
-    """(inf-norm of A·q - b, most negative primal entry, clamped to <= 0).
-
-    Both magnitudes lie within the feasibility tolerance for an Optimal
-    solution.
-    """
-    q = solution.primal
-    ax = lp.row_matrix[:, q.indices] @ q.values if q.nnz else np.zeros(lp.n_rows)
-    eq = float(np.max(np.abs(ax - lp.rhs))) if lp.n_rows else 0.0
-    neg = float(min(0.0, q.values.min())) if q.nnz else 0.0
-    return eq, neg
 
 
 def write_lp(lp: StandardFormLp, path) -> None:

@@ -77,7 +77,7 @@ def test_criterion_1_rank2_closed_form_vs_lp():
             p = 0.05 * k
             value, hist = estimate_nonclassicality(state(n, [1.0 - p, p]), 0.01)
             worst = max(worst, abs(value - rank2_nonclassicality(n, p)))
-            xs = hist.grid.free_amplitudes[hist.indices, 0]
+            xs = hist.amplitudes[:, 1]
             target = np.sqrt(p)
             nearest = round(target / 0.01) * 0.01
             dominant = xs[int(np.argmax(hist.weights))]
@@ -95,7 +95,7 @@ def test_criterion_1_rank2_closed_form_vs_lp():
 
 def test_criterion_2_single_spike_pin():
     value, hist = estimate_nonclassicality(state(0, [0.84, 0.16]), 0.01)
-    xs = hist.grid.free_amplitudes[hist.indices, 0]
+    xs = hist.amplitudes[:, 1]
     ok = (
         abs(value - 0.0256) <= 1e-9
         and hist.support_size == 1

@@ -360,6 +360,17 @@ class TestGridInfo:
             "points"
         ] == 6
 
+    @pytest.mark.parametrize("m,delta", [(3, 0.05), (4, 0.1)])
+    def test_byte_estimates_match_the_arrays(self, capsys, m, delta):
+        row = run_json(capsys, "grid-info", "--m", str(m), "--delta", str(delta))[
+            "rows"
+        ][0]
+        grid = build_grid(m, delta)
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert row["grid_bytes"] == sum(a.nbytes for a in arrays)
+        lp = assemble_lp(FockDiagonalState(0, np.full(m, 1.0 / m)), grid)
+        assert row["lp_bytes"] == lp.row_matrix.nbytes + lp.objective.nbytes
+
 
 class TestDumpLp:
     def test_dump_matches_assembly(self, tmp_path, capsys):

@@ -6,7 +6,15 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from fockroof import GridCapacityError, build_grid, count_grid_points
+from fockroof import (
+    GridCapacityError,
+    GridResolutionWarning,
+    build_grid,
+    count_grid_points,
+    refine,
+    truncated_thermal,
+)
+from fockroof import roof
 from fockroof.grid import DEFAULT_MAX_POINTS, neighborhood_grid
 
 
@@ -33,6 +41,11 @@ def recursive_lattice(budget, dims):
         lead = np.full((sub.shape[0], 1), l, dtype=np.int32)
         blocks.append(np.hstack([lead, sub]))
     return np.vstack(blocks)
+
+
+def lattice_of(grid):
+    """The integer rows a grid was built from."""
+    return np.rint(grid.free_amplitudes / grid.delta).astype(np.int32)
 
 
 def radius_sq(delta):
@@ -63,7 +76,7 @@ class TestCounts:
         grid = build_grid(3, 0.5)
         assert grid.n_points == 6
         expected = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-        assert sorted(map(tuple, grid.lattice.tolist())) == expected
+        assert sorted(map(tuple, lattice_of(grid).tolist())) == expected
 
     def test_rank2_percent_spacing_keeps_endpoint(self):
         grid = build_grid(2, 0.01)
@@ -75,7 +88,7 @@ class TestCounts:
         grid = build_grid(rank, delta)
         expected = brute_force_lattice(rank, delta)
         assert grid.n_points == len(expected)
-        assert sorted(map(tuple, grid.lattice.tolist())) == expected
+        assert sorted(map(tuple, lattice_of(grid).tolist())) == expected
 
     @pytest.mark.parametrize("delta", [0.3, 0.05, 0.01])
     @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
@@ -89,8 +102,8 @@ class TestCounts:
         grid = build_grid(rank, delta)
         expected = recursive_lattice(radius_sq(delta), rank - 1)
         assert grid.n_points == count
-        assert grid.lattice.dtype == expected.dtype
-        np.testing.assert_array_equal(grid.lattice, expected)
+        np.testing.assert_array_equal(grid.free_amplitudes, expected * delta)
+        np.testing.assert_array_equal(lattice_of(grid), expected)
 
     def test_count_without_materializing(self):
         for rank, delta in [(2, 0.03), (3, 0.05), (4, 0.1), (5, 0.2)]:
@@ -117,7 +130,7 @@ class TestCounts:
 class TestGridGeometry:
     def test_lexicographic_order(self):
         grid = build_grid(3, 0.3)
-        laced = list(map(tuple, grid.lattice.tolist()))
+        laced = list(map(tuple, lattice_of(grid).tolist()))
         assert laced == sorted(laced)
 
     def test_points_satisfy_ball_and_normalization(self):
@@ -136,7 +149,7 @@ class TestGridGeometry:
 
     def test_objective_coeff_binding(self):
         grid = build_grid(3, 0.5)
-        idx = [tuple(l) for l in grid.lattice.tolist()].index((1, 1))
+        idx = [tuple(l) for l in lattice_of(grid).tolist()].index((1, 1))
         assert grid.objective_coeffs(0)[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_objective_coeffs_vectorized(self):
@@ -189,25 +202,23 @@ class TestCapacity:
 class TestNeighborhood:
     def test_centers_are_kept_and_ball_respected(self):
         coarse = build_grid(3, 0.1)
-        centers = coarse.lattice[[0, 10, len(coarse) - 1]]
-        fine = neighborhood_grid(
-            3, 0.05, centers, center_delta=0.1, radius=0.2
-        )
-        fine_set = {tuple(l) for l in fine.lattice.tolist()}
+        centers = lattice_of(coarse)[[0, 10, len(coarse) - 1]]
+        fine = neighborhood_grid(3, 0.05, centers * 0.1, radius=0.2)
+        fine_set = {tuple(l) for l in lattice_of(fine).tolist()}
         for c in centers:
             assert (2 * c[0], 2 * c[1]) in fine_set
         sq = np.sum(fine.free_amplitudes**2, axis=1)
         assert np.all(sq <= 1.0 + 1e-12)
         # every point is within the per-coordinate radius of some center
         dist = np.abs(
-            fine.lattice[:, None, :] * 0.05 - centers[None, :, :] * 0.1
+            lattice_of(fine)[:, None, :] * 0.05 - centers[None, :, :] * 0.1
         ).max(axis=2)
         assert np.all(dist.min(axis=1) <= 0.2 + 1e-12)
 
     def test_sorted_and_unique(self):
         coarse = build_grid(2, 0.2)
-        fine = neighborhood_grid(2, 0.1, coarse.lattice, center_delta=0.2, radius=0.4)
-        rows = list(map(tuple, fine.lattice.tolist()))
+        fine = neighborhood_grid(2, 0.1, coarse.free_amplitudes, radius=0.4)
+        rows = list(map(tuple, lattice_of(fine).tolist()))
         assert rows == sorted(set(rows))
 
     @pytest.mark.parametrize(
@@ -220,18 +231,49 @@ class TestNeighborhood:
     )
     def test_matches_unique_rows(self, rank, delta, center_delta, picks):
         coarse = build_grid(rank, center_delta)
-        centers = coarse.lattice[picks]
+        centers = lattice_of(coarse)[picks]
         radius = 2.0 * center_delta
-        fine = neighborhood_grid(rank, delta, centers, center_delta, radius)
+        fine = neighborhood_grid(rank, delta, centers * center_delta, radius)
         expected = reference_neighborhood(delta, centers, center_delta, radius)
-        np.testing.assert_array_equal(fine.lattice, expected)
+        np.testing.assert_array_equal(lattice_of(fine), expected)
 
     def test_matches_unique_rows_past_int64_key(self):
         # 2001 values per coordinate: a 6-digit key in that radix overflows int64
         delta, center_delta = 5e-4, 1e-3
         assert (isqrt(radius_sq(delta)) + 1) ** 6 > np.iinfo(np.int64).max
         centers = np.array([[100, 200, 0, 50, 300, 10]])
-        fine = neighborhood_grid(7, delta, centers, center_delta, radius=center_delta)
+        fine = neighborhood_grid(7, delta, centers * center_delta, radius=center_delta)
         expected = reference_neighborhood(delta, centers, center_delta, center_delta)
         assert fine.n_points == 5**5 * 3
-        np.testing.assert_array_equal(fine.lattice, expected)
+        np.testing.assert_array_equal(lattice_of(fine), expected)
+
+    def test_refinement_centers_are_support_amplitudes(self, monkeypatch):
+        # refine passes the float support rows of the previous level; each
+        # is l * (2 * delta) for integers l, and rounds back to exactly 2l
+        calls = []
+        real = roof.neighborhood_grid
+
+        def recorded(rank, delta, centers, radius):
+            grid = real(rank, delta, centers, radius)
+            calls.append((delta, centers, radius, grid))
+            return grid
+
+        monkeypatch.setattr(roof, "neighborhood_grid", recorded)
+        with pytest.warns(GridResolutionWarning):
+            refine(truncated_thermal(0.5, 6), 0.05, 3)
+        assert [delta for delta, *_ in calls] == [0.025, 0.0125]
+        for delta, centers, radius, grid in calls:
+            center_delta = 2.0 * delta
+            ints = np.rint(centers / center_delta).astype(np.int64)
+            np.testing.assert_array_equal(centers, ints * center_delta)
+            expected = reference_neighborhood(delta, ints, center_delta, radius)
+            np.testing.assert_array_equal(lattice_of(grid), expected)
+
+    def test_float_centers_past_int64_key(self):
+        delta, center_delta = 5e-4, 1e-3
+        ls = np.arange(1000)
+        assert np.array_equal(np.rint(ls * center_delta / delta), 2 * ls)
+        centers = np.array([[999, 0, 0, 0, 0, 0], [3, 998, 1, 0, 2, 0]])
+        fine = neighborhood_grid(7, delta, centers * center_delta, radius=center_delta)
+        expected = reference_neighborhood(delta, centers, center_delta, center_delta)
+        np.testing.assert_array_equal(lattice_of(fine), expected)

@@ -52,7 +52,7 @@ class TestAssemble:
         s = state(0, [0.5, 0.25, 0.25])
         grid = build_grid(3, 0.5)
         lp = assemble_lp(s, grid)
-        idx = [tuple(l) for l in grid.lattice.tolist()].index((1, 1))
+        idx = grid.free_amplitudes.tolist().index([0.5, 0.5])
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_row_matrix_is_column_major_squares(self):
@@ -78,13 +78,14 @@ class TestEstimate:
         value, hist = estimate_nonclassicality(state(0, [0.84, 0.16]), 0.01)
         assert value == pytest.approx(0.0256, abs=1e-9)
         assert hist.support_size == 1
-        assert hist.grid.free_amplitudes[hist.indices[0], 0] == pytest.approx(0.4)
+        assert hist.amplitudes[0, 1] == pytest.approx(0.4)
         assert hist.weights[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_composite_state(self):
         value, hist = estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.01)
         assert value == pytest.approx(0.2, abs=1e-3)
-        support = {tuple(r) for r in hist.support_lattice().tolist()}
+        lattice = np.rint(hist.amplitudes[:, 1:] / 0.01)
+        support = {tuple(r) for r in lattice.astype(int).tolist()}
         assert support == {(0, 0), (50, 50)}
 
     def test_gapped_state_saturates_mean(self):
@@ -95,7 +96,7 @@ class TestEstimate:
         s = state(1, [0.3, 0.45, 0.25])
         value, hist = estimate_nonclassicality(s, 0.05)
         assert hist.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        amp_sq = hist.grid.free_amplitudes[hist.indices] ** 2
+        amp_sq = hist.amplitudes[:, 1:] ** 2
         recon = hist.weights @ amp_sq
         np.testing.assert_allclose(recon, s.populations[1:], atol=1e-9)
         assert hist.support_size <= s.rank
@@ -133,7 +134,7 @@ class TestEstimate:
             shared, shared_hist = lattices.estimate(s)
             alone, alone_hist = estimate_nonclassicality(s, 0.05)
             assert shared == alone
-            np.testing.assert_array_equal(shared_hist.indices, alone_hist.indices)
+            np.testing.assert_array_equal(shared_hist.amplitudes, alone_hist.amplitudes)
             np.testing.assert_array_equal(shared_hist.weights, alone_hist.weights)
         with pytest.raises(ValueError, match="window"):
             lattices.estimate(state(3, [0.6, 0.2, 0.2]))
@@ -301,7 +302,7 @@ class TestCrashStart:
         _start_from_phase_one(monkeypatch)
         plain, plain_hist = estimate_nonclassicality(s, delta)
         assert crashed == pytest.approx(plain, abs=1e-12)
-        np.testing.assert_array_equal(crashed_hist.indices, plain_hist.indices)
+        np.testing.assert_array_equal(crashed_hist.amplitudes, plain_hist.amplitudes)
 
     def test_refinement_neighbourhood_without_the_simplex(self, monkeypatch):
         s = truncated_thermal(0.5, 4)
@@ -441,11 +442,11 @@ class TestExports:
         assert len(rows) == 1 + hist.support_size
         parsed = np.array([[float(v) for v in row] for row in rows[1:]])
         np.testing.assert_allclose(
-            parsed[:, :2], hist.grid.free_amplitudes[hist.indices], rtol=0, atol=0
+            parsed[:, :2], hist.amplitudes[:, 1:], rtol=0, atol=0
         )
         np.testing.assert_allclose(parsed[:, 2], hist.weights, rtol=0, atol=0)
         # rows arrive in lattice order
-        assert list(hist.indices) == sorted(hist.indices)
+        assert parsed[:, :2].tolist() == sorted(parsed[:, :2].tolist())
 
     def test_decomposition_json(self, tmp_path):
         s = state(0, [0.84, 0.16])
