@@ -5,8 +5,11 @@ with after the optimization) by the nonnegative amplitudes of the M - 1
 upper levels; the ground amplitude follows from normalization.  The grid
 enumerates all vectors (l_1*delta, ..., l_{M-1}*delta) with nonnegative
 integers l_k and sum of squares at most 1, in lexicographic order of the
-integer tuples.  The integer rows exist only while a grid is built; a grid
-holds the amplitude vectors as floats.
+integer tuples.  Full lattices and refinement boxes come from one
+enumeration that builds the integer points one coordinate at a time and
+never makes a point outside the ball.  A grid holds one (M, N) float array
+whose column i is the amplitude vector of point i, the layout of the LP's
+row matrix.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def count_grid_points(rank: int, delta: float) -> int:
         raise ValueError(f"rank must be >= 2, got {rank}")
     limit = _lattice_radius_sq(delta)
     left = np.array([limit], dtype=np.int64)
-    for col in _enumerate_lattice(limit, min(2, rank - 2)).astype(np.int64).T:
+    dims = min(2, rank - 2)
+    for col in _ball_points(limit, [0] * dims, [isqrt(limit)] * dims):
         left = left - col * col
     if rank <= 4:
         return int((_isqrt(left) + 1).sum())
@@ -111,54 +115,72 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return root
 
 
-def _enumerate_lattice(limit: int, dims: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``dims`` with sum of squares
-    at most ``limit``, as int32 rows in lexicographic order.
+def _ball_points(limit: int, lo, hi) -> list[np.ndarray]:
+    """Integer points of the box ``lo <= l <= hi`` with sum of squares at
+    most ``limit``, in lexicographic order, as one int64 array per coordinate.
 
     Built one coordinate at a time: every prefix is repeated once for each
-    value 0..isqrt(budget left) of the next coordinate, in increasing order.
+    admissible value of the next coordinate, in increasing order.  A value is
+    admissible when the box's lower corner in the remaining coordinates still
+    fits in the ball, so every prefix extends to a point and no point outside
+    the ball is ever made.
     """
-    rows = np.zeros((1, 0), dtype=np.int32)
+    lo = [int(v) for v in lo]
+    hi = [int(v) for v in hi]
+    # tail[k]: squared norm of the lower corner in coordinates k, k+1, ...
+    tail = [0] * (len(lo) + 1)
+    for k in range(len(lo) - 1, -1, -1):
+        tail[k] = tail[k + 1] + lo[k] * lo[k]
+    if tail[0] > limit:
+        return [np.zeros(0, dtype=np.int64) for _ in lo]
+    columns: list[np.ndarray] = []
     left = np.array([limit], dtype=np.int64)
-    for k in range(dims):
-        counts = _isqrt(left) + 1
-        coord = np.arange(counts.sum(), dtype=np.int64)
+    for k in range(len(lo)):
+        counts = np.minimum(_isqrt(left - tail[k + 1]), hi[k]) - lo[k] + 1
+        coord = np.arange(lo[k], lo[k] + counts.sum(), dtype=np.int64)
         coord -= np.repeat(np.cumsum(counts) - counts, counts)
-        if k + 1 < dims:
+        columns = [np.repeat(col, counts) for col in columns]
+        columns.append(coord)
+        if k + 1 < len(lo):
             left = np.repeat(left, counts) - coord * coord
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), coord.astype(np.int32)])
-    return rows
+    return columns
 
 
 class AmplitudeGrid:
-    """All lattice amplitude vectors for one window rank and spacing.
+    """Lattice amplitude vectors for one window rank and spacing.
 
-    Built from integer lattice rows, which are not kept: point i is the
-    amplitude vector (x0[i], *free_amplitudes[i]), the free coordinates being
-    the rows times ``delta``.
+    ``amplitudes`` is a read-only, C-contiguous (rank, n_points) array whose
+    column i is the amplitude vector (x0, l_1*delta, ..., l_{M-1}*delta) of
+    point i.  It is filled from the integer ``columns`` (one array per free
+    coordinate), which are not kept.
     """
 
-    def __init__(self, rank: int, delta: float, lattice: np.ndarray):
-        if lattice.ndim != 2 or lattice.shape[1] != rank - 1:
-            raise ValueError("lattice must be (n_points, rank-1)")
+    def __init__(self, rank: int, delta: float, columns: list[np.ndarray]):
+        if len(columns) != rank - 1:
+            raise ValueError(f"need {rank - 1} lattice columns, got {len(columns)}")
         self.rank = rank
         self.delta = float(delta)
-        free = lattice.astype(float) * self.delta
-        self.free_amplitudes = free
-        self.x0 = np.sqrt(np.clip(1.0 - np.sum(free * free, axis=1), 0.0, None))
-        free.setflags(write=False)
-        self.x0.setflags(write=False)
+        amplitudes = np.zeros((rank, columns[0].size))
+        norm_sq = amplitudes[0]
+        for k, col in enumerate(columns, start=1):
+            np.multiply(col, self.delta, out=amplitudes[k])
+            norm_sq += amplitudes[k] * amplitudes[k]
+        np.subtract(1.0, norm_sq, out=norm_sq)
+        np.clip(norm_sq, 0.0, None, out=norm_sq)
+        np.sqrt(norm_sq, out=amplitudes[0])
+        amplitudes.setflags(write=False)
+        self.amplitudes = amplitudes
 
     @property
     def n_points(self) -> int:
-        return self.x0.size
+        return self.amplitudes.shape[1]
 
     def __len__(self) -> int:
         return self.n_points
 
     def objective_coeffs(self, offset: int) -> np.ndarray:
         """Squared coherence kernel of every point for a window starting at offset."""
-        x = [self.x0, *self.free_amplitudes.T]
+        x = self.amplitudes
         alpha = np.zeros(self.n_points)
         for k in range(self.rank - 1):
             alpha += x[k] * x[k + 1] * np.sqrt(offset + k + 1.0)
@@ -176,27 +198,9 @@ def build_grid(
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     checked_count(rank, delta, max_points)
-    lattice = _enumerate_lattice(_lattice_radius_sq(delta), rank - 1)
-    return AmplitudeGrid(rank, delta, lattice)
-
-
-def _unique_rows(rows: np.ndarray, radix: int) -> np.ndarray:
-    """Distinct rows in lexicographic order, for nonnegative entries below ``radix``.
-
-    Each row is read as one mixed-radix int64 number, whose order is the
-    rows' lexicographic order.  Where ``radix**columns`` would overflow int64
-    the rows are sorted with ``np.lexsort`` instead.
-    """
-    if radix ** rows.shape[1] <= np.iinfo(np.int64).max:
-        key = np.zeros(rows.shape[0], dtype=np.int64)
-        for col in rows.T:
-            key = key * radix + col
-        _, first = np.unique(key, return_index=True)
-        return rows[first]
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(rows.shape[0], dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[fresh]
+    limit = _lattice_radius_sq(delta)
+    columns = _ball_points(limit, [0] * (rank - 1), [isqrt(limit)] * (rank - 1))
+    return AmplitudeGrid(rank, delta, columns)
 
 
 def neighborhood_grid(
@@ -208,19 +212,40 @@ def neighborhood_grid(
     Each center is rounded to its nearest lattice point.  A center on the
     lattice of spacing 2*delta rounds to itself (halving a double is exact),
     so a histogram supported on the previous refinement level stays feasible
-    on the refined grid.
+    on the refined grid.  Each box is enumerated inside the ball only; a
+    point shared by several boxes is kept once, and the grid is in
+    lexicographic order.
     """
     limit = _lattice_radius_sq(delta)
     steps = int(round(radius / delta))
-    blocks = []
-    for mids in np.rint(np.atleast_2d(centers) / delta).astype(np.int64):
-        axes = [
-            np.arange(max(0, m - steps), m + steps + 1, dtype=np.int64) for m in mids
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        blocks.append(pts[np.sum(pts * pts, axis=1) <= limit])
-    pts = _unique_rows(np.vstack(blocks), isqrt(limit) + 1)
-    if pts.shape[0] > DEFAULT_MAX_POINTS:
-        raise GridCapacityError(int(pts.shape[0]), DEFAULT_MAX_POINTS)
-    return AmplitudeGrid(rank, delta, pts)
+    radix = isqrt(limit) + 1
+    dims = rank - 1
+    mids = np.rint(np.atleast_2d(centers) / delta).astype(np.int64)
+    boxes = (_ball_points(limit, np.maximum(m - steps, 0), m + steps) for m in mids)
+    if radix**dims > np.iinfo(np.int64).max:
+        # a mixed-radix key would overflow int64: sort the points themselves
+        boxes = list(boxes)
+        columns = [np.concatenate([box[k] for box in boxes]) for k in range(dims)]
+        order = np.lexsort(columns[::-1])
+        columns = [col[order] for col in columns]
+        fresh = np.ones(order.size, dtype=bool)
+        fresh[1:] = np.any([col[1:] != col[:-1] for col in columns], axis=0)
+        columns = [col[fresh] for col in columns]
+    else:
+        # one mixed-radix int64 key per point, whose order is the points' order
+        keys = []
+        for box in boxes:
+            key = np.zeros(box[0].size, dtype=np.int64)
+            for col in box:
+                key = key * radix + col
+            keys.append(key)
+        key = np.concatenate(keys)
+        del keys
+        key.sort()
+        fresh = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+        columns = [key // radix ** (dims - 1 - k) % radix for k in range(dims)]
+    if columns[0].size > DEFAULT_MAX_POINTS:
+        raise GridCapacityError(int(columns[0].size), DEFAULT_MAX_POINTS)
+    return AmplitudeGrid(rank, delta, columns)

@@ -21,7 +21,7 @@ import sys
 import warnings
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -125,16 +125,16 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     One column per grid point with objective coefficient equal to the squared
     coherence kernel; equality rows are the weight normalization and the
     populations of levels 1..M-1.  The level-0 row is implied by the others
-    and is omitted to keep the rows independent.
+    and is omitted to keep the rows independent.  The matrix is row-major,
+    the squares of the grid's amplitude rows, so pricing reads each row's
+    block contiguously.
     """
     _require_lp_ready(state)
     if grid.rank != state.rank:
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
-    # column-major, as np.vstack laid out every rank >= 3 matrix: pricing
-    # rounds differently in the other layout, which changes pivot sequences
-    rows = np.empty((state.rank, grid.n_points), order="F")
+    rows = np.empty((state.rank, grid.n_points))
     rows[0] = 1.0
-    np.square(grid.free_amplitudes.T, out=rows[1:])
+    np.square(grid.amplitudes[1:], out=rows[1:])
     return StandardFormLp(
         objective=grid.objective_coeffs(state.offset),
         row_matrix=rows,
@@ -175,12 +175,12 @@ def _column_index(grid: AmplitudeGrid, point: list[int]) -> int:
     """Column of the integer lattice ``point`` on a grid, or -1.
 
     ``l * delta`` is the product that built the grid's free amplitudes, and
-    the grid's rows are in lexicographic order.
+    the grid's points are in lexicographic order.
     """
     key = tuple(l * grid.delta for l in point)
-    rows = grid.free_amplitudes
-    i = bisect_left(rows, key, key=lambda row: tuple(row.tolist()))
-    if i < rows.shape[0] and tuple(rows[i].tolist()) == key:
+    free = grid.amplitudes[1:]
+    i = bisect_left(range(grid.n_points), key, key=lambda j: tuple(free[:, j].tolist()))
+    if i < grid.n_points and tuple(free[:, i].tolist()) == key:
         return i
     return -1
 
@@ -228,7 +228,7 @@ def _solve_on_grid(
     order = np.argsort(sol.primal.indices[keep])
     idx = sol.primal.indices[keep][order]
     weights = sol.primal.values[keep][order]
-    amplitudes = np.column_stack([grid.x0[idx], grid.free_amplitudes[idx]])
+    amplitudes = np.ascontiguousarray(grid.amplitudes[:, idx].T)
     reproduced = np.concatenate([[weights.sum()], weights @ amplitudes[:, 1:] ** 2])
     residual = float(np.max(np.abs(reproduced - lp.rhs)))
     if residual > simplex.FEAS_TOL:
@@ -274,9 +274,7 @@ class LatticeLps:
             raise ValueError(f"no lattice LP was built for window (rank, offset) {window}")
         _warn_fine_populations(state, self.delta)
         grid, lp = self._lps[window]
-        return _solve_on_grid(
-            state, grid, replace(lp, rhs=_population_rhs(state)), max_iter
-        )
+        return _solve_on_grid(state, grid, lp.with_rhs(_population_rhs(state)), max_iter)
 
 
 def estimate_nonclassicality(

@@ -22,7 +22,9 @@ seven rank-4 programs at delta = 0.00999 (5,812 pivots at 4,096, 1,539 at
 16,384), though the rank-5 program at delta = 0.04 was slower with it
 (16-22 ms against 11.5-12.3 ms).  From the crash start no block from 4,096
 to 32,768 is faster beyond run-to-run noise, on those programs, the
-``thermal`` refinement programs or the rank-5 one.
+``thermal`` refinement programs or the rank-5 one.  These block figures
+were measured on column-major row matrices; the lattice programs are
+row-major now (``roof.assemble_lp``), which pricing reads faster.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
@@ -54,6 +56,20 @@ class LpStatus(enum.Enum):
     ITERATION_LIMIT = "IterationLimit"
 
 
+def _checked_view(name: str, arr: np.ndarray) -> np.ndarray:
+    """A read-only view of a finite array.
+
+    The solver reads the program's arrays without copying, and one matrix
+    may be shared by many programs and threads.  The caller's own array
+    keeps its flags.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class StandardFormLp:
     """maximize objective·q  subject to  row_matrix·q = rhs,  q >= 0.
@@ -78,15 +94,23 @@ class StandardFormLp:
             )
         if rows > cols:
             raise ValueError(f"need at least as many columns as rows ({rows}x{cols})")
-        # Read-only views: the solver reads these arrays without copying, and
-        # one matrix may be shared by many programs and threads.  The
-        # caller's own arrays keep their flags.
         for name, arr in (("objective", c), ("row_matrix", a), ("rhs", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            view = arr.view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, _checked_view(name, arr))
+
+    def with_rhs(self, rhs) -> StandardFormLp:
+        """The same program with another right-hand side.
+
+        Only ``rhs`` is checked; the objective and row matrix are this
+        program's read-only views, neither copied nor scanned again.
+        """
+        b = np.asarray(rhs, dtype=float)
+        if b.shape != self.rhs.shape:
+            raise ValueError(f"rhs has shape {b.shape}, need {self.rhs.shape}")
+        lp = object.__new__(StandardFormLp)
+        object.__setattr__(lp, "objective", self.objective)
+        object.__setattr__(lp, "row_matrix", self.row_matrix)
+        object.__setattr__(lp, "rhs", _checked_view("rhs", b))
+        return lp
 
     @property
     def n_rows(self) -> int:

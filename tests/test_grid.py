@@ -45,7 +45,7 @@ def recursive_lattice(budget, dims):
 
 def lattice_of(grid):
     """The integer rows a grid was built from."""
-    return np.rint(grid.free_amplitudes / grid.delta).astype(np.int32)
+    return np.rint(grid.amplitudes[1:].T / grid.delta).astype(np.int32)
 
 
 def radius_sq(delta):
@@ -69,7 +69,7 @@ class TestCounts:
         grid = build_grid(2, 0.5)
         assert grid.n_points == 3
         np.testing.assert_allclose(
-            grid.free_amplitudes.ravel(), [0.0, 0.5, 1.0], atol=1e-15
+            grid.amplitudes[1:].T.ravel(), [0.0, 0.5, 1.0], atol=1e-15
         )
 
     def test_rank3_half_spacing(self):
@@ -81,7 +81,7 @@ class TestCounts:
     def test_rank2_percent_spacing_keeps_endpoint(self):
         grid = build_grid(2, 0.01)
         assert grid.n_points == 101
-        assert grid.free_amplitudes[-1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert grid.amplitudes[1:].T[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("rank,delta", [(2, 0.07), (3, 0.11), (4, 0.26)])
     def test_matches_brute_force(self, rank, delta):
@@ -102,7 +102,7 @@ class TestCounts:
         grid = build_grid(rank, delta)
         expected = recursive_lattice(radius_sq(delta), rank - 1)
         assert grid.n_points == count
-        np.testing.assert_array_equal(grid.free_amplitudes, expected * delta)
+        np.testing.assert_array_equal(grid.amplitudes[1:].T, expected * delta)
         np.testing.assert_array_equal(lattice_of(grid), expected)
 
     def test_count_without_materializing(self):
@@ -135,17 +135,21 @@ class TestGridGeometry:
 
     def test_points_satisfy_ball_and_normalization(self):
         grid = build_grid(4, 0.17)
-        sq = np.sum(grid.free_amplitudes**2, axis=1)
+        sq = np.sum(grid.amplitudes[1:].T**2, axis=1)
         assert np.all(sq <= 1.0 + 1e-12)
-        total = grid.x0**2 + sq
+        total = grid.amplitudes[0]**2 + sq
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_point_view(self):
         grid = build_grid(2, 0.5)
         assert len(grid) == 3
-        assert grid.free_amplitudes.tolist() == [[0.0], [0.5], [1.0]]
-        assert grid.x0[0] == pytest.approx(1.0)
-        assert grid.x0[2] == pytest.approx(0.0)
+        assert grid.amplitudes[1:].T.tolist() == [[0.0], [0.5], [1.0]]
+        assert grid.amplitudes[0][0] == pytest.approx(1.0)
+        assert grid.amplitudes[0][2] == pytest.approx(0.0)
+        # one read-only array in the row matrix's layout, and nothing else
+        assert sorted(vars(grid)) == ["amplitudes", "delta", "rank"]
+        assert grid.amplitudes.flags.c_contiguous
+        assert not grid.amplitudes.flags.writeable
 
     def test_objective_coeff_binding(self):
         grid = build_grid(3, 0.5)
@@ -156,7 +160,7 @@ class TestGridGeometry:
         grid = build_grid(3, 0.25)
         coeffs = grid.objective_coeffs(1)
         for i in (0, 5, len(grid) - 1):
-            x0, (x1, x2) = grid.x0[i], grid.free_amplitudes[i]
+            x0, (x1, x2) = grid.amplitudes[0][i], grid.amplitudes[1:].T[i]
             alpha = x0 * x1 * np.sqrt(2.0) + x1 * x2 * np.sqrt(3.0)
             assert coeffs[i] == pytest.approx(alpha**2, abs=1e-14)
 
@@ -207,7 +211,7 @@ class TestNeighborhood:
         fine_set = {tuple(l) for l in lattice_of(fine).tolist()}
         for c in centers:
             assert (2 * c[0], 2 * c[1]) in fine_set
-        sq = np.sum(fine.free_amplitudes**2, axis=1)
+        sq = np.sum(fine.amplitudes[1:].T**2, axis=1)
         assert np.all(sq <= 1.0 + 1e-12)
         # every point is within the per-coordinate radius of some center
         dist = np.abs(
@@ -217,7 +221,7 @@ class TestNeighborhood:
 
     def test_sorted_and_unique(self):
         coarse = build_grid(2, 0.2)
-        fine = neighborhood_grid(2, 0.1, coarse.free_amplitudes, radius=0.4)
+        fine = neighborhood_grid(2, 0.1, coarse.amplitudes[1:].T, radius=0.4)
         rows = list(map(tuple, lattice_of(fine).tolist()))
         assert rows == sorted(set(rows))
 
@@ -267,6 +271,39 @@ class TestNeighborhood:
             ints = np.rint(centers / center_delta).astype(np.int64)
             np.testing.assert_array_equal(centers, ints * center_delta)
             expected = reference_neighborhood(delta, ints, center_delta, radius)
+            np.testing.assert_array_equal(lattice_of(grid), expected)
+
+    def test_boxes_outside_the_ball(self):
+        # the first box lies wholly outside the ball, the second straddles it
+        centers = np.array([[1.0, 1.0], [0.7, 0.7]])
+        fine = neighborhood_grid(3, 0.1, centers, radius=0.2)
+        expected = reference_neighborhood(0.1, np.rint(centers / 0.1), 0.1, 0.2)
+        np.testing.assert_array_equal(lattice_of(fine), expected)
+
+    def test_boxes_are_not_materialized_whole(self, monkeypatch):
+        # each box is enumerated inside the ball only, so the transient
+        # memory of a refinement neighbourhood stays near the grid's own
+        calls = []
+        real = roof.neighborhood_grid
+
+        def measured(rank, delta, centers, radius):
+            tracemalloc.start()
+            try:
+                grid = real(rank, delta, centers, radius)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            calls.append((delta, centers, radius, grid, peak))
+            return grid
+
+        monkeypatch.setattr(roof, "neighborhood_grid", measured)
+        with pytest.warns(GridResolutionWarning):
+            refine(truncated_thermal(0.5, 6), 0.05, 3)
+        assert len(calls) == 2
+        for delta, centers, radius, grid, peak in calls:
+            assert peak <= 3 * grid.amplitudes.nbytes
+            ints = np.rint(centers / (2.0 * delta)).astype(np.int64)
+            expected = reference_neighborhood(delta, ints, 2.0 * delta, radius)
             np.testing.assert_array_equal(lattice_of(grid), expected)
 
     def test_float_centers_past_int64_key(self):

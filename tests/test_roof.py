@@ -45,23 +45,22 @@ class TestAssemble:
         np.testing.assert_allclose(lp.rhs, [1.0, 0.16])
         np.testing.assert_allclose(lp.row_matrix[0], 1.0)
         # the column at x1 = 0.4 carries kernel 0.16 * 0.84
-        j = int(np.argmin(np.abs(grid.free_amplitudes[:, 0] - 0.4)))
+        j = int(np.argmin(np.abs(grid.amplitudes[1:].T[:, 0] - 0.4)))
         assert lp.objective[j] == pytest.approx(0.1344, abs=1e-12)
 
     def test_rank3_coefficient(self):
         s = state(0, [0.5, 0.25, 0.25])
         grid = build_grid(3, 0.5)
         lp = assemble_lp(s, grid)
-        idx = grid.free_amplitudes.tolist().index([0.5, 0.5])
+        idx = grid.amplitudes[1:].T.tolist().index([0.5, 0.5])
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
-    def test_row_matrix_is_column_major_squares(self):
-        # pricing rounds differently on a row-major matrix of rank >= 3,
-        # which changes the pivot sequence of some solves
+    def test_row_matrix_is_row_major_squares(self):
+        # pricing reads a block of every row; each row is contiguous
         grid = build_grid(4, 0.1)
         rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
-        assert rows.flags.f_contiguous
-        expected = np.vstack([np.ones(grid.n_points), (grid.free_amplitudes**2).T])
+        assert rows.flags.c_contiguous
+        expected = np.vstack([np.ones(grid.n_points), (grid.amplitudes[1:].T**2).T])
         assert np.array_equal(rows, expected)
 
     def test_requires_matching_rank(self):

@@ -14,6 +14,7 @@ from fockroof import (
     build_grid,
     mean_photon,
     solve,
+    truncated_thermal,
     write_lp,
 )
 from fockroof import roof, simplex
@@ -127,6 +128,20 @@ class TestBasics:
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+
+    def test_with_rhs_checks_only_the_new_rhs(self):
+        lp = make_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+        other = lp.with_rhs([3.0, 4.0])
+        assert other.rhs.tolist() == [3.0, 4.0]
+        assert lp.rhs.tolist() == [1.0, 2.0]
+        assert np.shares_memory(other.row_matrix, lp.row_matrix)
+        assert np.shares_memory(other.objective, lp.objective)
+        with pytest.raises(ValueError, match="read-only"):
+            other.rhs[0] = 5.0
+        with pytest.raises(ValueError, match="finite"):
+            lp.with_rhs([np.nan, 1.0])
+        with pytest.raises(ValueError, match="shape"):
+            lp.with_rhs([1.0, 2.0, 3.0])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -254,6 +269,24 @@ class TestLatticeProgram:
             assert sol.objective_value == pytest.approx(
                 sols[0].objective_value, abs=1e-12
             )
+
+    @pytest.fixture(scope="class")
+    def thermal_lp(self):
+        return assemble_lp(truncated_thermal(0.5, 6), build_grid(6, 0.05))
+
+    @pytest.mark.parametrize("program", ["lp", "thermal_lp"])
+    def test_row_major_and_column_major_agree(self, program, request):
+        # the layout changes how pricing rounds, and so may move pivots,
+        # but not the optimal vertex
+        lp = request.getfixturevalue(program)
+        assert lp.row_matrix.flags.c_contiguous
+        by_column = StandardFormLp(
+            lp.objective, np.asfortranarray(lp.row_matrix), lp.rhs
+        )
+        sol, ref = solve(lp), solve(by_column)
+        assert sol.status is ref.status is LpStatus.OPTIMAL
+        assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
+        assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-12)
 
     def test_solve_makes_no_copy_of_the_matrix(self, lp):
         tracemalloc.start()
