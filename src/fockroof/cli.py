@@ -303,8 +303,10 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_grid_info(args) -> int:
     points = checked_count(args.m, args.delta, DEFAULT_MAX_POINTS)
-    grid_bytes = points * 8 * args.m  # free coordinates plus x0
-    lp_bytes = points * 8 * (args.m + 1)  # row matrix plus objective
+    # the grid is the LP's row matrix (ones and M - 1 squared coordinates);
+    # the LP adds its objective and no copy of the grid
+    grid_bytes = points * 8 * args.m
+    lp_bytes = points * 8 * (args.m + 1)
     rows = [
         {
             "rank": args.m,

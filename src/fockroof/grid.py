@@ -7,9 +7,11 @@ enumerates all vectors (l_1*delta, ..., l_{M-1}*delta) with nonnegative
 integers l_k and sum of squares at most 1, in lexicographic order of the
 integer tuples.  Full lattices and refinement boxes come from one
 enumeration that builds the integer points one coordinate at a time and
-never makes a point outside the ball.  A grid holds one (M, N) float array
-whose column i is the amplitude vector of point i, the layout of the LP's
-row matrix.
+never makes a point outside the ball.  A grid is the LP's row matrix and
+nothing else: one (M, N) float array whose column i is (1, x_1², ...,
+x_{M-1}²) for point i, filled one coordinate at a time.  Amplitudes are
+recomputed from it where they are needed; the square root of a correctly
+rounded square is exact, so they are the same bits as l_k*delta.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from math import isqrt
 import numpy as np
 
 DEFAULT_MAX_POINTS = 5_000_000
+# columns per block of the objective computation
+_BLOCK = 16_384
 
 
 class GridCapacityError(Exception):
@@ -62,7 +66,7 @@ def count_grid_points(rank: int, delta: float) -> int:
     limit = _lattice_radius_sq(delta)
     left = np.array([limit], dtype=np.int64)
     dims = min(2, rank - 2)
-    for col in _ball_points(limit, [0] * dims, [isqrt(limit)] * dims):
+    for _, col in _ball_points(limit, [0] * dims, [isqrt(limit)] * dims):
         left = left - col * col
     if rank <= 4:
         return int((_isqrt(left) + 1).sum())
@@ -115,76 +119,140 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return root
 
 
-def _ball_points(limit: int, lo, hi) -> list[np.ndarray]:
-    """Integer points of the box ``lo <= l <= hi`` with sum of squares at
-    most ``limit``, in lexicographic order, as one int64 array per coordinate.
+def _runs(first: int, counts: np.ndarray) -> np.ndarray:
+    """``first, first + 1, ..., first + c - 1`` for each count c >= 1 in turn,
+    as one int64 array: unit steps with a step back at each run's start,
+    summed in place."""
+    steps = np.ones(int(counts.sum()), dtype=np.int64)
+    steps[np.cumsum(counts[:-1])] = 1 - counts[:-1]
+    steps[:1] = first
+    return np.cumsum(steps, out=steps)
 
-    Built one coordinate at a time: every prefix is repeated once for each
-    admissible value of the next coordinate, in increasing order.  A value is
-    admissible when the box's lower corner in the remaining coordinates still
-    fits in the ball, so every prefix extends to a point and no point outside
-    the ball is ever made.
+
+def _ball_points(limit: int, lo, hi):
+    """Integer points of the box ``lo <= l <= hi`` with sum of squares at
+    most ``limit``, in lexicographic order, one coordinate at a time.
+
+    Yields ``(k, l_k)`` for k = 1..d, the last coordinate first, each a new
+    int64 array over all points that the caller may drop before the next.
+    Every prefix is repeated once for each admissible value of the next
+    coordinate, in increasing order.  A value is admissible when the box's
+    lower corner in the remaining coordinates still fits in the ball, so
+    every prefix extends to a point and no point outside the ball is ever
+    made.  The last coordinate is one run of values per prefix.
     """
     lo = [int(v) for v in lo]
     hi = [int(v) for v in hi]
+    if not lo:
+        return
     # tail[k]: squared norm of the lower corner in coordinates k, k+1, ...
     tail = [0] * (len(lo) + 1)
     for k in range(len(lo) - 1, -1, -1):
         tail[k] = tail[k + 1] + lo[k] * lo[k]
-    if tail[0] > limit:
-        return [np.zeros(0, dtype=np.int64) for _ in lo]
-    columns: list[np.ndarray] = []
-    left = np.array([limit], dtype=np.int64)
+    # one budget left per prefix; none when the box misses the ball
+    left = np.array([limit] if tail[0] <= limit else [], dtype=np.int64)
+    prefix: list[np.ndarray] = []
     for k in range(len(lo)):
+        # admissible values of coordinate k after each prefix
         counts = np.minimum(_isqrt(left - tail[k + 1]), hi[k]) - lo[k] + 1
-        coord = np.arange(lo[k], lo[k] + counts.sum(), dtype=np.int64)
-        coord -= np.repeat(np.cumsum(counts) - counts, counts)
-        columns = [np.repeat(col, counts) for col in columns]
-        columns.append(coord)
-        if k + 1 < len(lo):
-            left = np.repeat(left, counts) - coord * coord
-    return columns
+        if k + 1 == len(lo):
+            break
+        coord = _runs(lo[k], counts)
+        prefix = [np.repeat(col, counts) for col in prefix]
+        prefix.append(coord)
+        left = np.repeat(left, counts) - coord * coord
+    yield len(lo), _runs(lo[-1], counts)
+    for k, col in enumerate(prefix, start=1):
+        yield k, np.repeat(col, counts)
+
+
+def _digits(key: np.ndarray, radix: int, dims: int):
+    """``(k, l_k)`` of the mixed-radix keys ``sum_k l_k * radix**(dims - k)``,
+    the last digit first; ``key`` is divided in place and ends as ``l_1``."""
+    for k in range(dims, 1, -1):
+        yield k, key % radix
+        key //= radix
+    yield 1, key
+
+
+def _ground(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x0 = sqrt(max(0, 1 - sum_k squares[k])) into ``out``, the sum taken
+    left to right from zero."""
+    out.fill(0.0)
+    for sq in squares:
+        out += sq
+    np.subtract(1.0, out, out=out)
+    np.clip(out, 0.0, None, out=out)
+    return np.sqrt(out, out=out)
 
 
 class AmplitudeGrid:
-    """Lattice amplitude vectors for one window rank and spacing.
+    """Lattice points for one window rank and spacing, as the LP's row matrix.
 
-    ``amplitudes`` is a read-only, C-contiguous (rank, n_points) array whose
-    column i is the amplitude vector (x0, l_1*delta, ..., l_{M-1}*delta) of
-    point i.  It is filled from the integer ``columns`` (one array per free
-    coordinate), which are not kept.
+    ``rows``, the only array held, is read-only and C-contiguous, of shape
+    (rank, n_points): row 0 is all ones and row k is (l_k*delta)².
+    ``columns`` yields ``(k, l_k)`` for the free coordinates k = 1..M-1 in
+    any order, each an int array over all points and dropped once its row
+    is filled.
     """
 
-    def __init__(self, rank: int, delta: float, columns: list[np.ndarray]):
-        if len(columns) != rank - 1:
-            raise ValueError(f"need {rank - 1} lattice columns, got {len(columns)}")
+    def __init__(self, rank: int, delta: float, columns):
         self.rank = rank
         self.delta = float(delta)
-        amplitudes = np.zeros((rank, columns[0].size))
-        norm_sq = amplitudes[0]
-        for k, col in enumerate(columns, start=1):
-            np.multiply(col, self.delta, out=amplitudes[k])
-            norm_sq += amplitudes[k] * amplitudes[k]
-        np.subtract(1.0, norm_sq, out=norm_sq)
-        np.clip(norm_sq, 0.0, None, out=norm_sq)
-        np.sqrt(norm_sq, out=amplitudes[0])
-        amplitudes.setflags(write=False)
-        self.amplitudes = amplitudes
+        rows = None
+        filled = []
+        for k, col in columns:
+            if rows is None:
+                rows = np.empty((rank, col.size))
+                rows[0] = 1.0
+            np.multiply(col, self.delta, out=rows[k])
+            np.square(rows[k], out=rows[k])
+            filled.append(k)
+            del col  # before the next column is made
+        if sorted(filled) != list(range(1, rank)):
+            raise ValueError(
+                f"need one lattice column for each of 1..{rank - 1}, got {filled}"
+            )
+        rows.setflags(write=False)
+        self.rows = rows
 
     @property
     def n_points(self) -> int:
-        return self.amplitudes.shape[1]
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
         return self.n_points
 
+    def amplitudes(self, columns) -> np.ndarray:
+        """(rank, len(columns)) amplitude vectors (x0, l_1*delta, ...) of the
+        given points.  The square root of a correctly rounded square is
+        exact, so row k gives back l_k*delta bit for bit."""
+        squares = self.rows[:, columns]
+        x = np.sqrt(squares)
+        _ground(squares[1:], out=x[0])
+        return x
+
     def objective_coeffs(self, offset: int) -> np.ndarray:
-        """Squared coherence kernel of every point for a window starting at offset."""
-        x = self.amplitudes
+        """Squared coherence kernel of every point for a window starting at offset.
+
+        (sum_k x_k * x_{k+1} * sqrt(offset + k + 1))², in that operation
+        order, from ``rows`` one block of columns at a time: only the result
+        is as long as the grid.
+        """
+        scale = np.sqrt(offset + np.arange(1.0, self.rank))
         alpha = np.zeros(self.n_points)
-        for k in range(self.rank - 1):
-            alpha += x[k] * x[k + 1] * np.sqrt(offset + k + 1.0)
-        return alpha**2
+        for lo in range(0, self.n_points, _BLOCK):
+            squares = self.rows[:, lo : lo + _BLOCK]
+            acc = alpha[lo : lo + _BLOCK]
+            a, b = _ground(squares[1:], out=np.empty(acc.size)), np.empty(acc.size)
+            for k in range(1, self.rank):
+                np.sqrt(squares[k], out=b)
+                np.multiply(a, b, out=a)
+                np.multiply(a, scale[k - 1], out=a)
+                acc += a
+                a, b = b, a
+            np.square(acc, out=acc)
+        return alpha
 
 
 def build_grid(
@@ -214,7 +282,8 @@ def neighborhood_grid(
     so a histogram supported on the previous refinement level stays feasible
     on the refined grid.  Each box is enumerated inside the ball only; a
     point shared by several boxes is kept once, and the grid is in
-    lexicographic order.
+    lexicographic order.  The kept points' keys are decoded into the grid
+    one coordinate at a time.
     """
     limit = _lattice_radius_sq(delta)
     steps = int(round(radius / delta))
@@ -224,28 +293,28 @@ def neighborhood_grid(
     boxes = (_ball_points(limit, np.maximum(m - steps, 0), m + steps) for m in mids)
     if radix**dims > np.iinfo(np.int64).max:
         # a mixed-radix key would overflow int64: sort the points themselves
-        boxes = list(boxes)
-        columns = [np.concatenate([box[k] for box in boxes]) for k in range(dims)]
+        boxes = [dict(box) for box in boxes]
+        columns = [
+            np.concatenate([box[k] for box in boxes]) for k in range(1, dims + 1)
+        ]
         order = np.lexsort(columns[::-1])
         columns = [col[order] for col in columns]
         fresh = np.ones(order.size, dtype=bool)
         fresh[1:] = np.any([col[1:] != col[:-1] for col in columns], axis=0)
         columns = [col[fresh] for col in columns]
+        n_points = columns[0].size
+        points = enumerate(columns, start=1)
     else:
         # one mixed-radix int64 key per point, whose order is the points' order
-        keys = []
-        for box in boxes:
-            key = np.zeros(box[0].size, dtype=np.int64)
-            for col in box:
-                key = key * radix + col
-            keys.append(key)
-        key = np.concatenate(keys)
-        del keys
+        key = np.concatenate(
+            [sum(col * radix ** (dims - k) for k, col in box) for box in boxes]
+        )
         key.sort()
         fresh = np.ones(key.size, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
         key = key[fresh]
-        columns = [key // radix ** (dims - 1 - k) % radix for k in range(dims)]
-    if columns[0].size > DEFAULT_MAX_POINTS:
-        raise GridCapacityError(int(columns[0].size), DEFAULT_MAX_POINTS)
-    return AmplitudeGrid(rank, delta, columns)
+        n_points = key.size
+        points = _digits(key, radix, dims)
+    if n_points > DEFAULT_MAX_POINTS:
+        raise GridCapacityError(int(n_points), DEFAULT_MAX_POINTS)
+    return AmplitudeGrid(rank, delta, points)

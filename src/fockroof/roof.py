@@ -6,11 +6,12 @@ that reproduce the populations.  Restricting the decomposition amplitudes to
 a lattice turns that maximization into a linear program over a histogram of
 weights, one column per lattice point: the LP optimum is a one-sided
 (never-below) estimate of the true nonclassicality that tightens as the
-spacing shrinks.  An optimal histogram is returned as the amplitude vectors
-of its support and their weights, and is checked against the populations
-before it is returned.  Phases never need to be enumerated; the histogram
-expands into an explicit ensemble by splitting every support point across
-roots-of-unity phase patterns.
+spacing shrinks.  The lattice is held as the LP's row matrix, shared by
+every program on it.  An optimal histogram is returned as the amplitude
+vectors of its support and their weights, and is checked against the
+populations before it is returned.  Phases never need to be enumerated; the
+histogram expands into an explicit ensemble by splitting every support point
+across roots-of-unity phase patterns.
 """
 
 from __future__ import annotations
@@ -125,19 +126,16 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     One column per grid point with objective coefficient equal to the squared
     coherence kernel; equality rows are the weight normalization and the
     populations of levels 1..M-1.  The level-0 row is implied by the others
-    and is omitted to keep the rows independent.  The matrix is row-major,
-    the squares of the grid's amplitude rows, so pricing reads each row's
-    block contiguously.
+    and is omitted to keep the rows independent.  The row matrix is the
+    grid's ``rows`` itself, row-major so pricing reads each row's block
+    contiguously, and shared by every program on that grid.
     """
     _require_lp_ready(state)
     if grid.rank != state.rank:
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
-    rows = np.empty((state.rank, grid.n_points))
-    rows[0] = 1.0
-    np.square(grid.amplitudes[1:], out=rows[1:])
     return StandardFormLp(
         objective=grid.objective_coeffs(state.offset),
-        row_matrix=rows,
+        row_matrix=grid.rows,
         rhs=_population_rhs(state),
     )
 
@@ -174,13 +172,16 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
 def _column_index(grid: AmplitudeGrid, point: list[int]) -> int:
     """Column of the integer lattice ``point`` on a grid, or -1.
 
-    ``l * delta`` is the product that built the grid's free amplitudes, and
-    the grid's points are in lexicographic order.
+    ``(l * delta) * (l * delta)`` is the product that built the grid's rows,
+    and the grid's points are in lexicographic order, which the squares of
+    nonnegative coordinates keep.
     """
-    key = tuple(l * grid.delta for l in point)
-    free = grid.amplitudes[1:]
-    i = bisect_left(range(grid.n_points), key, key=lambda j: tuple(free[:, j].tolist()))
-    if i < grid.n_points and tuple(free[:, i].tolist()) == key:
+    key = tuple((l * grid.delta) * (l * grid.delta) for l in point)
+    squares = grid.rows[1:]
+    i = bisect_left(
+        range(grid.n_points), key, key=lambda j: tuple(squares[:, j].tolist())
+    )
+    if i < grid.n_points and tuple(squares[:, i].tolist()) == key:
         return i
     return -1
 
@@ -228,7 +229,7 @@ def _solve_on_grid(
     order = np.argsort(sol.primal.indices[keep])
     idx = sol.primal.indices[keep][order]
     weights = sol.primal.values[keep][order]
-    amplitudes = np.ascontiguousarray(grid.amplitudes[:, idx].T)
+    amplitudes = np.ascontiguousarray(grid.amplitudes(idx).T)
     reproduced = np.concatenate([[weights.sum()], weights @ amplitudes[:, 1:] ** 2])
     residual = float(np.max(np.abs(reproduced - lp.rhs)))
     if residual > simplex.FEAS_TOL:
@@ -244,9 +245,10 @@ class LatticeLps:
 
     The grid depends only on the window rank and the objective only on the
     rank and the offset; a state enters the LP through its right-hand side
-    alone.  Each grid is enumerated once per rank and each LP matrix built
-    once per window of the given states; the instance is read-only
-    afterwards, so threads may share it.
+    alone.  Each grid is enumerated once per rank, and its rows are the row
+    matrix of every window of that rank; an objective is built once per
+    window of the given states.  The instance is read-only afterwards, so
+    threads may share it.
     """
 
     def __init__(self, states: Iterable[FockDiagonalState], delta: float):

@@ -43,9 +43,14 @@ def recursive_lattice(budget, dims):
     return np.vstack(blocks)
 
 
+def amplitudes_of(grid):
+    """Every point's amplitude vector (x0, l_1*delta, ...), one per column."""
+    return grid.amplitudes(np.arange(grid.n_points))
+
+
 def lattice_of(grid):
     """The integer rows a grid was built from."""
-    return np.rint(grid.amplitudes[1:].T / grid.delta).astype(np.int32)
+    return np.rint(amplitudes_of(grid)[1:].T / grid.delta).astype(np.int32)
 
 
 def radius_sq(delta):
@@ -69,7 +74,7 @@ class TestCounts:
         grid = build_grid(2, 0.5)
         assert grid.n_points == 3
         np.testing.assert_allclose(
-            grid.amplitudes[1:].T.ravel(), [0.0, 0.5, 1.0], atol=1e-15
+            amplitudes_of(grid)[1:].T.ravel(), [0.0, 0.5, 1.0], atol=1e-15
         )
 
     def test_rank3_half_spacing(self):
@@ -81,7 +86,7 @@ class TestCounts:
     def test_rank2_percent_spacing_keeps_endpoint(self):
         grid = build_grid(2, 0.01)
         assert grid.n_points == 101
-        assert grid.amplitudes[1:].T[-1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert amplitudes_of(grid)[1:].T[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("rank,delta", [(2, 0.07), (3, 0.11), (4, 0.26)])
     def test_matches_brute_force(self, rank, delta):
@@ -102,7 +107,7 @@ class TestCounts:
         grid = build_grid(rank, delta)
         expected = recursive_lattice(radius_sq(delta), rank - 1)
         assert grid.n_points == count
-        np.testing.assert_array_equal(grid.amplitudes[1:].T, expected * delta)
+        np.testing.assert_array_equal(amplitudes_of(grid)[1:].T, expected * delta)
         np.testing.assert_array_equal(lattice_of(grid), expected)
 
     def test_count_without_materializing(self):
@@ -135,21 +140,22 @@ class TestGridGeometry:
 
     def test_points_satisfy_ball_and_normalization(self):
         grid = build_grid(4, 0.17)
-        sq = np.sum(grid.amplitudes[1:].T**2, axis=1)
+        sq = np.sum(amplitudes_of(grid)[1:].T**2, axis=1)
         assert np.all(sq <= 1.0 + 1e-12)
-        total = grid.amplitudes[0]**2 + sq
+        total = amplitudes_of(grid)[0]**2 + sq
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_point_view(self):
         grid = build_grid(2, 0.5)
         assert len(grid) == 3
-        assert grid.amplitudes[1:].T.tolist() == [[0.0], [0.5], [1.0]]
-        assert grid.amplitudes[0][0] == pytest.approx(1.0)
-        assert grid.amplitudes[0][2] == pytest.approx(0.0)
-        # one read-only array in the row matrix's layout, and nothing else
-        assert sorted(vars(grid)) == ["amplitudes", "delta", "rank"]
-        assert grid.amplitudes.flags.c_contiguous
-        assert not grid.amplitudes.flags.writeable
+        assert amplitudes_of(grid)[1:].T.tolist() == [[0.0], [0.5], [1.0]]
+        assert amplitudes_of(grid)[0][0] == pytest.approx(1.0)
+        assert amplitudes_of(grid)[0][2] == pytest.approx(0.0)
+        # one read-only array, the LP's row matrix, and nothing else
+        assert sorted(vars(grid)) == ["delta", "rank", "rows"]
+        assert grid.rows.flags.c_contiguous
+        assert not grid.rows.flags.writeable
+        np.testing.assert_array_equal(grid.rows, [[1.0] * 3, [0.0, 0.25, 1.0]])
 
     def test_objective_coeff_binding(self):
         grid = build_grid(3, 0.5)
@@ -160,9 +166,79 @@ class TestGridGeometry:
         grid = build_grid(3, 0.25)
         coeffs = grid.objective_coeffs(1)
         for i in (0, 5, len(grid) - 1):
-            x0, (x1, x2) = grid.amplitudes[0][i], grid.amplitudes[1:].T[i]
+            x0, (x1, x2) = amplitudes_of(grid)[0][i], amplitudes_of(grid)[1:].T[i]
             alpha = x0 * x1 * np.sqrt(2.0) + x1 * x2 * np.sqrt(3.0)
             assert coeffs[i] == pytest.approx(alpha**2, abs=1e-14)
+
+
+def stored_amplitudes(lattice, delta):
+    """Amplitude vectors as a grid once stored them: l*delta, and x0 from
+    their squares summed left to right from zero."""
+    free = lattice.T * delta
+    norm_sq = np.zeros(free.shape[1])
+    for x in free:
+        norm_sq += x * x
+    return np.vstack([np.sqrt(np.clip(1.0 - norm_sq, 0.0, None)), free])
+
+
+def stored_objective(amplitudes, offset):
+    """The squared coherence kernel as it was computed from stored amplitudes."""
+    x = amplitudes
+    alpha = np.zeros(x.shape[1])
+    for k in range(x.shape[0] - 1):
+        alpha += x[k] * x[k + 1] * np.sqrt(offset + k + 1.0)
+    return alpha**2
+
+
+EXACT_CASES = [
+    (rank, delta)
+    for rank in range(2, 8)
+    for delta in (0.5, 0.3, 0.1, 0.05, 0.02, 0.00999)
+    if count_grid_points(rank, delta) <= DEFAULT_MAX_POINTS
+]
+
+
+class TestExactness:
+    """A grid keeps only the squares; what is recomputed from them is the
+    same bits as what was computed from the amplitudes."""
+
+    @pytest.mark.parametrize("rank,delta", EXACT_CASES)
+    def test_amplitudes_and_objective_are_the_stored_bits(self, rank, delta):
+        grid = build_grid(rank, delta)
+        lattice = recursive_lattice(radius_sq(delta), rank - 1)
+        objectives = {n: grid.objective_coeffs(n) for n in (0, 3)}
+        for lo in range(0, grid.n_points, 1 << 18):
+            cols = np.arange(lo, min(lo + (1 << 18), grid.n_points))
+            expected = stored_amplitudes(lattice[cols], delta)
+            np.testing.assert_array_equal(grid.amplitudes(cols), expected)
+            for n, objective in objectives.items():
+                np.testing.assert_array_equal(
+                    objective[cols], stored_objective(expected, n)
+                )
+
+
+def traced_peak(call):
+    """(result, peak traced bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("rank,delta", [(4, 0.00999), (6, 0.05)])
+    def test_build_holds_one_coordinate_beside_the_rows(self, rank, delta):
+        # the integer coordinates reach the rows one at a time, last first
+        grid, peak = traced_peak(lambda: build_grid(rank, delta))
+        assert peak <= 1.5 * grid.rows.nbytes
+
+    def test_refinement_peak(self):
+        full = build_grid(6, 0.05).rows.nbytes
+        with pytest.warns(GridResolutionWarning):
+            _, peak = traced_peak(lambda: refine(truncated_thermal(0.5, 6), 0.05, 3))
+        assert peak <= 1.75 * full
 
 
 class TestCapacity:
@@ -211,7 +287,7 @@ class TestNeighborhood:
         fine_set = {tuple(l) for l in lattice_of(fine).tolist()}
         for c in centers:
             assert (2 * c[0], 2 * c[1]) in fine_set
-        sq = np.sum(fine.amplitudes[1:].T**2, axis=1)
+        sq = np.sum(amplitudes_of(fine)[1:].T**2, axis=1)
         assert np.all(sq <= 1.0 + 1e-12)
         # every point is within the per-coordinate radius of some center
         dist = np.abs(
@@ -221,7 +297,7 @@ class TestNeighborhood:
 
     def test_sorted_and_unique(self):
         coarse = build_grid(2, 0.2)
-        fine = neighborhood_grid(2, 0.1, coarse.amplitudes[1:].T, radius=0.4)
+        fine = neighborhood_grid(2, 0.1, amplitudes_of(coarse)[1:].T, radius=0.4)
         rows = list(map(tuple, lattice_of(fine).tolist()))
         assert rows == sorted(set(rows))
 
@@ -301,7 +377,7 @@ class TestNeighborhood:
             refine(truncated_thermal(0.5, 6), 0.05, 3)
         assert len(calls) == 2
         for delta, centers, radius, grid, peak in calls:
-            assert peak <= 3 * grid.amplitudes.nbytes
+            assert peak <= 3 * grid.rows.nbytes
             ints = np.rint(centers / (2.0 * delta)).astype(np.int64)
             expected = reference_neighborhood(delta, ints, 2.0 * delta, radius)
             np.testing.assert_array_equal(lattice_of(grid), expected)

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,23 +46,71 @@ class TestAssemble:
         np.testing.assert_allclose(lp.rhs, [1.0, 0.16])
         np.testing.assert_allclose(lp.row_matrix[0], 1.0)
         # the column at x1 = 0.4 carries kernel 0.16 * 0.84
-        j = int(np.argmin(np.abs(grid.amplitudes[1:].T[:, 0] - 0.4)))
+        x1 = grid.amplitudes(np.arange(grid.n_points))[1]
+        j = int(np.argmin(np.abs(x1 - 0.4)))
         assert lp.objective[j] == pytest.approx(0.1344, abs=1e-12)
 
     def test_rank3_coefficient(self):
         s = state(0, [0.5, 0.25, 0.25])
         grid = build_grid(3, 0.5)
         lp = assemble_lp(s, grid)
-        idx = grid.amplitudes[1:].T.tolist().index([0.5, 0.5])
+        free = grid.amplitudes(np.arange(grid.n_points))[1:]
+        idx = free.T.tolist().index([0.5, 0.5])
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_row_matrix_is_row_major_squares(self):
-        # pricing reads a block of every row; each row is contiguous
+        # pricing reads a block of every row; each row is contiguous, and the
+        # row matrix is the grid's own array
         grid = build_grid(4, 0.1)
         rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
         assert rows.flags.c_contiguous
-        expected = np.vstack([np.ones(grid.n_points), (grid.amplitudes[1:].T**2).T])
+        assert rows.base is grid.rows
+        free = grid.amplitudes(np.arange(grid.n_points))[1:]
+        expected = np.vstack([np.ones(grid.n_points), free**2])
         assert np.array_equal(rows, expected)
+
+    def test_row_matrix_is_shared_not_copied(self):
+        grid = build_grid(4, 0.1)
+        lp = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid)
+        assert np.shares_memory(lp.row_matrix, grid.rows)
+        assert not lp.row_matrix.flags.writeable
+
+    def test_lattice_lps_share_one_matrix_per_rank(self):
+        s0, s2 = state(0, [0.5, 0.3, 0.2]), state(2, [0.3, 0.45, 0.25])
+        lattices = LatticeLps([s0, s2], 0.05)
+        (grid0, lp0), (grid2, lp2) = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
+        assert grid0 is grid2
+        assert lp0.row_matrix.base is grid0.rows
+        assert lp2.row_matrix.base is grid0.rows
+
+    @pytest.mark.parametrize("pops", [[0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
+    def test_shared_matrix_solves_as_a_copy(self, pops):
+        s = state(1, pops)
+        grid = build_grid(s.rank, 0.05)
+        shared = assemble_lp(s, grid)
+        copied = simplex.StandardFormLp(
+            shared.objective, np.array(shared.row_matrix), shared.rhs
+        )
+        assert not np.shares_memory(copied.row_matrix, grid.rows)
+        value, hist = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
+        value_copy, hist_copy = roof._solve_on_grid(
+            s, grid, copied, simplex.DEFAULT_MAX_ITER
+        )
+        assert value == value_copy
+        np.testing.assert_array_equal(hist.amplitudes, hist_copy.amplitudes)
+        np.testing.assert_array_equal(hist.weights, hist_copy.weights)
+
+    @pytest.mark.parametrize("rank,delta", [(4, 0.00999), (6, 0.05)])
+    def test_assembly_allocates_no_matrix(self, rank, delta):
+        grid = build_grid(rank, delta)
+        s = state(0, np.full(rank, 1.0 / rank))
+        tracemalloc.start()
+        try:
+            assemble_lp(s, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * grid.rows.nbytes
 
     def test_requires_matching_rank(self):
         with pytest.raises(ValueError, match="rank"):
