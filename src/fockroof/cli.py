@@ -104,18 +104,18 @@ def _parse_populations(text: str) -> list[float]:
     return pops
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+def _json_default(value):
+    """numpy values for ``json.dumps``; an ``np.float64`` is a ``float`` and
+    never gets here."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json(value) -> str:
+    return json.dumps(value, separators=(",", ":"), default=_json_default)
 
 
 def _csv_cell(value):
@@ -124,14 +124,13 @@ def _csv_cell(value):
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # shortest round-trip decimal
     if isinstance(value, (list, dict)):
-        return json.dumps(_jsonable(value), separators=(",", ":"))
+        return _json(value)
     return str(value)
 
 
 def _emit(meta: dict, rows: list[dict], args) -> None:
     if args.format == "json":
-        payload = {"meta": _jsonable(meta), "rows": [_jsonable(r) for r in rows]}
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
+        text = _json({"meta": meta, "rows": rows}) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")

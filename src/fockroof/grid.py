@@ -193,15 +193,20 @@ class AmplitudeGrid:
     (rank, n_points): row 0 is all ones and row k is (l_k*delta)².
     ``columns`` yields ``(k, l_k)`` for the free coordinates k = 1..M-1 in
     any order, each an int array over all points and dropped once its row
-    is filled.
+    is filled.  The spacing must lie in (0, 1) and the columns hold
+    integers, so ``rows`` is finite by construction.
     """
 
     def __init__(self, rank: int, delta: float, columns):
         self.rank = rank
         self.delta = float(delta)
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
         rows = None
         filled = []
         for k, col in columns:
+            if col.dtype.kind not in "iu":
+                raise ValueError(f"lattice column {k} is {col.dtype}, not integer")
             if rows is None:
                 rows = np.empty((rank, col.size))
                 rows[0] = 1.0
@@ -309,7 +314,8 @@ def neighborhood_grid(
         key = np.concatenate(
             [sum(col * radix ** (dims - k) for k, col in box) for box in boxes]
         )
-        key.sort()
+        # each box's keys are one increasing run, which a stable sort merges
+        key.sort(kind="stable")
         fresh = np.ones(key.size, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
         key = key[fresh]

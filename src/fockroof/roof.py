@@ -128,15 +128,14 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     populations of levels 1..M-1.  The level-0 row is implied by the others
     and is omitted to keep the rows independent.  The row matrix is the
     grid's ``rows`` itself, row-major so pricing reads each row's block
-    contiguously, and shared by every program on that grid.
+    contiguously, and shared by every program on that grid.  The grid and
+    its objective are finite by construction, so neither is scanned.
     """
     _require_lp_ready(state)
     if grid.rank != state.rank:
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
-    return StandardFormLp(
-        objective=grid.objective_coeffs(state.offset),
-        row_matrix=grid.rows,
-        rhs=_population_rhs(state),
+    return StandardFormLp._of_finite(
+        grid.objective_coeffs(state.offset), grid.rows, _population_rhs(state)
     )
 
 
@@ -169,14 +168,12 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
         )
 
 
-def _column_index(grid: AmplitudeGrid, point: list[int]) -> int:
-    """Column of the integer lattice ``point`` on a grid, or -1.
+def _column_index(grid: AmplitudeGrid, key: tuple[float, ...]) -> int:
+    """Column whose squared coordinates ``rows[1:]`` are ``key``, or -1.
 
-    ``(l * delta) * (l * delta)`` is the product that built the grid's rows,
-    and the grid's points are in lexicographic order, which the squares of
+    The grid's points are in lexicographic order, which the squares of
     nonnegative coordinates keep.
     """
-    key = tuple((l * grid.delta) * (l * grid.delta) for l in point)
     squares = grid.rows[1:]
     i = bisect_left(
         range(grid.n_points), key, key=lambda j: tuple(squares[:, j].tolist())
@@ -208,11 +205,13 @@ def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | No
         (p - l * l * delta * delta) / ((2 * l + 1) * delta * delta)
         for p, l in zip(pops, corner)
     ]
-    vertex = list(corner)
-    columns = [_column_index(grid, vertex)]
+    # (l * delta) * (l * delta) is the product that built the grid's rows
+    vertex = [(l * delta) * (l * delta) for l in corner]
+    columns = [_column_index(grid, tuple(vertex))]
     for k in sorted(range(len(corner)), key=lambda k: (-frac[k], k)):
-        vertex[k] += 1
-        columns.append(_column_index(grid, vertex))
+        l = corner[k] + 1
+        vertex[k] = (l * delta) * (l * delta)
+        columns.append(_column_index(grid, tuple(vertex)))
     return None if min(columns) < 0 else columns
 
 
@@ -221,8 +220,18 @@ def _solve_on_grid(
     grid: AmplitudeGrid,
     lp: StandardFormLp,
     max_iter: int,
-) -> tuple[float, Histogram]:
-    sol = simplex.solve(lp, max_iter=max_iter, start=_kuhn_start(state, grid))
+    carried: list[tuple] | None = None,
+) -> tuple[float, Histogram, list[tuple] | None]:
+    """Estimate, checked optimal histogram and the optimal basis as the
+    squared coordinates of its columns (None unless one structural column
+    per row).  The solve starts from the ``carried`` basis of an earlier
+    solve when all of its columns are on the grid, else from the Kuhn
+    simplex, else in phase 1.
+    """
+    start = None if carried is None else [_column_index(grid, k) for k in carried]
+    if start is None or min(start) < 0:
+        start = _kuhn_start(state, grid)
+    sol = simplex.solve(lp, max_iter=max_iter, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
     keep = sol.primal.values > SUPPORT_TOL
@@ -237,7 +246,11 @@ def _solve_on_grid(
             sol.status,
             f"histogram residuals exceed {simplex.FEAS_TOL:g}: {residual:.3g}",
         )
-    return mean_photon(state) - sol.objective_value, Histogram(amplitudes, weights)
+    basis = None
+    if len(sol.basis) == lp.n_rows and max(sol.basis) < lp.n_cols:
+        basis = [tuple(key) for key in grid.rows[1:, sol.basis].T.tolist()]
+    value = mean_photon(state) - sol.objective_value
+    return value, Histogram(amplitudes, weights), basis
 
 
 class LatticeLps:
@@ -276,7 +289,8 @@ class LatticeLps:
             raise ValueError(f"no lattice LP was built for window (rank, offset) {window}")
         _warn_fine_populations(state, self.delta)
         grid, lp = self._lps[window]
-        return _solve_on_grid(state, grid, lp.with_rhs(_population_rhs(state)), max_iter)
+        lp = lp.with_rhs(_population_rhs(state))
+        return _solve_on_grid(state, grid, lp, max_iter)[:2]
 
 
 def estimate_nonclassicality(
@@ -305,6 +319,12 @@ def refine(
     2*delta_prev per coordinate around the previous support (which is itself
     retained, so the estimate sequence cannot increase).  Returns the
     (delta, estimate) pairs in level order.
+
+    Each level starts from the previous level's optimal basis, which is
+    feasible wherever the neighborhood holds its columns: (2l * (delta/2))²
+    and (l * delta)² are one correctly rounded square, so each column keeps
+    its bits.  Only that basis and the support outlive a level, so one grid
+    is alive at a time.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -313,15 +333,18 @@ def refine(
     delta = delta_start
     grid = build_grid(state.rank, delta)
     steps: list[tuple[float, float]] = []
-    hist = None
+    basis = None
     for level in range(levels):
         if level > 0:
+            del grid  # before the next grid is built
             radius = 2.0 * delta
             delta = delta / 2.0
             grid = neighborhood_grid(
                 state.rank, delta, hist.amplitudes[:, 1:], radius=radius
             )
-        value, hist = _solve_on_grid(state, grid, assemble_lp(state, grid), max_iter)
+        value, hist, basis = _solve_on_grid(
+            state, grid, assemble_lp(state, grid), max_iter, basis
+        )
         steps.append((delta, value))
     return steps
 

@@ -92,8 +92,8 @@ class TestAssemble:
             shared.objective, np.array(shared.row_matrix), shared.rhs
         )
         assert not np.shares_memory(copied.row_matrix, grid.rows)
-        value, hist = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
-        value_copy, hist_copy = roof._solve_on_grid(
+        value, hist, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
+        value_copy, hist_copy, _ = roof._solve_on_grid(
             s, grid, copied, simplex.DEFAULT_MAX_ITER
         )
         assert value == value_copy
@@ -284,7 +284,21 @@ class TestRefine:
 
 
 def _start_from_phase_one(monkeypatch):
-    monkeypatch.setattr(roof, "_kuhn_start", lambda state, grid: None)
+    # no start column is found on any grid
+    monkeypatch.setattr(roof, "_column_index", lambda grid, key: -1)
+
+
+def _recorded_solves(monkeypatch) -> list[simplex.LpSolution]:
+    """Every solution that ``simplex.solve`` returns from now on, in order."""
+    solutions = []
+    solve = simplex.solve
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(simplex, "solve", recorded)
+    return solutions
 
 
 # The paper's two rank-4 exception states and the five windows that
@@ -354,22 +368,64 @@ class TestCrashStart:
 
     def test_refinement_neighbourhood_without_the_simplex(self, monkeypatch):
         s = truncated_thermal(0.5, 4)
-        starts = []
+        kuhn = []
         kuhn_start = roof._kuhn_start
 
         def recorded(st, grid):
-            starts.append(kuhn_start(st, grid))
-            return starts[-1]
+            kuhn.append(kuhn_start(st, grid))
+            return kuhn[-1]
 
         monkeypatch.setattr(roof, "_kuhn_start", recorded)
-        crashed = refine(s, 0.05, 3)
-        assert [start is None for start in starts] == [False, False, True]
+        solutions = _recorded_solves(monkeypatch)
+        carried = refine(s, 0.05, 3)
+        # the level-3 neighbourhood lacks the Kuhn simplex; both refined
+        # levels start from the carried basis and never ask for it
+        assert len(kuhn) == 1 and kuhn[0] is not None
+        assert [sol.phase1_iterations for sol in solutions] == [0, 0, 0]
         _start_from_phase_one(monkeypatch)
         plain = refine(s, 0.05, 3)
-        assert [d for d, _ in crashed] == [d for d, _ in plain]
+        assert [d for d, _ in carried] == [d for d, _ in plain]
         np.testing.assert_allclose(
-            [v for _, v in crashed], [v for _, v in plain], rtol=0.0, atol=1e-12
+            [v for _, v in carried], [v for _, v in plain], rtol=0.0, atol=1e-12
         )
+
+    def test_carried_column_off_the_grid_falls_back(self, monkeypatch):
+        s = truncated_thermal(0.5, 4)
+        kuhn = []
+        kuhn_start = roof._kuhn_start
+        solve_on_grid = roof._solve_on_grid
+
+        def recorded(st, grid):
+            kuhn.append(kuhn_start(st, grid))
+            return kuhn[-1]
+
+        def missing_column(st, grid, lp, max_iter, carried=None):
+            if carried is not None:
+                # a point outside the ball is on no grid
+                carried = [(1.0,) * (st.rank - 1)] + carried[1:]
+            return solve_on_grid(st, grid, lp, max_iter, carried)
+
+        monkeypatch.setattr(roof, "_kuhn_start", recorded)
+        monkeypatch.setattr(roof, "_solve_on_grid", missing_column)
+        solutions = _recorded_solves(monkeypatch)
+        fallen_back = refine(s, 0.05, 3)
+        # the Kuhn simplex on every level, phase 1 where it misses the grid
+        assert [start is None for start in kuhn] == [False, False, True]
+        assert [sol.phase1_iterations > 0 for sol in solutions] == [False, False, True]
+        _start_from_phase_one(monkeypatch)
+        plain = refine(s, 0.05, 3)
+        np.testing.assert_allclose(
+            [v for _, v in fallen_back], [v for _, v in plain], rtol=0.0, atol=1e-12
+        )
+
+    def test_refined_levels_skip_phase_one(self, monkeypatch):
+        solutions = _recorded_solves(monkeypatch)
+        with pytest.warns(GridResolutionWarning):
+            for rank in range(2, 7):
+                refine(truncated_thermal(0.5, rank), 0.05, 3)
+        assert [sol.phase1_iterations for sol in solutions] == [0] * 15
+        # rank 6, levels 2 and 3: 271 pivots from the Kuhn simplex or phase 1
+        assert sum(sol.iterations for sol in solutions[-2:]) <= 80
 
     def test_reference_programs_skip_phase_one(self):
         grids = {rank: build_grid(rank, 0.00999) for rank in (3, 4)}

@@ -150,6 +150,10 @@ class TestBasics:
             make_lp([1.0], [[1.0], [1.0]], [1.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             make_lp([np.inf], [[1.0]], [1.0])
+        with pytest.raises(ValueError, match="objective contains non-finite"):
+            make_lp([np.nan, 1.0], [[1.0, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="row_matrix contains non-finite"):
+            make_lp([1.0, 1.0], [[1.0, np.nan]], [1.0])
 
 
 class TestAgainstEnumeration:
