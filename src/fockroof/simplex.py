@@ -417,17 +417,20 @@ def solve(
 
 
 def _finish(lp, tab, n_struct, status, iterations, phase1) -> LpSolution:
+    """The solution on the final basis, refactorized in column-index order so
+    that the primal's bits depend on the basis set, not on the pivots that
+    reached it; ``basis`` keeps the pivot order."""
+    basis = list(tab.basis)
+    tab.basis = sorted(basis)
     tab.refactor()
-    order = np.argsort(tab.basis, kind="stable")
     idx, vals = [], []
-    for r in order:
-        j = tab.basis[r]
+    for r, j in enumerate(tab.basis):
         if j < n_struct:
             idx.append(j)
             vals.append(max(tab.x_b[r], 0.0))
     primal = SparseVector(n_struct, np.asarray(idx, dtype=np.intp), np.asarray(vals))
     obj = float(lp.objective[primal.indices] @ primal.values) if primal.nnz else 0.0
-    return LpSolution(status, obj, primal, list(tab.basis), iterations, phase1)
+    return LpSolution(status, obj, primal, basis, iterations, phase1)
 
 
 def write_lp(lp: StandardFormLp, path) -> None:

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -381,6 +381,19 @@ class TestDeterminism:
         assert first.iterations == second.iterations
         np.testing.assert_array_equal(first.primal.indices, second.primal.indices)
         np.testing.assert_array_equal(first.primal.values, second.primal.values)
+
+    def test_basis_order_does_not_move_the_solution(self):
+        # one optimal basis set reached in every pivot order gives the same
+        # bits; the reported basis keeps the order it was reached in
+        lp = assemble_lp(FockDiagonalState(0, np.array([0.5, 0.3, 0.2])), build_grid(3, 0.05))
+        ref = solve(lp)
+        for order in permutations(ref.basis):
+            sol = solve(lp, start=order)
+            assert sol.iterations == 0
+            assert sol.basis == list(order)
+            assert sol.objective_value.hex() == ref.objective_value.hex()
+            assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
+            assert sol.primal.values.tobytes() == ref.primal.values.tobytes()
 
 
 class TestResiduals:
