@@ -21,7 +21,13 @@ from functools import partial
 import numpy as np
 
 from . import simplex
-from .grid import DEFAULT_MAX_POINTS, GridCapacityError, build_grid, checked_count
+from .grid import (
+    DEFAULT_MAX_POINTS,
+    GridCapacityError,
+    build_grid,
+    checked_count,
+    count_grid_points,
+)
 from .metrology import quadrature_qfi
 from .phases import classify, classify_many
 from .roof import (
@@ -302,10 +308,13 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_grid_info(args) -> int:
     points = checked_count(args.m, args.delta, DEFAULT_MAX_POINTS)
-    # the grid is the LP's row matrix (ones and M - 1 squared coordinates);
-    # the LP adds its objective and no copy of the grid
-    grid_bytes = points * 8 * args.m
-    lp_bytes = points * 8 * (args.m + 1)
+    # the grid is the LP's row matrix in run form: per run of the last
+    # coordinate, one per point of the rank M - 1 lattice, the ones row, the
+    # M - 2 squared prefix coordinates and the run's start; per point, the
+    # last coordinate's square.  The LP adds its objective and no copy.
+    runs = count_grid_points(args.m - 1, args.delta) if args.m > 2 else 1
+    grid_bytes = 8 * (points + runs * args.m)
+    lp_bytes = grid_bytes + 8 * points
     rows = [
         {
             "rank": args.m,

@@ -7,7 +7,9 @@ a lattice turns that maximization into a linear program over a histogram of
 weights, one column per lattice point: the LP optimum is a one-sided
 (never-below) estimate of the true nonclassicality that tightens as the
 spacing shrinks.  The lattice is held as the LP's row matrix, shared by
-every program on it.  An optimal histogram is returned as the amplitude
+every program on it: runs of consecutive last coordinates, whose ones row
+and squared prefix coordinates are stored once per run, so pricing reads
+one float row per column.  An optimal histogram is returned as the amplitude
 vectors of its support and their weights, and is checked against the
 populations before it is returned.  Phases never need to be enumerated; the
 histogram expands into an explicit ensemble by splitting every support point
@@ -20,7 +22,7 @@ import enum
 import json
 import sys
 import warnings
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
@@ -127,9 +129,9 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     coherence kernel; equality rows are the weight normalization and the
     populations of levels 1..M-1.  The level-0 row is implied by the others
     and is omitted to keep the rows independent.  The row matrix is the
-    grid's ``rows`` itself, row-major so pricing reads each row's block
-    contiguously, and shared by every program on that grid.  The grid and
-    its objective are finite by construction, so neither is scanned.
+    grid's ``rows`` itself, the run-form matrix shared by every program on
+    that grid.  The grid and its objective are finite by construction, so
+    neither is scanned.
     """
     _require_lp_ready(state)
     if grid.rank != state.rank:
@@ -169,18 +171,24 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
 
 
 def _column_index(grid: AmplitudeGrid, key: tuple[float, ...]) -> int:
-    """Column whose squared coordinates ``rows[1:]`` are ``key``, or -1.
+    """Column whose squared coordinates (rows 1.. of the grid) are ``key``,
+    or -1.
 
     The grid's points are in lexicographic order, which the squares of
-    nonnegative coordinates keep.
+    nonnegative coordinates keep, and so are its runs by prefix and first
+    value.  The last run at or before ``key`` is the only one that can hold
+    it.
     """
-    squares = grid.rows[1:]
-    i = bisect_left(
-        range(grid.n_points), key, key=lambda j: tuple(squares[:, j].tolist())
-    )
-    if i < grid.n_points and tuple(squares[:, i].tolist()) == key:
-        return i
-    return -1
+    rows = grid.rows
+    prefix, last, starts = rows.run_rows[1:], rows.col_rows[0], rows.starts
+    r = bisect_right(
+        range(starts.size), key, key=lambda r: (*prefix[:, r].tolist(), last[starts[r]])
+    ) - 1
+    if r < 0 or tuple(prefix[:, r].tolist()) != key[:-1]:
+        return -1
+    end = starts[r + 1] if r + 1 < starts.size else last.size
+    j = int(starts[r] + np.searchsorted(last[starts[r] : end], key[-1]))
+    return j if j < end and last[j] == key[-1] else -1
 
 
 def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | None:
@@ -248,7 +256,7 @@ def _solve_on_grid(
         )
     basis = None
     if len(sol.basis) == lp.n_rows and max(sol.basis) < lp.n_cols:
-        basis = [tuple(key) for key in grid.rows[1:, sol.basis].T.tolist()]
+        basis = [tuple(key) for key in grid.rows.columns(sol.basis)[1:].T.tolist()]
     value = mean_photon(state) - sol.objective_value
     return value, Histogram(amplitudes, weights), basis
 

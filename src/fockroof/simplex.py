@@ -27,9 +27,17 @@ seven rank-4 programs at delta = 0.00999 (5,812 pivots at 4,096, 1,539 at
 16,384), though the rank-5 program at delta = 0.04 was slower with it
 (16-22 ms against 11.5-12.3 ms).  From the crash start no block from 4,096
 to 32,768 is faster beyond run-to-run noise, on those programs, the
-``thermal`` refinement programs or the rank-5 one.  These block figures
-were measured on column-major row matrices; the lattice programs are
-row-major now (``roof.assemble_lp``), which pricing reads faster.
+``thermal`` refinement programs or the rank-5 one.
+
+The solver reads every row matrix as a :class:`RunMatrix`: its first p rows
+are stored once per run of consecutive columns and the other rows once per
+column, and a block is priced as
+``c - (repeat(y[:p] @ run_rows[:, runs of the block]) + y[p:] @ col_rows)``.
+A lattice program has p = M - 1 (the ones row and the squared prefix
+coordinates, ``grid.AmplitudeGrid``) and one column row, so pricing reads one
+float per column besides the objective.  A dense program is the case p = 0
+with one run, priced as ``c - y @ A`` bit for bit.  Basis and entering
+columns are gathered through the run starts.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
@@ -80,16 +88,101 @@ def _checked_view(name: str, arr: np.ndarray) -> np.ndarray:
     return _read_only(arr)
 
 
+class RunMatrix:
+    """A row matrix whose first p rows are constant along runs of columns.
+
+    Run r is the columns ``starts[r] <= j < starts[r + 1]`` (the last run
+    ends at the last column), and ``starts[0]`` is 0.  Row i < p of every
+    column of run r is ``run_rows[i, r]``; row p + i of column j is
+    ``col_rows[i, j]``.  A dense matrix is the case p = 0 with one run.  The
+    three arrays are held as read-only views.
+    """
+
+    def __init__(self, run_rows: np.ndarray, starts: np.ndarray, col_rows: np.ndarray):
+        self.run_rows = _read_only(run_rows)
+        self.starts = _read_only(starts)
+        self.col_rows = _read_only(col_rows)
+
+    @classmethod
+    def dense(cls, a: np.ndarray) -> RunMatrix:
+        return cls(np.empty((0, 1)), np.zeros(1, dtype=np.intp), a)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.run_rows.shape[0] + self.col_rows.shape[0], self.col_rows.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.run_rows.nbytes + self.starts.nbytes + self.col_rows.nbytes
+
+    def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+        """The runs that meet columns lo:hi, and how many of those columns
+        each of them holds."""
+        first = int(self.starts.searchsorted(lo, side="right")) - 1
+        end = int(self.starts.searchsorted(hi))
+        edges = np.empty(end - first + 1, dtype=np.intp)
+        edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
+        return slice(first, end), edges[1:] - edges[:-1]
+
+    def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
+        over its columns, plus the column rows' products.  ``np.dot`` gives
+        the bits of ``@`` here, and stays on BLAS for a single column row."""
+        p = self.run_rows.shape[0]
+        out = np.dot(y[p:], self.col_rows[:, lo:hi])
+        if p:
+            runs, counts = self.span(lo, hi)
+            out += np.repeat(np.dot(y[:p], self.run_rows[:, runs]), counts)
+        return out
+
+    def columns(self, idx) -> np.ndarray:
+        """The dense columns ``A[:, idx]``."""
+        idx = np.asarray(idx, dtype=np.intp)
+        runs = self.starts.searchsorted(idx, side="right") - 1
+        return np.concatenate((self.run_rows[:, runs], self.col_rows[:, idx]))
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The dense columns ``A[:, lo:hi]``."""
+        runs, counts = self.span(lo, hi)
+        return np.concatenate(
+            (np.repeat(self.run_rows[:, runs], counts, axis=1), self.col_rows[:, lo:hi])
+        )
+
+    def scaled(self, signs: np.ndarray) -> RunMatrix:
+        """A copy with row i multiplied by ``signs[i]``."""
+        p = self.run_rows.shape[0]
+        return RunMatrix(
+            self.run_rows * signs[:p, None], self.starts, self.col_rows * signs[p:, None]
+        )
+
+    def rows(self, keep: Sequence[int]) -> RunMatrix:
+        """The rows ``keep``, in increasing order."""
+        keep = np.asarray(keep, dtype=np.intp)
+        p = self.run_rows.shape[0]
+        return RunMatrix(
+            self.run_rows[keep[keep < p]], self.starts, self.col_rows[keep[keep >= p] - p]
+        )
+
+
+def _run_form(row_matrix) -> RunMatrix:
+    """A program's row matrix as the solver reads it; a dense array is one
+    run with no run rows, not copied."""
+    if isinstance(row_matrix, RunMatrix):
+        return row_matrix
+    return RunMatrix.dense(row_matrix)
+
+
 @dataclass(frozen=True)
 class StandardFormLp:
     """maximize objective·q  subject to  row_matrix·q = rhs,  q >= 0.
 
-    The three arrays are stored as read-only views, each checked to be
-    finite.
+    The public constructor takes three arrays and stores them as read-only
+    views, each checked to be finite.  A lattice program's row matrix is the
+    grid's :class:`RunMatrix` instead.
     """
 
     objective: np.ndarray
-    row_matrix: np.ndarray
+    row_matrix: np.ndarray | RunMatrix
     rhs: np.ndarray
 
     def __post_init__(self):
@@ -110,15 +203,16 @@ class StandardFormLp:
 
     @classmethod
     def _of_finite(cls, objective, row_matrix, rhs) -> StandardFormLp:
-        """The program on a float objective and row matrix that are finite
-        by construction and of matching shapes, neither copied nor scanned;
-        only ``rhs`` is checked."""
+        """The program on a float objective and a read-only row matrix (an
+        array or a :class:`RunMatrix`) that are finite by construction and of
+        matching shapes, neither copied nor scanned; only ``rhs`` is
+        checked."""
         b = np.asarray(rhs, dtype=float)
         if b.shape != (row_matrix.shape[0],):
             raise ValueError(f"rhs has shape {b.shape}, need {(row_matrix.shape[0],)}")
         lp = object.__new__(cls)
         object.__setattr__(lp, "objective", _read_only(objective))
-        object.__setattr__(lp, "row_matrix", _read_only(row_matrix))
+        object.__setattr__(lp, "row_matrix", row_matrix)
         object.__setattr__(lp, "rhs", _checked_view("rhs", b))
         return lp
 
@@ -173,8 +267,9 @@ def _empty_primal(size: int) -> SparseVector:
 class _Tableau:
     """Mutable simplex state: basis, dense basis inverse and basic values.
 
-    A basis index ``j >= a.shape[1]`` is the phase-1 artificial column
-    ``e_(j - a.shape[1])``; artificial columns are never stored.
+    ``a`` is a :class:`RunMatrix`.  A basis index ``j >= a.shape[1]`` is the
+    phase-1 artificial column ``e_(j - a.shape[1])``; artificial columns are
+    never stored.
     """
 
     def __init__(self, a, b, basis):
@@ -188,7 +283,7 @@ class _Tableau:
         basis = np.asarray(self.basis)
         artificial = basis >= n
         b_mat = np.zeros((rows, rows))
-        b_mat[:, ~artificial] = self.a[:, basis[~artificial]]
+        b_mat[:, ~artificial] = self.a.columns(basis[~artificial])
         b_mat[basis[artificial] - n, np.nonzero(artificial)[0]] = 1.0
         self.b_inv = np.linalg.inv(b_mat)
         self.x_b = np.maximum(self.b_inv @ self.b, 0.0)
@@ -207,7 +302,7 @@ class _Tableau:
 
 
 def _price_block(c, a, y, lo, hi):
-    return c[lo:hi] - y @ a[:, lo:hi]
+    return c[lo:hi] - a.dot(y, lo, hi)
 
 
 def _choose_entering(c, a, y, cursor, block, tol, bland):
@@ -282,7 +377,7 @@ def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
         )
         if entering < 0:
             return "optimal", pivots
-        w = tab.b_inv @ tab.a[:, entering]
+        w = tab.b_inv @ tab.a.columns([entering])[:, 0]
         leaving = _choose_leaving(tab, w, bland)
         if leaving < 0:
             return "unbounded", pivots
@@ -313,18 +408,18 @@ def _drive_out_artificials(tab: _Tableau):
     for r in range(len(tab.basis)):
         if tab.basis[r] < n_struct:
             continue
-        row = tab.b_inv[r] @ tab.a
+        row = tab.a.dot(tab.b_inv[r], 0, n_struct)
         in_basis = set(tab.basis)
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         entering = next((int(j) for j in candidates if j not in in_basis), -1)
         if entering >= 0:
-            w = tab.b_inv @ tab.a[:, entering]
+            w = tab.b_inv @ tab.a.columns([entering])[:, 0]
             tab.pivot(entering, r, w)
         else:
             drop.append(r)
     if drop:
         keep = [r for r in range(len(tab.basis)) if r not in drop]
-        tab.a = tab.a[keep]
+        tab.a = tab.a.rows(keep)
         tab.b = tab.b[keep]
         tab.basis = [tab.basis[r] for r in keep]
     tab.refactor()
@@ -352,7 +447,7 @@ def _crash_tableau(a, b, start):
         tab = _Tableau(a, b, start)
     except np.linalg.LinAlgError:
         return None
-    cond = np.linalg.norm(a[:, start], 1) * np.linalg.norm(tab.b_inv, 1)
+    cond = np.linalg.norm(a.columns(start), 1) * np.linalg.norm(tab.b_inv, 1)
     if cond * len(start) * np.finfo(float).eps >= 1.0:
         return None
     if np.any(tab.b_inv @ b < -FEAS_TOL):
@@ -380,12 +475,10 @@ def solve(
     rows, cols = lp.n_rows, lp.n_cols
     if start is not None:
         start = _check_start(start, rows, cols)
-    a, b = lp.row_matrix, lp.rhs
-    flip = b < 0
-    if flip.any():
-        a, b = a.copy(), b.copy()
-        a[flip] *= -1.0
-        b[flip] *= -1.0
+    a, b = _run_form(lp.row_matrix), lp.rhs
+    if np.any(b < 0):
+        signs = np.where(b < 0, -1.0, 1.0)
+        a, b = a.scaled(signs), b * signs
 
     tab = None if start is None else _crash_tableau(a, b, start)
     phase1 = 0
@@ -443,11 +536,17 @@ def write_lp(lp: StandardFormLp, path) -> None:
     def fmt(values):
         return " ".join(f"{v:.17g}" for v in values)
 
+    a, n = _run_form(lp.row_matrix), lp.n_cols
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"rows={lp.n_rows} cols={lp.n_cols}\n")
+        fh.write(f"rows={lp.n_rows} cols={n}\n")
         fh.write(fmt(lp.objective) + "\n")
         for r in range(lp.n_rows):
-            fh.write(fmt(lp.row_matrix[r]) + " " + f"{lp.rhs[r]:.17g}" + "\n")
+            # the rows are expanded one block of columns at a time
+            row = " ".join(
+                fmt(a.block(lo, min(lo + _PRICING_BLOCK, n))[r])
+                for lo in range(0, n, _PRICING_BLOCK)
+            )
+            fh.write(row + " " + f"{lp.rhs[r]:.17g}" + "\n")
 
 
 def read_lp(path) -> StandardFormLp:

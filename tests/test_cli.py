@@ -366,8 +366,7 @@ class TestGridInfo:
             "rows"
         ][0]
         grid = build_grid(m, delta)
-        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
-        assert row["grid_bytes"] == sum(a.nbytes for a in arrays)
+        assert row["grid_bytes"] == grid.rows.nbytes
         lp = assemble_lp(FockDiagonalState(0, np.full(m, 1.0 / m)), grid)
         assert row["lp_bytes"] == lp.row_matrix.nbytes + lp.objective.nbytes
 
@@ -386,7 +385,9 @@ class TestDumpLp:
             FockDiagonalState(0, np.array([0.84, 0.16])), build_grid(2, 0.01)
         )
         np.testing.assert_array_equal(parsed.objective, expected.objective)
-        np.testing.assert_array_equal(parsed.row_matrix, expected.row_matrix)
+        np.testing.assert_array_equal(
+            parsed.row_matrix, expected.row_matrix.block(0, expected.n_cols)
+        )
         np.testing.assert_array_equal(parsed.rhs, expected.rhs)
 
 

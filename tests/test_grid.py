@@ -151,21 +151,29 @@ class TestGridGeometry:
         assert amplitudes_of(grid)[1:].T.tolist() == [[0.0], [0.5], [1.0]]
         assert amplitudes_of(grid)[0][0] == pytest.approx(1.0)
         assert amplitudes_of(grid)[0][2] == pytest.approx(0.0)
-        # one read-only array, the LP's row matrix, and nothing else
+        # the LP's row matrix, read-only, and nothing else: rank 2 is one run
+        # with the ones row, and one square per point
         assert sorted(vars(grid)) == ["delta", "rank", "rows"]
-        assert grid.rows.flags.c_contiguous
-        assert not grid.rows.flags.writeable
-        np.testing.assert_array_equal(grid.rows, [[1.0] * 3, [0.0, 0.25, 1.0]])
+        rows = grid.rows
+        for arr in (rows.run_rows, rows.starts, rows.col_rows):
+            assert arr.flags.c_contiguous
+            assert not arr.flags.writeable
+        assert rows.run_rows.tolist() == [[1.0]]
+        assert rows.starts.tolist() == [0]
+        assert rows.col_rows.tolist() == [[0.0, 0.25, 1.0]]
+        np.testing.assert_array_equal(rows.block(0, 3), [[1.0] * 3, [0.0, 0.25, 1.0]])
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.inf, math.nan])
     def test_rejects_a_spacing_outside_the_unit_interval(self, delta):
         with pytest.raises(ValueError, match="delta"):
-            AmplitudeGrid(2, delta, [(1, np.arange(3))])
+            AmplitudeGrid(2, delta, [], 0, np.array([3]))
 
     def test_rejects_a_non_integer_column(self):
         # an integer column times a spacing in (0, 1) has a finite square
         with pytest.raises(ValueError, match="integer"):
-            AmplitudeGrid(2, 0.5, [(1, np.array([0.0, 1.0, np.nan]))])
+            AmplitudeGrid(3, 0.5, [np.array([0.0, np.nan])], 0, np.array([2, 1]))
+        with pytest.raises(ValueError, match="integer"):
+            AmplitudeGrid(2, 0.5, [], np.array([0.5]), np.array([2]))
 
     def test_objective_coeff_binding(self):
         grid = build_grid(3, 0.5)
@@ -240,17 +248,19 @@ def traced_peak(call):
 class TestMemory:
     @pytest.mark.parametrize("rank,delta", [(4, 0.00999), (6, 0.05)])
     def test_build_holds_one_coordinate_beside_the_rows(self, rank, delta):
-        # the integer coordinates reach the rows one at a time, last first
+        # the prefixes stay one entry per run, and only the last coordinate
+        # is as long as the grid; bounded by the dense (M, N) matrix's bytes
         grid, peak = traced_peak(lambda: build_grid(rank, delta))
-        assert peak <= 1.5 * grid.rows.nbytes
+        assert peak <= 0.6 * 8 * rank * grid.n_points
 
     def test_refinement_peak(self):
-        full = build_grid(6, 0.05).rows.nbytes
+        full = 8 * 6 * build_grid(6, 0.05).n_points  # the dense row matrix
+        assert full == 8 * 6 * 662_629
         with pytest.warns(GridResolutionWarning):
             _, peak = traced_peak(lambda: refine(truncated_thermal(0.5, 6), 0.05, 3))
         # one grid at a time: the previous level's grid is freed before the
         # next is built
-        assert peak <= 1.33 * full
+        assert peak <= 0.65 * full
 
 
 class TestCapacity:
@@ -389,10 +399,42 @@ class TestNeighborhood:
             refine(truncated_thermal(0.5, 6), 0.05, 3)
         assert len(calls) == 2
         for delta, centers, radius, grid, peak in calls:
-            assert peak <= 3 * grid.rows.nbytes
+            assert peak <= 3 * 8 * grid.rank * grid.n_points
             ints = np.rint(centers / (2.0 * delta)).astype(np.int64)
             expected = reference_neighborhood(delta, ints, 2.0 * delta, radius)
             np.testing.assert_array_equal(lattice_of(grid), expected)
+
+    @pytest.mark.parametrize(
+        "rank,delta,mids,steps",
+        [
+            (2, 0.05, [[3], [12]], 2),  # a gap between the boxes
+            (2, 0.1, [[10], [4]], 1),  # one box on the ball's edge
+            (3, 0.05, [[3, 2], [3, 12]], 2),  # shared prefixes, a gap in l_2
+            (3, 0.05, [[3, 2], [3, 7]], 2),  # shared prefixes, touching runs
+            (3, 0.05, [[3, 2], [4, 5]], 2),  # overlapping runs
+            (3, 0.1, [[6, 8], [10, 0], [0, 10]], 1),  # on the ball's edge
+            (4, 0.05, [[2, 3, 1], [2, 3, 9], [3, 4, 5]], 2),
+            (4, 0.1, [[0, 6, 8], [2, 4, 4]], 1),
+            (5, 0.1, [[1, 1, 1, 1], [1, 1, 1, 6], [5, 5, 5, 5]], 1),
+            (5, 0.2, [[2, 2, 2, 2], [0, 0, 0, 5]], 1),
+        ],
+    )
+    def test_matches_brute_force(self, rank, delta, mids, steps):
+        mids = np.array(mids)
+        fine = neighborhood_grid(rank, delta, mids * delta, radius=steps * delta)
+        limit = radius_sq(delta)
+        points = [
+            p
+            for m in mids
+            for p in product(*(range(max(0, c - steps), c + steps + 1) for c in m))
+            if sum(l * l for l in p) <= limit
+        ]
+        assert lattice_of(fine).tolist() == [list(p) for p in sorted(set(points))]
+        # runs of one prefix that touch or overlap are one run
+        ints = lattice_of(fine)
+        heads = fine.rows.starts[1:]
+        same_prefix = np.all(ints[heads, :-1] == ints[heads - 1, :-1], axis=1)
+        assert np.all(ints[heads, -1][same_prefix] > ints[heads - 1, -1][same_prefix] + 1)
 
     def test_float_centers_past_int64_key(self):
         delta, center_delta = 5e-4, 1e-3

@@ -16,6 +16,7 @@ from fockroof import (
     build_grid,
     classify_decomposition,
     classify_rank3,
+    count_grid_points,
     estimate_nonclassicality,
     expand_histogram,
     mean_photon,
@@ -27,6 +28,7 @@ from fockroof import (
 )
 
 from fockroof import roof, simplex
+from fockroof.grid import neighborhood_grid
 from fockroof.roof import LatticeLps
 
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
@@ -44,7 +46,7 @@ class TestAssemble:
         assert lp.n_rows == 2
         assert lp.n_cols == grid.n_points
         np.testing.assert_allclose(lp.rhs, [1.0, 0.16])
-        np.testing.assert_allclose(lp.row_matrix[0], 1.0)
+        np.testing.assert_allclose(lp.row_matrix.block(0, lp.n_cols)[0], 1.0)
         # the column at x1 = 0.4 carries kernel 0.16 * 0.84
         x1 = grid.amplitudes(np.arange(grid.n_points))[1]
         j = int(np.argmin(np.abs(x1 - 0.4)))
@@ -59,29 +61,33 @@ class TestAssemble:
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_row_matrix_is_row_major_squares(self):
-        # pricing reads a block of every row; each row is contiguous, and the
-        # row matrix is the grid's own array
+        # the row matrix is the grid's own run form: the ones row and the
+        # prefix squares once per run, the last coordinate's square per point
         grid = build_grid(4, 0.1)
         rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
-        assert rows.flags.c_contiguous
-        assert rows.base is grid.rows
+        assert rows is grid.rows
+        assert rows.run_rows.shape == (3, count_grid_points(3, 0.1))
+        assert rows.col_rows.shape == (1, grid.n_points)
         free = grid.amplitudes(np.arange(grid.n_points))[1:]
         expected = np.vstack([np.ones(grid.n_points), free**2])
-        assert np.array_equal(rows, expected)
+        assert np.array_equal(rows.block(0, grid.n_points), expected)
 
     def test_row_matrix_is_shared_not_copied(self):
         grid = build_grid(4, 0.1)
         lp = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid)
-        assert np.shares_memory(lp.row_matrix, grid.rows)
-        assert not lp.row_matrix.flags.writeable
+        for name in ("run_rows", "starts", "col_rows"):
+            arr = getattr(lp.row_matrix, name)
+            assert arr is getattr(grid.rows, name)
+            assert not arr.flags.writeable
 
     def test_lattice_lps_share_one_matrix_per_rank(self):
         s0, s2 = state(0, [0.5, 0.3, 0.2]), state(2, [0.3, 0.45, 0.25])
         lattices = LatticeLps([s0, s2], 0.05)
         (grid0, lp0), (grid2, lp2) = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
         assert grid0 is grid2
-        assert lp0.row_matrix.base is grid0.rows
-        assert lp2.row_matrix.base is grid0.rows
+        for name in ("run_rows", "starts", "col_rows"):
+            assert getattr(lp0.row_matrix, name) is getattr(grid0.rows, name)
+            assert getattr(lp2.row_matrix, name) is getattr(grid0.rows, name)
 
     @pytest.mark.parametrize("pops", [[0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
     def test_shared_matrix_solves_as_a_copy(self, pops):
@@ -89,9 +95,9 @@ class TestAssemble:
         grid = build_grid(s.rank, 0.05)
         shared = assemble_lp(s, grid)
         copied = simplex.StandardFormLp(
-            shared.objective, np.array(shared.row_matrix), shared.rhs
+            shared.objective, shared.row_matrix.block(0, shared.n_cols), shared.rhs
         )
-        assert not np.shares_memory(copied.row_matrix, grid.rows)
+        assert not np.shares_memory(copied.row_matrix, grid.rows.col_rows)
         value, hist, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
         value_copy, hist_copy, _ = roof._solve_on_grid(
             s, grid, copied, simplex.DEFAULT_MAX_ITER
@@ -110,7 +116,8 @@ class TestAssemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.5 * grid.rows.nbytes
+        # the objective, plus one block's temporaries
+        assert peak <= 1.25 * 8 * grid.n_points
 
     def test_requires_matching_rank(self):
         with pytest.raises(ValueError, match="rank"):
@@ -250,6 +257,33 @@ class TestMonotonicity:
             eb, _ = estimate_nonclassicality(state(n, pb), delta)
             em, _ = estimate_nonclassicality(state(n, mix), delta)
             assert em <= lam * ea + (1 - lam) * eb + 1e-8
+
+
+class TestColumnIndex:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            build_grid(2, 0.1),
+            build_grid(3, 0.1),
+            build_grid(4, 0.2),
+            neighborhood_grid(3, 0.05, np.array([[3, 2], [3, 12], [7, 0]]) * 0.05, 0.1),
+            neighborhood_grid(4, 0.1, np.array([[0, 6, 8], [2, 4, 0], [2, 4, 6]]) * 0.1, 0.1),
+        ],
+    )
+    def test_every_column_and_nothing_else(self, grid):
+        squares = grid.rows.block(0, grid.n_points)[1:]
+        on_grid = set()
+        for j, key in enumerate(map(tuple, squares.T.tolist())):
+            assert roof._column_index(grid, key) == j
+            on_grid.add(key)
+        # every point of the full lattice at this spacing that the grid lacks
+        full = build_grid(grid.rank, grid.delta)
+        for key in map(tuple, full.rows.block(0, full.n_points)[1:].T.tolist()):
+            if key not in on_grid:
+                assert roof._column_index(grid, key) == -1
+        # outside the ball, and between two lattice values
+        for last in (1.5, 1e-3):
+            assert roof._column_index(grid, (0.0,) * (grid.rank - 2) + (last,)) == -1
 
 
 class TestRefine:

@@ -282,15 +282,15 @@ class TestLatticeProgram:
     def test_row_major_and_column_major_agree(self, program, request):
         # the layout changes how pricing rounds, and so may move pivots,
         # but not the optimal vertex
+        # (here: the run form against the dense matrix in both layouts)
         lp = request.getfixturevalue(program)
-        assert lp.row_matrix.flags.c_contiguous
-        by_column = StandardFormLp(
-            lp.objective, np.asfortranarray(lp.row_matrix), lp.rhs
-        )
-        sol, ref = solve(lp), solve(by_column)
-        assert sol.status is ref.status is LpStatus.OPTIMAL
-        assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
-        assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-12)
+        dense = lp.row_matrix.block(0, lp.n_cols)
+        sol = solve(lp)
+        for matrix in (dense, np.asfortranarray(dense)):
+            ref = solve(StandardFormLp(lp.objective, matrix, lp.rhs))
+            assert sol.status is ref.status is LpStatus.OPTIMAL
+            assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
+            assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-12)
 
     def test_solve_makes_no_copy_of_the_matrix(self, lp):
         tracemalloc.start()
@@ -299,7 +299,34 @@ class TestLatticeProgram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < lp.row_matrix.nbytes
+        assert peak < 8 * lp.n_rows * lp.n_cols  # the dense matrix's bytes
+
+
+class TestRunMatrix:
+    def test_dense_pricing_is_c_minus_y_a(self):
+        rng = np.random.default_rng(3)
+        a, c, y = rng.normal(size=(5, 40000)), rng.normal(size=40000), rng.normal(size=5)
+        dense = simplex._run_form(a)
+        for lo, hi in ((0, 16384), (16384, 32768), (32768, 40000), (0, 40000)):
+            got = simplex._price_block(c, dense, y, lo, hi)
+            assert got.tobytes() == (c[lo:hi] - y @ a[:, lo:hi]).tobytes()
+
+    @pytest.mark.parametrize("rank,delta", [(2, 0.01), (4, 0.05), (6, 0.1)])
+    def test_run_form_reads_as_its_dense_matrix(self, rank, delta):
+        rows = build_grid(rank, delta).rows
+        n = rows.shape[1]
+        dense = rows.block(0, n)
+        assert dense.shape == rows.shape == (rank, n)
+        for lo in range(0, n, 997):
+            hi = min(lo + 997, n)
+            np.testing.assert_array_equal(rows.block(lo, hi), dense[:, lo:hi])
+        idx = np.random.default_rng(0).integers(0, n, size=50)
+        np.testing.assert_array_equal(rows.columns(idx), dense[:, idx])
+        y = np.random.default_rng(1).normal(size=rank)
+        for lo, hi in ((0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3)):
+            np.testing.assert_allclose(
+                rows.dot(y, lo, hi), y @ dense[:, lo:hi], rtol=1e-14, atol=1e-15
+            )
 
 
 class TestStart:
