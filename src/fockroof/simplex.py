@@ -103,17 +103,9 @@ class RunMatrix:
         self.starts = _read_only(starts)
         self.col_rows = _read_only(col_rows)
 
-    @classmethod
-    def dense(cls, a: np.ndarray) -> RunMatrix:
-        return cls(np.empty((0, 1)), np.zeros(1, dtype=np.intp), a)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.run_rows.shape[0] + self.col_rows.shape[0], self.col_rows.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        return self.run_rows.nbytes + self.starts.nbytes + self.col_rows.nbytes
 
     def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
         """The runs that meet columns lo:hi, and how many of those columns
@@ -169,7 +161,7 @@ def _run_form(row_matrix) -> RunMatrix:
     run with no run rows, not copied."""
     if isinstance(row_matrix, RunMatrix):
         return row_matrix
-    return RunMatrix.dense(row_matrix)
+    return RunMatrix(np.empty((0, 1)), np.zeros(1, dtype=np.intp), row_matrix)
 
 
 @dataclass(frozen=True)
@@ -302,7 +294,8 @@ class _Tableau:
 
 
 def _price_block(c, a, y, lo, hi):
-    return c[lo:hi] - a.dot(y, lo, hi)
+    d = a.dot(y, lo, hi)
+    return np.subtract(c[lo:hi], d, out=d)
 
 
 def _choose_entering(c, a, y, cursor, block, tol, bland):

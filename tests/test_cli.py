@@ -366,9 +366,12 @@ class TestGridInfo:
             "rows"
         ][0]
         grid = build_grid(m, delta)
-        assert row["grid_bytes"] == grid.rows.nbytes
+        rows = grid.rows
+        grid_bytes = rows.run_rows.nbytes + rows.starts.nbytes + rows.col_rows.nbytes
+        assert row["grid_bytes"] == grid_bytes
         lp = assemble_lp(FockDiagonalState(0, np.full(m, 1.0 / m)), grid)
-        assert row["lp_bytes"] == lp.row_matrix.nbytes + lp.objective.nbytes
+        assert lp.row_matrix is rows
+        assert row["lp_bytes"] == grid_bytes + lp.objective.nbytes
 
 
 class TestDumpLp:
