@@ -118,14 +118,21 @@ class RunMatrix:
 
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
-        over its columns, plus the column rows' products.  ``np.dot`` gives
-        the bits of ``@`` here, and stays on BLAS for a single column row."""
+        over its columns, plus the column rows' products."""
         p = self.run_rows.shape[0]
-        out = np.dot(y[p:], self.col_rows[:, lo:hi])
+        cols = self.col_rows[:, lo:hi]
+        # the same bits either way: matmul has no BLAS path for a single
+        # row, and np.dot copies a matrix whose rows are strided
+        out = np.dot(y[p:], cols) if len(cols) == 1 else y[p:] @ cols
         if p:
             runs, counts = self.span(lo, hi)
-            out += np.repeat(np.dot(y[:p], self.run_rows[:, runs]), counts)
+            out += np.repeat(y[:p] @ self.run_rows[:, runs], counts)
         return out
+
+    def column(self, j: int) -> np.ndarray:
+        """The dense column ``A[:, j]``."""
+        run = self.starts.searchsorted(j, side="right") - 1
+        return np.concatenate((self.run_rows[:, run], self.col_rows[:, j]))
 
     def columns(self, idx) -> np.ndarray:
         """The dense columns ``A[:, idx]``."""
@@ -370,7 +377,7 @@ def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
         )
         if entering < 0:
             return "optimal", pivots
-        w = tab.b_inv @ tab.a.columns([entering])[:, 0]
+        w = tab.b_inv @ tab.a.column(entering)
         leaving = _choose_leaving(tab, w, bland)
         if leaving < 0:
             return "unbounded", pivots
@@ -406,7 +413,7 @@ def _drive_out_artificials(tab: _Tableau):
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         entering = next((int(j) for j in candidates if j not in in_basis), -1)
         if entering >= 0:
-            w = tab.b_inv @ tab.a.columns([entering])[:, 0]
+            w = tab.b_inv @ tab.a.column(entering)
             tab.pivot(entering, r, w)
         else:
             drop.append(r)
