@@ -314,7 +314,7 @@ def neighborhood_grid(
     first = first[order]
     # offset each prefix's values past the previous prefix's, so that one
     # running maximum of the run ends serves every prefix
-    same = np.ones(max(first.size - 1, 0), dtype=bool)
+    same = np.ones_like(first[1:], dtype=bool)
     for col in prefix:
         same &= col[1:] == col[:-1]
     offset = np.concatenate([[0], np.cumsum(~same)]) * (isqrt(limit) + 2)
@@ -322,7 +322,7 @@ def neighborhood_grid(
     fresh = np.ones(first.size, dtype=bool)
     np.greater(offset[1:] + first[1:], reach[:-1], out=fresh[1:])
     heads = np.flatnonzero(fresh)
-    ends = reach[np.append(heads[1:], first.size) - 1] - offset[heads]
+    ends = np.concatenate([reach[heads[1:] - 1], reach[-1:]]) - offset[heads]
     counts = ends - first[heads]
     n_points = int(counts.sum())
     if n_points > DEFAULT_MAX_POINTS:

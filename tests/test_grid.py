@@ -377,6 +377,8 @@ class TestNeighborhood:
         fine = neighborhood_grid(3, 0.1, centers, radius=0.2)
         expected = reference_neighborhood(0.1, np.rint(centers / 0.1), 0.1, 0.2)
         np.testing.assert_array_equal(lattice_of(fine), expected)
+        # the first box alone holds no point
+        assert neighborhood_grid(3, 0.1, centers[:1], radius=0.2).n_points == 0
 
     def test_boxes_are_not_materialized_whole(self, monkeypatch):
         # each box is enumerated inside the ball only, so the transient
