@@ -129,14 +129,9 @@ class RunMatrix:
             out += np.repeat(y[:p] @ self.run_rows[:, runs], counts)
         return out
 
-    def column(self, j: int) -> np.ndarray:
-        """The dense column ``A[:, j]``."""
-        run = self.starts.searchsorted(j, side="right") - 1
-        return np.concatenate((self.run_rows[:, run], self.col_rows[:, j]))
-
     def columns(self, idx) -> np.ndarray:
-        """The dense columns ``A[:, idx]``."""
-        idx = np.asarray(idx, dtype=np.intp)
+        """The dense columns ``A[:, idx]``: one column for an integer index,
+        a matrix for an index sequence."""
         runs = self.starts.searchsorted(idx, side="right") - 1
         return np.concatenate((self.run_rows[:, runs], self.col_rows[:, idx]))
 
@@ -377,7 +372,7 @@ def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
         )
         if entering < 0:
             return "optimal", pivots
-        w = tab.b_inv @ tab.a.column(entering)
+        w = tab.b_inv @ tab.a.columns(entering)
         leaving = _choose_leaving(tab, w, bland)
         if leaving < 0:
             return "unbounded", pivots
@@ -413,7 +408,7 @@ def _drive_out_artificials(tab: _Tableau):
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         entering = next((int(j) for j in candidates if j not in in_basis), -1)
         if entering >= 0:
-            w = tab.b_inv @ tab.a.column(entering)
+            w = tab.b_inv @ tab.a.columns(entering)
             tab.pivot(entering, r, w)
         else:
             drop.append(r)

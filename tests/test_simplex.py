@@ -323,7 +323,7 @@ class TestRunMatrix:
         idx = np.random.default_rng(0).integers(0, n, size=50)
         np.testing.assert_array_equal(rows.columns(idx), dense[:, idx])
         for j in idx[:5]:
-            np.testing.assert_array_equal(rows.column(j), dense[:, j])
+            np.testing.assert_array_equal(rows.columns(j), dense[:, j])
         y = np.random.default_rng(1).normal(size=rank)
         for lo, hi in ((0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3)):
             np.testing.assert_allclose(
