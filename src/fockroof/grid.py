@@ -126,12 +126,13 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return root
 
 
-def _runs(first, counts: np.ndarray) -> np.ndarray:
+def _runs(first, counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     """``f, f + 1, ..., f + c - 1`` for each run's first value f (one for all
-    runs or one per run) and count c >= 1 in turn, as one int64 array: unit
-    steps with a jump at each run's start, summed in place."""
+    runs or one per run) and count c >= 1 in turn, as one array: unit steps
+    with a jump at each run's start, summed in place.  Float64 sums of these
+    integers are exact."""
     first = np.broadcast_to(first, counts.shape)
-    steps = np.ones(int(counts.sum()), dtype=np.int64)
+    steps = np.ones(int(counts.sum()), dtype=dtype)
     steps[np.cumsum(counts[:-1])] = first[1:] - first[:-1] - counts[:-1] + 1
     steps[:1] = first[:1]
     return np.cumsum(steps, out=steps)
@@ -212,10 +213,11 @@ class AmplitudeGrid:
             np.square(run_rows[k], out=run_rows[k])
         starts = np.zeros(counts.size, dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
-        last = np.empty((1, int(counts.sum())))
-        np.multiply(_runs(first, counts), self.delta, out=last[0])
+        # the last coordinates are made as floats, in the array they become
+        last = _runs(first, counts, dtype=float)
+        np.multiply(last, self.delta, out=last)
         np.square(last, out=last)
-        self.rows = RunMatrix(run_rows, starts, last)
+        self.rows = RunMatrix(run_rows, starts, last[None, :])
 
     @property
     def n_points(self) -> int:
