@@ -26,7 +26,7 @@ from .grid import (
     GridCapacityError,
     build_grid,
     checked_count,
-    count_grid_points,
+    grid_nbytes,
 )
 from .metrology import quadrature_qfi
 from .phases import classify, classify_many
@@ -308,12 +308,8 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_grid_info(args) -> int:
     points = checked_count(args.m, args.delta, DEFAULT_MAX_POINTS)
-    # the grid is the LP's row matrix in run form: per run of the last
-    # coordinate, one per point of the rank M - 1 lattice, the ones row, the
-    # M - 2 squared prefix coordinates and the run's start; per point, the
-    # last coordinate's square.  The LP adds its objective and no copy.
-    runs = count_grid_points(args.m - 1, args.delta) if args.m > 2 else 1
-    grid_bytes = 8 * (points + runs * args.m)
+    # the grid is the LP's row matrix; the LP adds its objective and no copy
+    grid_bytes = grid_nbytes(args.m, args.delta, points)
     lp_bytes = grid_bytes + 8 * points
     rows = [
         {

@@ -13,11 +13,14 @@ run of consecutive values of the last coordinate.
 A grid is the LP's row matrix and nothing else, a
 :class:`~fockroof.simplex.RunMatrix` in run form: per run, the ones row and
 the M - 2 squared prefix coordinates (l_k*delta)², and the column where the
-run starts; per point, only the squared last coordinate.  At rank 6 and
-delta = 0.05 that is 58,201 runs for 662,629 points, 8.1 MB instead of the
-31.8 MB of the dense (M, N) matrix.  Amplitudes are recomputed from the
-squares where they are needed; the square root of a correctly rounded
-square is exact, so they are the same bits as l_k*delta.
+run starts; per point, only the step l of the last coordinate, as a code
+into the table of the isqrt(L) + 1 squares (l*delta)².  A code takes one
+byte while isqrt(L) <= 255, that is for delta above about 1/256.  At rank 6
+and delta = 0.05 that is 58,201 runs for 662,629 points, 3.5 MB instead of
+the 31.8 MB of the dense (M, N) matrix, or the 8.1 MB of one float per
+point.  Amplitudes are recomputed from the squares where they are needed;
+the square root of a correctly rounded square is exact, so they are the
+same bits as l_k*delta.
 """
 
 from __future__ import annotations
@@ -115,6 +118,16 @@ def checked_count(rank: int, delta: float, max_points: int) -> int:
     return n
 
 
+def grid_nbytes(rank: int, delta: float, points: int) -> int:
+    """Bytes of the arrays of a rank-M grid of ``points`` points, without
+    building it: per run, the ones row, the M - 2 squared prefix coordinates
+    and the run's start; per point, one code; and the table of squares.  The
+    runs are the points of the rank M - 1 lattice, one run at rank 2."""
+    top = isqrt(_lattice_radius_sq(delta))
+    runs = count_grid_points(rank - 1, delta) if rank > 2 else 1
+    return 8 * rank * runs + points * np.min_scalar_type(top).itemsize + 8 * (top + 1)
+
+
 def _isqrt(values: np.ndarray) -> np.ndarray:
     """Elementwise floor(sqrt(v)) of nonnegative int64 values, exactly.
 
@@ -128,12 +141,14 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
 
 def _runs(first, counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     """``f, f + 1, ..., f + c - 1`` for each run's first value f (one for all
-    runs or one per run) and count c >= 1 in turn, as one array: unit steps
-    with a jump at each run's start, summed in place.  Float64 sums of these
-    integers are exact."""
+    runs or one per run) and count c >= 1 in turn, as one array of ``dtype``:
+    unit steps with a jump at each run's start, summed in place.  In an
+    unsigned dtype a negative jump wraps, but the sum is exact modulo 2**bits,
+    so every value that fits the dtype comes out right."""
     first = np.broadcast_to(first, counts.shape)
     steps = np.ones(int(counts.sum()), dtype=dtype)
-    steps[np.cumsum(counts[:-1])] = first[1:] - first[:-1] - counts[:-1] + 1
+    jumps = first[1:] - first[:-1] - counts[:-1] + 1
+    steps[np.cumsum(counts[:-1])] = jumps.astype(dtype)
     steps[:1] = first[:1]
     return np.cumsum(steps, out=steps)
 
@@ -188,24 +203,27 @@ class AmplitudeGrid:
     ``rows``, the only array data held, is a read-only
     :class:`~fockroof.simplex.RunMatrix` of shape (rank, n_points).  Its run
     rows are the ones row and the squared prefix coordinates (l_k*delta)²,
-    k = 1..M-2, once per run; its one column row is the squared last
-    coordinate of every point.  The grid is built from ``prefix``, the M - 2
-    integer prefix coordinates of each run, ``first``, each run's first last
-    coordinate (one value for all runs or one per run), and ``counts``, each
-    run's length.  The spacing must lie in (0, 1) and the coordinates are
-    integers, so ``rows`` is finite by construction.
+    k = 1..M-2, once per run.  Its one column row is coded: each point keeps
+    the step l of its last coordinate, in the smallest unsigned dtype that
+    holds isqrt(L), and the table holds (l*delta)² for l = 0..isqrt(L).  The
+    grid is built from ``prefix``, the M - 2 integer prefix coordinates of
+    each run, ``first``, each run's first last coordinate (one value for all
+    runs or one per run), and ``counts``, each run's length.  The spacing
+    must lie in (0, 1) and the coordinates are integers, so ``rows`` is
+    finite by construction.
     """
 
     def __init__(self, rank: int, delta: float, prefix, first, counts):
         self.rank = rank
         self.delta = float(delta)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        top = isqrt(_lattice_radius_sq(self.delta))  # checks the spacing
         if len(prefix) != rank - 2:
             raise ValueError(f"need {rank - 2} prefix coordinates, got {len(prefix)}")
         for col in (*prefix, np.asarray(first), counts):
             if col.dtype.kind not in "iu":
                 raise ValueError(f"lattice coordinates are {col.dtype}, not integer")
+        if counts.size and (np.min(first) < 0 or np.max(first + counts) - 1 > top):
+            raise ValueError(f"last coordinates must lie in [0, {top}]")
         run_rows = np.empty((rank - 1, counts.size))
         run_rows[0] = 1.0
         for k, col in enumerate(prefix, start=1):
@@ -213,11 +231,13 @@ class AmplitudeGrid:
             np.square(run_rows[k], out=run_rows[k])
         starts = np.zeros(counts.size, dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
-        # the last coordinates are made as floats, in the array they become
-        last = _runs(first, counts, dtype=float)
-        np.multiply(last, self.delta, out=last)
-        np.square(last, out=last)
-        self.rows = RunMatrix(run_rows, starts, last[None, :])
+        # the codes are made in their own dtype; the table's squares are the
+        # products that built every lattice row, (l*delta)*(l*delta)
+        codes = _runs(first, counts, dtype=np.min_scalar_type(top))
+        table = np.arange(top + 1.0)
+        np.multiply(table, self.delta, out=table)
+        np.square(table, out=table)
+        self.rows = RunMatrix(run_rows, starts, codes[None, :], table)
 
     @property
     def n_points(self) -> int:
@@ -251,7 +271,7 @@ class AmplitudeGrid:
             hi = min(lo + _BLOCK, self.n_points)
             runs, counts = rows.span(lo, hi)
             prefix = rows.run_rows[1:, runs]
-            last = rows.col_rows[0, lo:hi]
+            last = np.take(rows.table, rows.col_rows[0, lo:hi])
             acc = alpha[lo:hi]
             norm = np.zeros(counts.size)
             for sq in prefix:

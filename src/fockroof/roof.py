@@ -8,12 +8,13 @@ weights, one column per lattice point: the LP optimum is a one-sided
 (never-below) estimate of the true nonclassicality that tightens as the
 spacing shrinks.  The lattice is held as the LP's row matrix, shared by
 every program on it: runs of consecutive last coordinates, whose ones row
-and squared prefix coordinates are stored once per run, so pricing reads
-one float row per column.  An optimal histogram is returned as the amplitude
-vectors of its support and their weights, and is checked against the
-populations before it is returned.  Phases never need to be enumerated; the
-histogram expands into an explicit ensemble by splitting every support point
-across roots-of-unity phase patterns.
+and squared prefix coordinates are stored once per run, and one small
+integer code per column into a table of the last coordinate's squares, so
+pricing reads one byte per column.  An optimal histogram is returned as the
+amplitude vectors of its support and their weights, and is checked against
+the populations before it is returned.  Phases never need to be enumerated;
+the histogram expands into an explicit ensemble by splitting every support
+point across roots-of-unity phase patterns.
 """
 
 from __future__ import annotations
@@ -174,21 +175,28 @@ def _column_index(grid: AmplitudeGrid, key: tuple[float, ...]) -> int:
     """Column whose squared coordinates (rows 1.. of the grid) are ``key``,
     or -1.
 
-    The grid's points are in lexicographic order, which the squares of
-    nonnegative coordinates keep, and so are its runs by prefix and first
-    value.  The last run at or before ``key`` is the only one that can hold
-    it.
+    The last square is looked up in the grid's table of squares, which
+    gives its step l.  The grid's runs are in lexicographic order of prefix
+    and first step, which the squares of nonnegative coordinates keep, so
+    the last run at or before ``(prefix, l)`` is the only one that can hold
+    the point, at ``l`` minus the run's first step past its start.
     """
     rows = grid.rows
-    prefix, last, starts = rows.run_rows[1:], rows.col_rows[0], rows.starts
+    prefix, starts, codes = rows.run_rows[1:], rows.starts, rows.col_rows[0]
+    table = rows.table
+    l = int(np.searchsorted(table, key[-1]))
+    if l == table.size or table[l] != key[-1]:
+        return -1
     r = bisect_right(
-        range(starts.size), key, key=lambda r: (*prefix[:, r].tolist(), last[starts[r]])
+        range(starts.size),
+        (*key[:-1], l),
+        key=lambda r: (*prefix[:, r].tolist(), int(codes[starts[r]])),
     ) - 1
     if r < 0 or tuple(prefix[:, r].tolist()) != key[:-1]:
         return -1
-    end = starts[r + 1] if r + 1 < starts.size else last.size
-    j = int(starts[r] + np.searchsorted(last[starts[r] : end], key[-1]))
-    return j if j < end and last[j] == key[-1] else -1
+    end = starts[r + 1] if r + 1 < starts.size else codes.size
+    j = int(starts[r]) + l - int(codes[starts[r]])
+    return j if j < end else -1
 
 
 def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | None:

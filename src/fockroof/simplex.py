@@ -34,10 +34,13 @@ are stored once per run of consecutive columns and the other rows once per
 column, and a block is priced as
 ``c - (repeat(y[:p] @ run_rows[:, runs of the block]) + y[p:] @ col_rows)``.
 A lattice program has p = M - 1 (the ones row and the squared prefix
-coordinates, ``grid.AmplitudeGrid``) and one column row, so pricing reads one
-float per column besides the objective.  A dense program is the case p = 0
-with one run, priced as ``c - y @ A`` bit for bit.  Basis and entering
-columns are gathered through the run starts.
+coordinates, ``grid.AmplitudeGrid``) and one coded column row: each column
+holds a small integer code into a table of the row's values, and the row is
+priced as ``take(y[p] * table, codes)``, one product per column and the same
+bits as ``y[p] * values``.  So pricing reads one byte per column besides the
+objective.  A dense program is the case p = 0 with one run and no table,
+priced as ``c - y @ A`` bit for bit.  Basis and entering columns are
+gathered through the run starts.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
@@ -93,15 +96,26 @@ class RunMatrix:
 
     Run r is the columns ``starts[r] <= j < starts[r + 1]`` (the last run
     ends at the last column), and ``starts[0]`` is 0.  Row i < p of every
-    column of run r is ``run_rows[i, r]``; row p + i of column j is
-    ``col_rows[i, j]``.  A dense matrix is the case p = 0 with one run.  The
-    three arrays are held as read-only views.
+    column of run r is ``run_rows[i, r]``.  Row p + i of column j is
+    ``col_rows[i, j]``, or ``table[col_rows[i, j]]`` when a ``table`` is
+    given: then the column rows are integer codes into it, and there is at
+    most one.  A dense matrix is the case p = 0 with one run and no table.
+    The arrays are held as read-only views.
     """
 
-    def __init__(self, run_rows: np.ndarray, starts: np.ndarray, col_rows: np.ndarray):
+    def __init__(
+        self,
+        run_rows: np.ndarray,
+        starts: np.ndarray,
+        col_rows: np.ndarray,
+        table: np.ndarray | None = None,
+    ):
+        if table is not None and col_rows.shape[0] > 1:
+            raise ValueError("a coded matrix has at most one column row")
         self.run_rows = _read_only(run_rows)
         self.starts = _read_only(starts)
         self.col_rows = _read_only(col_rows)
+        self.table = None if table is None else _read_only(table)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -116,14 +130,25 @@ class RunMatrix:
         edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
         return slice(first, end), edges[1:] - edges[:-1]
 
+    def _values(self, cols: np.ndarray) -> np.ndarray:
+        """Column rows read from ``col_rows`` as floats."""
+        return cols if self.table is None else self.table[cols]
+
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
         over its columns, plus the column rows' products."""
         p = self.run_rows.shape[0]
         cols = self.col_rows[:, lo:hi]
-        # the same bits either way: matmul has no BLAS path for a single
-        # row, and np.dot copies a matrix whose rows are strided
-        out = np.dot(y[p:], cols) if len(cols) == 1 else y[p:] @ cols
+        if self.table is not None:
+            # one product per table entry, gathered: the same bits as the
+            # product of y[p] with each column's value
+            out = np.take(y[p] * self.table, cols[0]) if len(cols) else np.zeros(hi - lo)
+        elif len(cols) == 1:
+            # the same bits as matmul, which has no BLAS path for a single
+            # row; np.dot copies a matrix whose rows are strided
+            out = np.dot(y[p:], cols)
+        else:
+            out = y[p:] @ cols
         if p:
             runs, counts = self.span(lo, hi)
             out += np.repeat(y[:p] @ self.run_rows[:, runs], counts)
@@ -133,28 +158,37 @@ class RunMatrix:
         """The dense columns ``A[:, idx]``: one column for an integer index,
         a matrix for an index sequence."""
         runs = self.starts.searchsorted(idx, side="right") - 1
-        return np.concatenate((self.run_rows[:, runs], self.col_rows[:, idx]))
+        return np.concatenate((self.run_rows[:, runs], self._values(self.col_rows[:, idx])))
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """The dense columns ``A[:, lo:hi]``."""
         runs, counts = self.span(lo, hi)
         return np.concatenate(
-            (np.repeat(self.run_rows[:, runs], counts, axis=1), self.col_rows[:, lo:hi])
+            (
+                np.repeat(self.run_rows[:, runs], counts, axis=1),
+                self._values(self.col_rows[:, lo:hi]),
+            )
         )
 
     def scaled(self, signs: np.ndarray) -> RunMatrix:
-        """A copy with row i multiplied by ``signs[i]``."""
+        """A copy with row i multiplied by ``signs[i]``; a coded row's table
+        is scaled, which is exact for signs of one, and its codes shared."""
         p = self.run_rows.shape[0]
-        return RunMatrix(
-            self.run_rows * signs[:p, None], self.starts, self.col_rows * signs[p:, None]
-        )
+        run_rows = self.run_rows * signs[:p, None]
+        if self.table is None:
+            return RunMatrix(run_rows, self.starts, self.col_rows * signs[p:, None])
+        table = self.table * signs[p] if len(self.col_rows) else self.table
+        return RunMatrix(run_rows, self.starts, self.col_rows, table)
 
     def rows(self, keep: Sequence[int]) -> RunMatrix:
         """The rows ``keep``, in increasing order."""
         keep = np.asarray(keep, dtype=np.intp)
         p = self.run_rows.shape[0]
         return RunMatrix(
-            self.run_rows[keep[keep < p]], self.starts, self.col_rows[keep[keep >= p] - p]
+            self.run_rows[keep[keep < p]],
+            self.starts,
+            self.col_rows[keep[keep >= p] - p],
+            self.table,
         )
 
 

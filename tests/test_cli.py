@@ -360,14 +360,16 @@ class TestGridInfo:
             "points"
         ] == 6
 
-    @pytest.mark.parametrize("m,delta", [(3, 0.05), (4, 0.1)])
+    @pytest.mark.parametrize("m,delta", [(2, 0.002), (3, 0.05), (4, 0.1)])
     def test_byte_estimates_match_the_arrays(self, capsys, m, delta):
         row = run_json(capsys, "grid-info", "--m", str(m), "--delta", str(delta))[
             "rows"
         ][0]
         grid = build_grid(m, delta)
         rows = grid.rows
-        grid_bytes = rows.run_rows.nbytes + rows.starts.nbytes + rows.col_rows.nbytes
+        grid_bytes = sum(
+            arr.nbytes for arr in (rows.run_rows, rows.starts, rows.col_rows, rows.table)
+        )
         assert row["grid_bytes"] == grid_bytes
         lp = assemble_lp(FockDiagonalState(0, np.full(m, 1.0 / m)), grid)
         assert lp.row_matrix is rows

@@ -14,6 +14,7 @@ from fockroof import (
     refine,
     truncated_thermal,
 )
+from fockroof import grid as grid_module
 from fockroof import roof
 from fockroof.grid import DEFAULT_MAX_POINTS, AmplitudeGrid, neighborhood_grid
 
@@ -152,15 +153,17 @@ class TestGridGeometry:
         assert amplitudes_of(grid)[0][0] == pytest.approx(1.0)
         assert amplitudes_of(grid)[0][2] == pytest.approx(0.0)
         # the LP's row matrix, read-only, and nothing else: rank 2 is one run
-        # with the ones row, and one square per point
+        # with the ones row, and one code per point into the table of squares
         assert sorted(vars(grid)) == ["delta", "rank", "rows"]
         rows = grid.rows
-        for arr in (rows.run_rows, rows.starts, rows.col_rows):
+        for arr in (rows.run_rows, rows.starts, rows.col_rows, rows.table):
             assert arr.flags.c_contiguous
             assert not arr.flags.writeable
         assert rows.run_rows.tolist() == [[1.0]]
         assert rows.starts.tolist() == [0]
-        assert rows.col_rows.tolist() == [[0.0, 0.25, 1.0]]
+        assert rows.col_rows.dtype == np.uint8
+        assert rows.col_rows.tolist() == [[0, 1, 2]]
+        assert rows.table.tolist() == [0.0, 0.25, 1.0]
         np.testing.assert_array_equal(rows.block(0, 3), [[1.0] * 3, [0.0, 0.25, 1.0]])
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.inf, math.nan])
@@ -187,6 +190,27 @@ class TestGridGeometry:
             x0, (x1, x2) = amplitudes_of(grid)[0][i], amplitudes_of(grid)[1:].T[i]
             alpha = x0 * x1 * np.sqrt(2.0) + x1 * x2 * np.sqrt(3.0)
             assert coeffs[i] == pytest.approx(alpha**2, abs=1e-14)
+
+
+class TestRuns:
+    @pytest.mark.parametrize("dtype,top", [(np.uint8, 255), (np.uint16, 500)])
+    def test_narrow_runs_equal_the_int64_runs(self, dtype, top):
+        # first values fall from one run to the next, as in a neighbourhood,
+        # so the narrow jumps wrap; top 500 is isqrt(L) at delta = 0.002
+        rng = np.random.default_rng(7)
+        first = rng.integers(0, top + 1, size=300)
+        counts = rng.integers(1, top + 2 - first)
+        assert np.any(first[1:] < first[:-1])
+        assert (first + counts - 1).max() <= top
+        runs = grid_module._runs(first, counts, dtype=dtype)
+        assert runs.dtype == dtype
+        np.testing.assert_array_equal(runs, grid_module._runs(first, counts))
+
+    def test_codes_outside_the_table_are_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(2, 0.5, [], 1, np.array([3]))
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(3, 0.5, [np.array([0, 1])], np.array([0, -1]), np.array([2, 2]))
 
 
 def stored_amplitudes(lattice, delta):
@@ -248,10 +272,11 @@ def traced_peak(call):
 class TestMemory:
     @pytest.mark.parametrize("rank,delta", [(4, 0.00999), (6, 0.05)])
     def test_build_holds_one_coordinate_beside_the_rows(self, rank, delta):
-        # the prefixes stay one entry per run, and only the last coordinate
-        # is as long as the grid; bounded by the dense (M, N) matrix's bytes
+        # the prefixes stay one entry per run, and only the last coordinate's
+        # codes are as long as the grid; bounded by the dense (M, N) matrix's
+        # bytes
         grid, peak = traced_peak(lambda: build_grid(rank, delta))
-        assert peak <= 0.6 * 8 * rank * grid.n_points
+        assert peak <= 0.25 * 8 * rank * grid.n_points
 
     def test_refinement_peak(self):
         full = 8 * 6 * build_grid(6, 0.05).n_points  # the dense row matrix
@@ -260,7 +285,7 @@ class TestMemory:
             _, peak = traced_peak(lambda: refine(truncated_thermal(0.5, 6), 0.05, 3))
         # one grid at a time: the previous level's grid is freed before the
         # next is built
-        assert peak <= 0.65 * full
+        assert peak <= 0.35 * full
 
 
 class TestCapacity:

@@ -264,6 +264,7 @@ class TestColumnIndex:
         "grid",
         [
             build_grid(2, 0.1),
+            build_grid(2, 0.002),
             build_grid(3, 0.1),
             build_grid(4, 0.2),
             neighborhood_grid(3, 0.05, np.array([[3, 2], [3, 12], [7, 0]]) * 0.05, 0.1),

@@ -18,7 +18,8 @@ from fockroof import (
     write_lp,
 )
 from fockroof import roof, simplex
-from fockroof.simplex import read_lp
+from fockroof.grid import neighborhood_grid
+from fockroof.simplex import RunMatrix, read_lp
 
 
 def residuals(lp, sol):
@@ -329,6 +330,47 @@ class TestRunMatrix:
             np.testing.assert_allclose(
                 rows.dot(y, lo, hi), y @ dense[:, lo:hi], rtol=1e-14, atol=1e-15
             )
+
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            build_grid(4, 0.05),
+            build_grid(2, 0.002),
+            neighborhood_grid(3, 0.002, np.array([[0.3, 0.5], [0.31, 0.2]]), 0.01),
+        ],
+        ids=["uint8", "uint16", "uint16-neighbourhood"],
+    )
+    def test_coded_row_reads_as_its_expansion(self, grid):
+        # the coded row against the same run form with the row's values
+        # stored as floats, bit for bit
+        rows = grid.rows
+        assert rows.col_rows.dtype == (np.uint8 if grid.delta == 0.05 else np.uint16)
+        expanded = RunMatrix(rows.run_rows, rows.starts, rows.table[rows.col_rows])
+        n, p = rows.shape[1], rows.run_rows.shape[0]
+        rng = np.random.default_rng(2)
+        y = rng.normal(size=grid.rank)
+        idx = rng.integers(0, n, size=50)
+        spans = [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3)]
+        signs = np.where(np.arange(grid.rank) % 2, -1.0, 1.0)
+        pairs = [
+            (rows, expanded),
+            (rows.scaled(signs), expanded.scaled(signs)),
+            (rows.scaled(-signs), expanded.scaled(-signs)),
+            (rows.rows(range(p)), expanded.rows(range(p))),  # the coded row dropped
+            (rows.rows(range(1, p + 1)), expanded.rows(range(1, p + 1))),
+        ]
+        for coded, dense in pairs:
+            assert coded.shape == dense.shape
+            k = coded.shape[0]
+            assert coded.columns(idx).tobytes() == dense.columns(idx).tobytes()
+            assert coded.columns(idx[0]).tobytes() == dense.columns(idx[0]).tobytes()
+            for lo, hi in spans:
+                assert coded.block(lo, hi).tobytes() == dense.block(lo, hi).tobytes()
+                got, want = coded.dot(y[:k], lo, hi), dense.dot(y[:k], lo, hi)
+                assert got.tobytes() == want.tobytes()
+        # the codes are shared, not copied
+        assert np.shares_memory(rows.scaled(signs).col_rows, rows.col_rows)
 
 
 class TestStart:
