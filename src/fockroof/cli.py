@@ -257,6 +257,8 @@ def _cmd_sweep(args, rank: int) -> int:
             lps = dict(zip(windows, pool.map(lp_value, windows)))
     else:
         lps = {idx: lp_value(idx) for idx in windows}
+    # the lattice LPs are freed before the output rows are built
+    del lattices, lp_value
     rows = []
     for idx, (top, label, value) in enumerate(zip(tops.tolist(), labels, values.tolist())):
         row = {f"p{rank - 1 - d}": p for d, p in enumerate(top)}
