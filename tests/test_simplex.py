@@ -371,6 +371,9 @@ class TestRunMatrix:
                 assert got.tobytes() == want.tobytes()
         # the codes are shared, not copied
         assert np.shares_memory(rows.scaled(signs).col_rows, rows.col_rows)
+        # one table serves one coded row
+        with pytest.raises(ValueError, match="one column row"):
+            RunMatrix(rows.run_rows, rows.starts, np.vstack([rows.col_rows] * 2), rows.table)
 
 
 class TestStart:
