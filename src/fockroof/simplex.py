@@ -172,7 +172,7 @@ class RunMatrix:
 
     def scaled(self, signs: np.ndarray) -> RunMatrix:
         """A copy with row i multiplied by ``signs[i]``; a coded row's table
-        is scaled, which is exact for signs of one, and its codes shared."""
+        is scaled, which is exact for signs of ±1, and its codes shared."""
         p = self.run_rows.shape[0]
         run_rows = self.run_rows * signs[:p, None]
         if self.table is None:
