@@ -9,28 +9,13 @@ bound cross-check the LP from above and below.
 
 from .grid import AmplitudeGrid, GridCapacityError, build_grid, count_grid_points
 from .metrology import QfiReport, quadrature_qfi
-from .phases import (
-    AnsatzResult,
-    DegenerateStateError,
-    PhaseLabel,
-    classify,
-    classify_many,
-    classify_rank3,
-    classify_rank4,
-    rank3_lower_pair,
-    rank3_triplet,
-    rank3_upper_pair,
-    rank4_pair,
-    rank4_triplet,
-)
+from .phases import AnsatzResult, PhaseLabel, classify, classify_many
 from .roof import (
-    DecompositionKind,
+    Estimate,
     ExplicitDecomposition,
     GridResolutionWarning,
-    Histogram,
     SolverFailure,
     assemble_lp,
-    classify_decomposition,
     estimate_nonclassicality,
     expand_histogram,
     refine,
@@ -61,13 +46,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeGrid",
     "AnsatzResult",
-    "DecompositionKind",
-    "DegenerateStateError",
+    "Estimate",
     "ExplicitDecomposition",
     "FockDiagonalState",
     "GridCapacityError",
     "GridResolutionWarning",
-    "Histogram",
     "LpSolution",
     "LpStatus",
     "MomentTriple",
@@ -80,10 +63,7 @@ __all__ = [
     "assemble_lp",
     "build_grid",
     "classify",
-    "classify_decomposition",
     "classify_many",
-    "classify_rank3",
-    "classify_rank4",
     "count_grid_points",
     "estimate_nonclassicality",
     "expand_histogram",
@@ -92,11 +72,6 @@ __all__ = [
     "pure_nonclassicality",
     "quadrature_qfi",
     "rank2_nonclassicality",
-    "rank3_lower_pair",
-    "rank3_triplet",
-    "rank3_upper_pair",
-    "rank4_pair",
-    "rank4_triplet",
     "real_alpha",
     "refine",
     "simple_bound",

@@ -171,12 +171,13 @@ def _cmd_eval(args) -> int:
         support = [{"x": [], "weight": 1.0}]
         decomposition = [{"probability": 1.0, "amplitudes": [{"re": 1.0, "im": 0.0}]}]
     else:
-        n_lp, hist = estimate_nonclassicality(work, args.delta, max_iter=args.max_iter)
+        estimate = estimate_nonclassicality(work, args.delta, max_iter=args.max_iter)
+        n_lp = estimate.value
         support = [
             {"x": [float(v) for v in row[1:]], "weight": float(w)}
-            for row, w in zip(hist.amplitudes, hist.weights)
+            for row, w in zip(estimate.amplitudes, estimate.weights)
         ]
-        decomposition = expand_histogram(work, hist, expansion).to_jsonable()
+        decomposition = expand_histogram(work, estimate, expansion).to_jsonable()
     if work.rank in (3, 4):
         ansatz = classify(work)
         ansatz_label, ansatz_value = ansatz.label.value, float(ansatz.value)
@@ -247,7 +248,7 @@ def _cmd_sweep(args, rank: int) -> int:
         window = windows[idx]
         if window.rank == 1:
             return float(window.offset)
-        return float(lattices.estimate(window, max_iter=args.max_iter)[0])
+        return float(lattices.estimate(window, max_iter=args.max_iter).value)
 
     # the solves' numpy work releases the interpreter lock, so threads overlap it
     if args.threads > 1:
@@ -284,8 +285,8 @@ def _cmd_thermal(args) -> int:
         if m == 1:
             n_lp = 0.0
         else:
-            steps = refine(state, args.delta, args.levels, max_iter=args.max_iter)
-            n_lp = float(steps[-1][1])
+            estimates = refine(state, args.delta, args.levels, max_iter=args.max_iter)
+            n_lp = float(estimates[-1].value)
         # the rank-1 truncation is the vacuum: zero energy, ratio reported as 0
         ratio = n_lp / n_m if n_m > 0 else 0.0
         rows.append(

@@ -243,9 +243,6 @@ class AmplitudeGrid:
     def n_points(self) -> int:
         return self.rows.shape[1]
 
-    def __len__(self) -> int:
-        return self.n_points
-
     def amplitudes(self, columns) -> np.ndarray:
         """(rank, len(columns)) amplitude vectors (x0, l_1*delta, ...) of the
         given points.  The square root of a correctly rounded square is

@@ -17,8 +17,8 @@ form s*(A*sqrt(f) + B*sqrt(1-f))² with A, B >= 0 read off the populations, so
 the maximizer A²/(A²+B²) and the maximum s*(A²+B²) are closed forms.
 
 Each window rank has one array kernel that scores every ansatz on an (N, M)
-population array in one pass (:func:`classify_many`); the per-state functions
-are one-row calls of the same kernels.
+population array in one pass (:func:`classify_many`); :func:`classify` is a
+one-row call of the same kernel.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .states import FockDiagonalState, mean_photons, pow_square, simple_bounds
 
 _TIE_TOL = 1e-12
 _FEAS_TOL = 1e-12
-
-
-class DegenerateStateError(ValueError):
-    """The requested ansatz is undefined for this population pattern."""
 
 
 class PhaseLabel(enum.Enum):
@@ -66,35 +62,18 @@ class AnsatzResult:
     upper_bound_only: bool = False
 
 
-class FractionAnsatz(NamedTuple):
-    """Value, invested fraction and feasibility of a pair or triplet ansatz."""
-
-    value: float
-    fraction: float
-    feasible: bool
-
-
-class Pair21Ansatz(NamedTuple):
-    value: float
-    fraction: float
-    split: float
-    feasible: bool
-
-
 class _Ansatz(NamedTuple):
     """One ansatz on every row of an (N, M) population array.
 
-    ``value`` is inf where the ansatz puts no weight in its atoms.  Where
-    ``degenerate`` is set the ansatz is undefined: it is infeasible there and
-    a one-row call raises ``DegenerateStateError(reason)``.
+    ``value`` is inf where the ansatz puts no weight in its atoms.  Where the
+    ansatz is undefined (its fraction is NaN, or the level it singles out
+    holds the whole population) it is infeasible, so it never wins.
     """
 
     label: PhaseLabel
     value: np.ndarray
     feasible: np.ndarray | bool = True
     params: dict[str, np.ndarray] = {}
-    degenerate: np.ndarray | bool = False
-    reason: str = ""
 
 
 def _best_fraction(s, a, b):
@@ -141,11 +120,11 @@ def _rank3(n: int, pops: np.ndarray) -> list[_Ansatz]:
         _Ansatz(PhaseLabel.TRIPLET, 2.0 * p2 + p1 + n - pow_square(cross) * p1),
         _Ansatz(
             PhaseLabel.UPPER_PAIR, up, (f > 0.0) & (s <= f + _FEAS_TOL),
-            {"f": np.where(f > 0.0, f, 0.0)}, s <= 0.0, "upper-pair ansatz needs p1 + p2 > 0",
+            {"f": np.where(f > 0.0, f, 0.0)},
         ),
         _Ansatz(
             PhaseLabel.LOWER_PAIR, low, (g > 0.0) & (r <= g + _FEAS_TOL),
-            {"g": np.where(g > 0.0, g, 0.0)}, p2 >= 1.0, "lower-pair ansatz needs p2 < 1",
+            {"g": np.where(g > 0.0, g, 0.0)},
         ),
     ]
 
@@ -178,8 +157,7 @@ def _rank4(n: int, pops: np.ndarray) -> list[_Ansatz]:
                     a = a + weight * np.sqrt(p[j] * p[j + 1]) / rest
             f, gain = _best_fraction(rest, a, b)
             feasible = (f >= rest - _FEAS_TOL) & (p[k] < 1.0)
-            reason = f"triplet-{k} ansatz needs p_(n+{k}) < 1"
-            out.append(_Ansatz(label, mean - gain, feasible, {f"f{k}": f}, p[k] >= 1.0, reason))
+            out.append(_Ansatz(label, mean - gain, feasible, {f"f{k}": f}))
         s = p[1] + p[2]
         g = (3.0 + n) * p[2] / ((1.0 + n) * p[1] + (3.0 + n) * p[2])
         a = math.sqrt(n + 2.0) * np.sqrt(p[1] * p[2]) / s
@@ -191,8 +169,7 @@ def _rank4(n: int, pops: np.ndarray) -> list[_Ansatz]:
         leftover = (1.0 - f) / f * s
         feasible = (f > 0.0) & (s <= f + _FEAS_TOL) & (leftover * g <= p[3] + _FEAS_TOL)
         feasible &= leftover * (1.0 - g) <= p[0] + _FEAS_TOL
-    reason = "pair ansatz needs p1 + p2 > 0"
-    return out + [_Ansatz(PhaseLabel.PAIR21, mean - gain, feasible, {"f": f, "g": g}, s <= 0.0, reason)]
+    return out + [_Ansatz(PhaseLabel.PAIR21, mean - gain, feasible, {"f": f, "g": g})]
 
 
 _TRIPLETS = (PhaseLabel.TRIPLET0, PhaseLabel.TRIPLET1, PhaseLabel.TRIPLET2, PhaseLabel.TRIPLET3)
@@ -218,75 +195,20 @@ def classify_many(offset: int, populations: np.ndarray) -> tuple[list[PhaseLabel
     return [ansatzes[i].label for i in pick.tolist()], values
 
 
-def _row(state: FockDiagonalState, rank: int) -> list[_Ansatz]:
-    if state.rank != rank:
-        raise ValueError(f"state must span exactly {rank} levels, got {state.rank}")
-    return _KERNELS[rank](state.offset, state.populations[None, :])
-
-
-def _scalar(ansatz: _Ansatz) -> tuple[float, bool, dict]:
-    """Value, feasibility and parameters of a one-row ansatz."""
-    if np.any(ansatz.degenerate):
-        raise DegenerateStateError(ansatz.reason)
-    params = {name: float(v[0]) for name, v in ansatz.params.items()}
-    return float(ansatz.value[0]), bool(np.all(ansatz.feasible)), params
-
-
-def rank3_triplet(state: FockDiagonalState) -> float:
-    """Value of the symmetric sqrt-population decomposition (= simple bound)."""
-    return _scalar(_row(state, 3)[0])[0]
-
-
-def rank3_upper_pair(state: FockDiagonalState) -> FractionAnsatz:
-    """Pair the two upper levels; |n> enters the ensemble separately."""
-    value, feasible, params = _scalar(_row(state, 3)[1])
-    return FractionAnsatz(value, params["f"], feasible)
-
-
-def rank3_lower_pair(state: FockDiagonalState) -> FractionAnsatz:
-    """Pair the two lower levels; |n+2> enters the ensemble separately."""
-    value, feasible, params = _scalar(_row(state, 3)[2])
-    return FractionAnsatz(value, params["g"], feasible)
-
-
-def rank4_triplet(state: FockDiagonalState, k: int) -> FractionAnsatz:
-    """Single out level n+k; the other three stay proportional in the atoms."""
-    row = _row(state, 4)
-    if not 0 <= k <= 3:
-        raise ValueError(f"k must be in 0..3, got {k}")
-    value, feasible, params = _scalar(row[1 + k])
-    return FractionAnsatz(value, params[f"f{k}"], feasible)
-
-
-def rank4_pair(state: FockDiagonalState) -> Pair21Ansatz:
-    """Pair the middle levels n+2, n+1; split |n+3> and |n> across the rest."""
-    value, feasible, params = _scalar(_row(state, 4)[5])
-    return Pair21Ansatz(value, params["f"], params["g"], feasible)
-
-
-def classify_rank3(state: FockDiagonalState) -> AnsatzResult:
-    """Best feasible three-level ansatz; ties prefer the triplet."""
-    return _classify(state, 3)
-
-
-def classify_rank4(state: FockDiagonalState) -> AnsatzResult:
-    """Best feasible four-level ansatz; ties prefer quartet, then triplets.
-
-    Every result carries the upper-bound-only flag: the four-level phase map
-    is approximate and slightly better decompositions exist for some states.
-    """
-    return _classify(state, 4)
-
-
 def classify(state: FockDiagonalState) -> AnsatzResult:
-    """Dispatch to the three- or four-level classifier."""
+    """Best feasible ansatz of a three- or four-level window, with its
+    decomposition parameters: one row of :func:`classify_many`'s kernel.
+
+    Ties prefer the triplet at rank 3, and the quartet, then the triplets,
+    at rank 4.  Every four-level result carries the upper-bound-only flag:
+    the four-level phase map is approximate and slightly better
+    decompositions exist for some states.
+    """
     if state.rank not in _KERNELS:
         raise ValueError(f"no ansatz catalogue for rank {state.rank}")
-    return _classify(state, state.rank)
-
-
-def _classify(state: FockDiagonalState, rank: int) -> AnsatzResult:
-    row = _row(state, rank)
-    best = row[int(_winners(row)[0][0])]
-    value, _, params = _scalar(best)
-    return AnsatzResult(best.label, value, params, upper_bound_only=rank == 4)
+    ansatzes = _KERNELS[state.rank](state.offset, state.populations[None, :])
+    best = ansatzes[int(_winners(ansatzes)[0][0])]
+    params = {name: float(v[0]) for name, v in best.params.items()}
+    return AnsatzResult(
+        best.label, float(best.value[0]), params, upper_bound_only=state.rank == 4
+    )

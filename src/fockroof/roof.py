@@ -12,14 +12,14 @@ and squared prefix coordinates are stored once per run, and one small
 integer code per column into a table of the last coordinate's squares, so
 pricing reads one byte per column.  An optimal histogram is returned as the
 amplitude vectors of its support and their weights, and is checked against
-the populations before it is returned.  Phases never need to be enumerated;
-the histogram expands into an explicit ensemble by splitting every support
-point across roots-of-unity phase patterns.
+the populations before it is returned.  Every solve returns one
+:class:`Estimate`: the value, the spacing and that histogram.  Phases never
+need to be enumerated; the histogram expands into an explicit ensemble by
+splitting every support point across roots-of-unity phase patterns.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import sys
 import warnings
@@ -33,7 +33,7 @@ import numpy as np
 from . import simplex
 from .grid import AmplitudeGrid, build_grid, neighborhood_grid
 from .simplex import LpStatus, StandardFormLp
-from .states import FockDiagonalState, PureFockWindowState, mean_photon, simple_bound
+from .states import FockDiagonalState, PureFockWindowState, mean_photon
 
 SUPPORT_TOL = 1e-10
 
@@ -52,27 +52,23 @@ class GridResolutionWarning(UserWarning):
     """A population is too small for the lattice to place sqrt(p) accurately."""
 
 
-class DecompositionKind(enum.Enum):
-    SIMPLY_DECOMPOSED = "SimplyDecomposed"
-    COMPOSITELY_DECOMPOSED = "CompositelyDecomposed"
+@dataclass(frozen=True, eq=False)
+class Estimate:
+    """One-sided nonclassicality estimate on a lattice and its optimal histogram.
 
-
-@dataclass(frozen=True)
-class Histogram:
-    """Nonnegative weights on amplitude vectors whose mixture reproduces the state.
-
-    ``amplitudes`` holds one (x0, ..., x_{M-1}) row per support point, in
-    lattice order.  The weights sum to one and satisfy
+    ``value`` is the mean photon number minus the LP optimum on the lattice
+    of spacing ``delta``, never below the true value.  The histogram puts
+    nonnegative ``weights`` on amplitude vectors whose mixture reproduces
+    the state: ``amplitudes`` holds one (x0, ..., x_{M-1}) row per support
+    point, in lattice order.  The weights sum to one and satisfy
     sum_i Q_i x_k(i)^2 = p_{n+k} for every window level, both within the
     solver feasibility tolerance.
     """
 
+    value: float
+    delta: float
     amplitudes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def support_size(self) -> int:
-        return self.weights.size
 
     def to_csv(self, path) -> None:
         """Write ``x1,...,x{M-1},weight`` rows, in lattice order."""
@@ -237,12 +233,12 @@ def _solve_on_grid(
     lp: StandardFormLp,
     max_iter: int,
     carried: list[tuple] | None = None,
-) -> tuple[float, Histogram, list[tuple] | None]:
-    """Estimate, checked optimal histogram and the optimal basis as the
-    squared coordinates of its columns (None unless one structural column
-    per row).  The solve starts from the ``carried`` basis of an earlier
-    solve when all of its columns are on the grid, else from the Kuhn
-    simplex, else in phase 1.
+) -> tuple[Estimate, list[tuple] | None]:
+    """Estimate with its checked optimal histogram, and the optimal basis as
+    the squared coordinates of its columns (None unless one structural
+    column per row).  The solve starts from the ``carried`` basis of an
+    earlier solve when all of its columns are on the grid, else from the
+    Kuhn simplex, else in phase 1.
     """
     start = None if carried is None else [_column_index(grid, k) for k in carried]
     if start is None or min(start) < 0:
@@ -266,7 +262,7 @@ def _solve_on_grid(
     if len(sol.basis) == lp.n_rows and max(sol.basis) < lp.n_cols:
         basis = [tuple(key) for key in grid.rows.columns(sol.basis)[1:].T.tolist()]
     value = mean_photon(state) - sol.objective_value
-    return value, Histogram(amplitudes, weights), basis
+    return Estimate(value, grid.delta, amplitudes, weights), basis
 
 
 class LatticeLps:
@@ -296,9 +292,9 @@ class LatticeLps:
 
     def estimate(
         self, state: FockDiagonalState, max_iter: int = simplex.DEFAULT_MAX_ITER
-    ) -> tuple[float, Histogram]:
-        """One-sided estimate and optimal histogram for a state whose window
-        was among those given at construction."""
+    ) -> Estimate:
+        """One-sided estimate and its optimal histogram for a state whose
+        window was among those given at construction."""
         _require_lp_ready(state)
         window = (state.rank, state.offset)
         if window not in self._lps:
@@ -306,19 +302,16 @@ class LatticeLps:
         _warn_fine_populations(state, self.delta)
         grid, lp = self._lps[window]
         lp = lp.with_rhs(_population_rhs(state))
-        return _solve_on_grid(state, grid, lp, max_iter)[:2]
+        return _solve_on_grid(state, grid, lp, max_iter)[0]
 
 
 def estimate_nonclassicality(
     state: FockDiagonalState,
     delta: float,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
-) -> tuple[float, Histogram]:
-    """One-sided nonclassicality estimate on the full lattice of spacing delta.
-
-    Returns the estimate (mean photon number minus the LP optimum, never
-    below the true value) together with the optimal histogram.
-    """
+) -> Estimate:
+    """One-sided nonclassicality estimate on the full lattice of spacing delta,
+    with its optimal histogram."""
     return LatticeLps([state], delta).estimate(state, max_iter=max_iter)
 
 
@@ -327,19 +320,19 @@ def refine(
     delta_start: float,
     levels: int,
     max_iter: int = simplex.DEFAULT_MAX_ITER,
-) -> list[tuple[float, float]]:
+) -> list[Estimate]:
     """Estimate with local grid refinement around the optimal support.
 
     Level 1 solves on the full lattice at ``delta_start``.  Each further
     level halves the spacing and re-grids only a neighborhood of radius
     2*delta_prev per coordinate around the previous support (which is itself
-    retained, so the estimate sequence cannot increase).  Returns the
-    (delta, estimate) pairs in level order.
+    retained, so the estimate sequence cannot increase).  Returns each
+    level's estimate, in level order.
 
     Each level starts from the previous level's optimal basis, which is
     feasible wherever the neighborhood holds its columns: (2l * (delta/2))²
     and (l * delta)² are one correctly rounded square, so each column keeps
-    its bits.  Only that basis and the support outlive a level, so one grid
+    its bits.  Only that basis and the estimate outlive a level, so one grid
     is alive at a time.
     """
     if levels < 1:
@@ -348,7 +341,7 @@ def refine(
     _warn_fine_populations(state, delta_start)
     delta = delta_start
     grid = build_grid(state.rank, delta)
-    steps: list[tuple[float, float]] = []
+    steps: list[Estimate] = []
     basis = None
     for level in range(levels):
         if level > 0:
@@ -356,19 +349,17 @@ def refine(
             radius = 2.0 * delta
             delta = delta / 2.0
             grid = neighborhood_grid(
-                state.rank, delta, hist.amplitudes[:, 1:], radius=radius
+                state.rank, delta, steps[-1].amplitudes[:, 1:], radius=radius
             )
-        value, hist, basis = _solve_on_grid(
-            state, grid, assemble_lp(state, grid), max_iter, basis
-        )
-        steps.append((delta, value))
+        estimate, basis = _solve_on_grid(state, grid, assemble_lp(state, grid), max_iter, basis)
+        steps.append(estimate)
     return steps
 
 
 def expand_histogram(
-    state: FockDiagonalState, histogram: Histogram, phase_order: int | None = None
+    state: FockDiagonalState, estimate: Estimate, phase_order: int | None = None
 ) -> ExplicitDecomposition:
-    """Expand a histogram into an explicit phase-complete ensemble.
+    """Expand an estimate's histogram into an explicit phase-complete ensemble.
 
     Every support point of weight w becomes ``phase_order`` atoms of
     probability w/phase_order with amplitudes x_k * exp(2πi*j*(M-1-k)/P).
@@ -384,27 +375,10 @@ def expand_histogram(
         )
     ks = np.arange(m)
     atoms: list[tuple[float, PureFockWindowState]] = []
-    for row, w in zip(histogram.amplitudes, histogram.weights):
+    for row, w in zip(estimate.amplitudes, estimate.weights):
         for j in range(phase_order):
             phases = np.exp(2j * np.pi * j * (m - 1 - ks) / phase_order)
             psi = PureFockWindowState(state.offset, row * phases)
             atoms.append((float(w) / phase_order, psi))
     return ExplicitDecomposition(atoms=atoms, phase_order=phase_order)
 
-
-def classify_decomposition(
-    state: FockDiagonalState,
-    delta: float,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
-) -> DecompositionKind:
-    """Decide whether the single-point decomposition is already optimal.
-
-    A state is simply decomposed when the LP estimate matches the simple
-    bound; the tolerance leaves room for the lattice's own resolution error,
-    which scales with delta².
-    """
-    value, _ = estimate_nonclassicality(state, delta, max_iter=max_iter)
-    tol = 1e-6 + 10.0 * delta * delta
-    if simple_bound(state) - value <= tol:
-        return DecompositionKind.SIMPLY_DECOMPOSED
-    return DecompositionKind.COMPOSITELY_DECOMPOSED

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fockroof import FockDiagonalState, moments
+from fockroof import FockDiagonalState, moments, phases
 
 
 def random_trimmed_state(rng, max_rank=4, max_offset=3, floor=0.05):
@@ -16,6 +18,18 @@ def random_trimmed_state(rng, max_rank=4, max_offset=3, floor=0.05):
     pops = np.maximum(pops, floor)
     pops = pops / pops.sum()
     return FockDiagonalState(offset, pops)
+
+
+def kernel_ansatz(state, label):
+    """The ``label`` ansatz of the phase kernel of ``state``'s rank, scored
+    on ``state`` alone: scalar ``value``, ``feasible`` and ``params``."""
+    rows = phases._KERNELS[state.rank](state.offset, state.populations[None, :])
+    (ansatz,) = [a for a in rows if a.label is label]
+    return SimpleNamespace(
+        value=float(ansatz.value[0]),
+        feasible=bool(np.all(ansatz.feasible)),
+        params={name: float(v[0]) for name, v in ansatz.params.items()},
+    )
 
 
 def reconstruct_density(decomposition, rank):

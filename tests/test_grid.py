@@ -148,7 +148,7 @@ class TestGridGeometry:
 
     def test_point_view(self):
         grid = build_grid(2, 0.5)
-        assert len(grid) == 3
+        assert grid.n_points == 3
         assert amplitudes_of(grid)[1:].T.tolist() == [[0.0], [0.5], [1.0]]
         assert amplitudes_of(grid)[0][0] == pytest.approx(1.0)
         assert amplitudes_of(grid)[0][2] == pytest.approx(0.0)
@@ -186,7 +186,7 @@ class TestGridGeometry:
     def test_objective_coeffs_vectorized(self):
         grid = build_grid(3, 0.25)
         coeffs = grid.objective_coeffs(1)
-        for i in (0, 5, len(grid) - 1):
+        for i in (0, 5, grid.n_points - 1):
             x0, (x1, x2) = amplitudes_of(grid)[0][i], amplitudes_of(grid)[1:].T[i]
             alpha = x0 * x1 * np.sqrt(2.0) + x1 * x2 * np.sqrt(3.0)
             assert coeffs[i] == pytest.approx(alpha**2, abs=1e-14)
@@ -329,7 +329,7 @@ class TestCapacity:
 class TestNeighborhood:
     def test_centers_are_kept_and_ball_respected(self):
         coarse = build_grid(3, 0.1)
-        centers = lattice_of(coarse)[[0, 10, len(coarse) - 1]]
+        centers = lattice_of(coarse)[[0, 10, coarse.n_points - 1]]
         fine = neighborhood_grid(3, 0.05, centers * 0.1, radius=0.2)
         fine_set = {tuple(l) for l in lattice_of(fine).tolist()}
         for c in centers:

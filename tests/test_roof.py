@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from fockroof import (
-    DecompositionKind,
     FockDiagonalState,
     GridResolutionWarning,
     PhaseLabel,
     SolverFailure,
     assemble_lp,
     build_grid,
-    classify_decomposition,
-    classify_rank3,
+    classify,
     count_grid_points,
     estimate_nonclassicality,
     expand_histogram,
@@ -98,13 +96,11 @@ class TestAssemble:
             shared.objective, shared.row_matrix.block(0, shared.n_cols), shared.rhs
         )
         assert not np.shares_memory(copied.row_matrix, grid.rows.col_rows)
-        value, hist, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
-        value_copy, hist_copy, _ = roof._solve_on_grid(
-            s, grid, copied, simplex.DEFAULT_MAX_ITER
-        )
-        assert value == value_copy
-        np.testing.assert_array_equal(hist.amplitudes, hist_copy.amplitudes)
-        np.testing.assert_array_equal(hist.weights, hist_copy.weights)
+        est, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
+        est_copy, _ = roof._solve_on_grid(s, grid, copied, simplex.DEFAULT_MAX_ITER)
+        assert est.value == est_copy.value
+        np.testing.assert_array_equal(est.amplitudes, est_copy.amplitudes)
+        np.testing.assert_array_equal(est.weights, est_copy.weights)
 
     @pytest.mark.parametrize("rank,delta", [(4, 0.00999), (6, 0.05)])
     def test_assembly_allocates_no_matrix(self, rank, delta):
@@ -130,31 +126,32 @@ class TestAssemble:
 
 class TestEstimate:
     def test_fig1_pin(self):
-        value, hist = estimate_nonclassicality(state(0, [0.84, 0.16]), 0.01)
-        assert value == pytest.approx(0.0256, abs=1e-9)
-        assert hist.support_size == 1
-        assert hist.amplitudes[0, 1] == pytest.approx(0.4)
-        assert hist.weights[0] == pytest.approx(1.0, abs=1e-9)
+        est = estimate_nonclassicality(state(0, [0.84, 0.16]), 0.01)
+        assert est.value == pytest.approx(0.0256, abs=1e-9)
+        assert est.delta == 0.01
+        assert est.weights.size == 1
+        assert est.amplitudes[0, 1] == pytest.approx(0.4)
+        assert est.weights[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_composite_state(self):
-        value, hist = estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.01)
-        assert value == pytest.approx(0.2, abs=1e-3)
-        lattice = np.rint(hist.amplitudes[:, 1:] / 0.01)
+        est = estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.01)
+        assert est.value == pytest.approx(0.2, abs=1e-3)
+        lattice = np.rint(est.amplitudes[:, 1:] / 0.01)
         support = {tuple(r) for r in lattice.astype(int).tolist()}
         assert support == {(0, 0), (50, 50)}
 
     def test_gapped_state_saturates_mean(self):
-        value, _ = estimate_nonclassicality(state(0, [0.5, 0.0, 0.5]), 0.1)
+        value = estimate_nonclassicality(state(0, [0.5, 0.0, 0.5]), 0.1).value
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_histogram_feasibility(self):
         s = state(1, [0.3, 0.45, 0.25])
-        value, hist = estimate_nonclassicality(s, 0.05)
-        assert hist.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        amp_sq = hist.amplitudes[:, 1:] ** 2
-        recon = hist.weights @ amp_sq
+        est = estimate_nonclassicality(s, 0.05)
+        assert est.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        amp_sq = est.amplitudes[:, 1:] ** 2
+        recon = est.weights @ amp_sq
         np.testing.assert_allclose(recon, s.populations[1:], atol=1e-9)
-        assert hist.support_size <= s.rank
+        assert est.weights.size <= s.rank
 
     def test_rank1_rejected(self):
         with pytest.raises(ValueError, match="two Fock levels"):
@@ -186,11 +183,11 @@ class TestEstimate:
         ]
         lattices = LatticeLps(states, 0.05)
         for s in states:
-            shared, shared_hist = lattices.estimate(s)
-            alone, alone_hist = estimate_nonclassicality(s, 0.05)
-            assert shared == alone
-            np.testing.assert_array_equal(shared_hist.amplitudes, alone_hist.amplitudes)
-            np.testing.assert_array_equal(shared_hist.weights, alone_hist.weights)
+            shared = lattices.estimate(s)
+            alone = estimate_nonclassicality(s, 0.05)
+            assert (shared.value, shared.delta) == (alone.value, alone.delta)
+            np.testing.assert_array_equal(shared.amplitudes, alone.amplitudes)
+            np.testing.assert_array_equal(shared.weights, alone.weights)
         with pytest.raises(ValueError, match="window"):
             lattices.estimate(state(3, [0.6, 0.2, 0.2]))
 
@@ -218,7 +215,7 @@ class TestOneSidedness:
         delta = 0.05
         for _ in range(60):
             s = random_trimmed_state(rng)
-            value, _ = estimate_nonclassicality(s, delta)
+            value = estimate_nonclassicality(s, delta).value
             power = quadrature_qfi(s).power
             assert value >= power - 1e-9
             # the lattice can overshoot the simple bound by its resolution slack
@@ -229,7 +226,7 @@ class TestOneSidedness:
         for _ in range(40):
             n = int(rng.integers(0, 3))
             p = float(rng.uniform(0.02, 0.98))
-            value, _ = estimate_nonclassicality(state(n, [1 - p, p]), 0.02)
+            value = estimate_nonclassicality(state(n, [1 - p, p]), 0.02).value
             assert value >= rank2_nonclassicality(n, p) - 1e-9
 
 
@@ -237,8 +234,8 @@ class TestMonotonicity:
     def test_halving_on_shared_lattice_never_worsens(self, rng):
         for _ in range(10):
             s = random_trimmed_state(rng, max_rank=3)
-            coarse, _ = estimate_nonclassicality(s, 0.1)
-            fine, _ = estimate_nonclassicality(s, 0.05)
+            coarse = estimate_nonclassicality(s, 0.1).value
+            fine = estimate_nonclassicality(s, 0.05).value
             assert fine <= coarse + 1e-12
 
     def test_convexity_under_mixing(self, rng):
@@ -253,9 +250,9 @@ class TestMonotonicity:
             lam = float(rng.uniform(0.1, 0.9))
             mix = lam * pa + (1 - lam) * pb
             mix /= mix.sum()
-            ea, _ = estimate_nonclassicality(state(n, pa), delta)
-            eb, _ = estimate_nonclassicality(state(n, pb), delta)
-            em, _ = estimate_nonclassicality(state(n, mix), delta)
+            ea = estimate_nonclassicality(state(n, pa), delta).value
+            eb = estimate_nonclassicality(state(n, pb), delta).value
+            em = estimate_nonclassicality(state(n, mix), delta).value
             assert em <= lam * ea + (1 - lam) * eb + 1e-8
 
 
@@ -290,24 +287,26 @@ class TestColumnIndex:
 class TestRefine:
     def test_single_level_equals_estimate(self):
         s = state(0, [0.7, 0.2, 0.1])
-        steps = refine(s, 0.05, 1)
-        direct, _ = estimate_nonclassicality(s, 0.05)
-        assert steps == [(0.05, direct)]
+        (step,) = refine(s, 0.05, 1)
+        direct = estimate_nonclassicality(s, 0.05)
+        assert (step.delta, step.value) == (0.05, direct.value)
+        np.testing.assert_array_equal(step.amplitudes, direct.amplitudes)
+        np.testing.assert_array_equal(step.weights, direct.weights)
 
     def test_rank2_converges_to_closed_form(self):
         steps = refine(state(0, [0.84, 0.16]), 0.1, 3)
-        assert steps[-1][0] == pytest.approx(0.025)
-        assert steps[-1][1] == pytest.approx(0.0256, abs=1e-6)
+        assert [step.delta for step in steps] == [0.1, 0.05, 0.025]
+        assert steps[-1].value == pytest.approx(0.0256, abs=1e-6)
 
     def test_rank3_converges_to_ansatz(self):
         steps = refine(state(0, [0.6, 0.2, 0.2]), 0.05, 3)
-        assert steps[-1][1] == pytest.approx(0.2, abs=1e-4)
+        assert steps[-1].value == pytest.approx(0.2, abs=1e-4)
 
     def test_sequence_never_increases(self, rng):
         for _ in range(10):
             s = random_trimmed_state(rng, max_rank=3)
             steps = refine(s, 0.1, 3)
-            values = [v for _, v in steps]
+            values = [step.value for step in steps]
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_capacity_error_propagates(self):
@@ -368,9 +367,9 @@ class TestCrashStart:
     def test_same_value_as_phase_one(self, monkeypatch, delta):
         states = [state(n, p) for n, p in self.STATES]
         lattices = LatticeLps(states, delta)
-        crashed = [lattices.estimate(s)[0] for s in states]
+        crashed = [lattices.estimate(s).value for s in states]
         _start_from_phase_one(monkeypatch)
-        plain = [lattices.estimate(s)[0] for s in states]
+        plain = [lattices.estimate(s).value for s in states]
         np.testing.assert_allclose(crashed, plain, rtol=0.0, atol=1e-12)
 
     def test_start_is_a_feasible_basis(self):
@@ -395,11 +394,11 @@ class TestCrashStart:
         s = state(0, pops)
         grid = build_grid(s.rank, delta)
         assert (roof._kuhn_start(s, grid) is not None) == started
-        crashed, crashed_hist = estimate_nonclassicality(s, delta)
+        crashed = estimate_nonclassicality(s, delta)
         _start_from_phase_one(monkeypatch)
-        plain, plain_hist = estimate_nonclassicality(s, delta)
-        assert crashed == pytest.approx(plain, abs=1e-12)
-        np.testing.assert_array_equal(crashed_hist.amplitudes, plain_hist.amplitudes)
+        plain = estimate_nonclassicality(s, delta)
+        assert crashed.value == pytest.approx(plain.value, abs=1e-12)
+        np.testing.assert_array_equal(crashed.amplitudes, plain.amplitudes)
 
     def test_refinement_neighbourhood_without_the_simplex(self, monkeypatch):
         s = truncated_thermal(0.5, 4)
@@ -419,9 +418,9 @@ class TestCrashStart:
         assert [sol.phase1_iterations for sol in solutions] == [0, 0, 0]
         _start_from_phase_one(monkeypatch)
         plain = refine(s, 0.05, 3)
-        assert [d for d, _ in carried] == [d for d, _ in plain]
+        assert [e.delta for e in carried] == [e.delta for e in plain]
         np.testing.assert_allclose(
-            [v for _, v in carried], [v for _, v in plain], rtol=0.0, atol=1e-12
+            [e.value for e in carried], [e.value for e in plain], rtol=0.0, atol=1e-12
         )
 
     def test_carried_column_off_the_grid_falls_back(self, monkeypatch):
@@ -450,7 +449,7 @@ class TestCrashStart:
         _start_from_phase_one(monkeypatch)
         plain = refine(s, 0.05, 3)
         np.testing.assert_allclose(
-            [v for _, v in fallen_back], [v for _, v in plain], rtol=0.0, atol=1e-12
+            [e.value for e in fallen_back], [e.value for e in plain], rtol=0.0, atol=1e-12
         )
 
     def test_refined_levels_skip_phase_one(self, monkeypatch):
@@ -481,14 +480,14 @@ class TestCrashStart:
 class TestExpansion:
     def test_rejects_small_phase_order(self):
         s = state(0, [0.84, 0.16])
-        _, hist = estimate_nonclassicality(s, 0.01)
+        est = estimate_nonclassicality(s, 0.01)
         with pytest.raises(ValueError, match="phase_order"):
-            expand_histogram(s, hist, 2)
+            expand_histogram(s, est, 2)
 
     def test_rank2_four_prong(self):
         s = state(0, [0.84, 0.16])
-        _, hist = estimate_nonclassicality(s, 0.01)
-        dec = expand_histogram(s, hist, 4)
+        est = estimate_nonclassicality(s, 0.01)
+        dec = expand_histogram(s, est, 4)
         assert len(dec.atoms) == 4
         for q, psi in dec.atoms:
             assert q == pytest.approx(0.25, abs=1e-9)
@@ -496,16 +495,16 @@ class TestExpansion:
 
     def test_rank3_cube_roots(self):
         s = state(0, [0.5, 0.25, 0.25])
-        _, hist = estimate_nonclassicality(s, 0.05)
-        dec = expand_histogram(s, hist, 3)
+        est = estimate_nonclassicality(s, 0.05)
+        dec = expand_histogram(s, est, 3)
         sq, _ = ensemble_alpha_stats(dec)
         assert abs(sq) <= 1e-10
 
     def test_rank4_reconstruction(self):
         s = state(0, [0.4, 0.3, 0.2, 0.1])
-        _, hist = estimate_nonclassicality(s, 0.05)
-        dec = expand_histogram(s, hist, 4)
-        assert len(dec.atoms) == 4 * hist.support_size
+        est = estimate_nonclassicality(s, 0.05)
+        dec = expand_histogram(s, est, 4)
+        assert len(dec.atoms) == 4 * est.weights.size
         rho = reconstruct_density(dec, s.rank)
         np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
         off = rho - np.diag(np.diag(rho))
@@ -518,9 +517,9 @@ class TestExpansion:
 
         s = truncated_thermal(0.5, 5)
         steps = refine(s, 0.05, 2)
-        assert steps[-1][1] <= steps[0][1] + 1e-12
-        _, hist = estimate_nonclassicality(s, 0.05)
-        dec = expand_histogram(s, hist, 5)
+        assert steps[-1].value <= steps[0].value + 1e-12
+        est = estimate_nonclassicality(s, 0.05)
+        dec = expand_histogram(s, est, 5)
         rho = reconstruct_density(dec, s.rank)
         np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
         assert np.abs(rho - np.diag(np.diag(rho))).max() <= 1e-10
@@ -528,69 +527,73 @@ class TestExpansion:
     def test_roundtrip_random_states(self, rng):
         for _ in range(12):
             s = random_trimmed_state(rng, max_rank=4)
-            value, hist = estimate_nonclassicality(s, 0.05)
-            dec = expand_histogram(s, hist, max(4, s.rank))
+            est = estimate_nonclassicality(s, 0.05)
+            dec = expand_histogram(s, est, max(4, s.rank))
             rho = reconstruct_density(dec, s.rank)
             np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
             assert np.abs(rho - np.diag(np.diag(rho))).max() <= 1e-10
             sq, mag = ensemble_alpha_stats(dec)
             assert abs(sq) <= 1e-10
             # the ensemble coherence reproduces the LP objective
-            assert mag == pytest.approx(mean_photon(s) - value, abs=1e-9)
+            assert mag == pytest.approx(mean_photon(s) - est.value, abs=1e-9)
             probs = [q for q, _ in dec.atoms]
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert all(q > 0 for q in probs)
+
+
+def simply_decomposed(s, delta):
+    """Whether the lattice estimate reaches the simple bound, within the
+    lattice's own resolution error, which scales with delta²."""
+    value = estimate_nonclassicality(s, delta).value
+    return simple_bound(s) - value <= 1e-6 + 10.0 * delta * delta
 
 
 class TestClassification:
     def test_rank2_always_simple(self, rng):
         for _ in range(10):
             p = float(rng.uniform(0.05, 0.95))
-            kind = classify_decomposition(state(0, [1 - p, p]), 0.01)
-            assert kind is DecompositionKind.SIMPLY_DECOMPOSED
+            assert simply_decomposed(state(0, [1 - p, p]), 0.01)
 
     def test_composite_example(self):
-        kind = classify_decomposition(state(0, [0.6, 0.2, 0.2]), 0.01)
-        assert kind is DecompositionKind.COMPOSITELY_DECOMPOSED
+        assert not simply_decomposed(state(0, [0.6, 0.2, 0.2]), 0.01)
 
     def test_boundary_state_is_simple(self):
-        kind = classify_decomposition(state(0, [0.5, 0.25, 0.25]), 0.01)
-        assert kind is DecompositionKind.SIMPLY_DECOMPOSED
+        assert simply_decomposed(state(0, [0.5, 0.25, 0.25]), 0.01)
 
 
 class TestCompositeIdentity:
     def test_convex_split_of_composite_state(self):
         # 0.8 * (0.5, 0.25, 0.25) + 0.2 * vacuum reproduces (0.6, 0.2, 0.2)
-        whole, _ = estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.01)
-        part, _ = estimate_nonclassicality(state(0, [0.5, 0.25, 0.25]), 0.01)
+        whole = estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.01).value
+        part = estimate_nonclassicality(state(0, [0.5, 0.25, 0.25]), 0.01).value
         assert whole == pytest.approx(0.2, abs=1e-3)
         assert whole == pytest.approx(0.8 * part, abs=2e-3)
-        assert classify_rank3(state(0, [0.6, 0.2, 0.2])).label is PhaseLabel.UPPER_PAIR
-        assert classify_rank3(state(0, [0.5, 0.25, 0.25])).label is PhaseLabel.TRIPLET
+        assert classify(state(0, [0.6, 0.2, 0.2])).label is PhaseLabel.UPPER_PAIR
+        assert classify(state(0, [0.5, 0.25, 0.25])).label is PhaseLabel.TRIPLET
 
 
 class TestExports:
     def test_histogram_csv(self, tmp_path):
         s = state(0, [0.6, 0.2, 0.2])
-        _, hist = estimate_nonclassicality(s, 0.05)
+        est = estimate_nonclassicality(s, 0.05)
         path = tmp_path / "hist.csv"
-        hist.to_csv(path)
+        est.to_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x1", "x2", "weight"]
-        assert len(rows) == 1 + hist.support_size
+        assert len(rows) == 1 + est.weights.size
         parsed = np.array([[float(v) for v in row] for row in rows[1:]])
         np.testing.assert_allclose(
-            parsed[:, :2], hist.amplitudes[:, 1:], rtol=0, atol=0
+            parsed[:, :2], est.amplitudes[:, 1:], rtol=0, atol=0
         )
-        np.testing.assert_allclose(parsed[:, 2], hist.weights, rtol=0, atol=0)
+        np.testing.assert_allclose(parsed[:, 2], est.weights, rtol=0, atol=0)
         # rows arrive in lattice order
         assert parsed[:, :2].tolist() == sorted(parsed[:, :2].tolist())
 
     def test_decomposition_json(self, tmp_path):
         s = state(0, [0.84, 0.16])
-        _, hist = estimate_nonclassicality(s, 0.01)
-        dec = expand_histogram(s, hist, 4)
+        est = estimate_nonclassicality(s, 0.01)
+        dec = expand_histogram(s, est, 4)
         path = tmp_path / "dec.json"
         dec.to_json(path)
         atoms = json.loads(path.read_text())
