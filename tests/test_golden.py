@@ -17,8 +17,14 @@ GOLDEN = Path(__file__).with_name("golden")
 CASES = {
     "eval_rank3.json": ["eval", "--p", "0.6,0.2,0.2", "--delta", "0.05"],
     "eval_rank4.json": ["eval", "--p", "0.4,0.3,0.2,0.1", "--delta", "0.05"],
+    # isqrt(L) = 333, so the grid's codes are uint16
+    "eval_rank3_uint16.json": ["eval", "--p", "0.5,0.3,0.2", "--delta", "0.003"],
     "thermal.json": [
         "thermal", "--nth", "0.5", "--m-range", "1:5", "--delta", "0.1", "--levels", "2",
+    ],
+    # a rank-6 full lattice and its refinement neighbourhood
+    "thermal_rank6.json": [
+        "thermal", "--nth", "0.5", "--m-range", "6:6", "--delta", "0.1", "--levels", "2",
     ],
     "sweep3.json": ["sweep3", "--step", "0.1", "--lp-check", "7", "--delta", "0.05"],
     "sweep4.json": [
@@ -29,7 +35,8 @@ CASES = {
 DUMP = ("dump_lp_rank3.lp", ["dump-lp", "--p", "0.6,0.2,0.2", "--delta", "0.05"])
 
 
-# the rank-5 thermal window's top population is below 4*delta^2
+# the top populations of the rank-5 and rank-6 thermal windows are below
+# 4*delta^2
 @pytest.mark.filterwarnings("ignore::fockroof.roof.GridResolutionWarning")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_is_byte_identical(name, capsys):
