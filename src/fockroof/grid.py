@@ -10,17 +10,19 @@ enumeration that builds the prefixes (l_1, ..., l_{M-2}) one coordinate at
 a time, never makes a point outside the ball, and ends each prefix with one
 run of consecutive values of the last coordinate.
 
-A grid is the LP's row matrix and nothing else, a
-:class:`~fockroof.simplex.RunMatrix` in run form: per run, the ones row and
-the M - 2 squared prefix coordinates (l_k*delta)², and the column where the
-run starts; per point, only the step l of the last coordinate, as a code
-into the table of the isqrt(L) + 1 squares (l*delta)².  A code takes one
-byte while isqrt(L) <= 255, that is for delta above about 1/256.  At rank 6
-and delta = 0.05 that is 58,201 runs for 662,629 points, 3.5 MB instead of
-the 31.8 MB of the dense (M, N) matrix, or the 8.1 MB of one float per
-point.  Amplitudes are recomputed from the squares where they are needed;
-the square root of a correctly rounded square is exact, so they are the
-same bits as l_k*delta.
+A grid is the LP's row matrix and nothing else, a coded
+:class:`~fockroof.simplex.RunMatrix`.  Every coordinate is stored as its
+integer step l, a code into the one table of the isqrt(L) + 1 squares
+(l*delta)²: per run, the column where it starts and the M - 2 prefix steps;
+per point, the step of the last coordinate.  The ones row is implicit.  A
+code takes one byte while isqrt(L) <= 255, that is for delta above about
+1/256.  The enumeration holds its coordinates, run lengths and budgets in
+the narrowest unsigned dtypes too; only the run starts, and a few
+transients per run, are eight bytes wide.  At rank 6 and delta = 0.05 that is 58,201
+runs for 662,629 points, 1.36 MB instead of the 31.8 MB of the dense
+(M, N) matrix, or the 3.46 MB with float run rows.  Amplitudes are
+recomputed from the squares where they are needed; the square root of a
+correctly rounded square is exact, so they are the same bits as l_k*delta.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ def count_grid_points(rank: int, delta: float) -> int:
     if rank <= 4:
         return int(_ball_runs(limit, [0] * (rank - 1), [top] * (rank - 1))[1].sum())
     (l1,), runs = _ball_runs(limit, [0, 0], [top, top])
-    left = limit - np.repeat(l1 * l1, runs) - _runs(0, runs) ** 2
-    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
-    counts = _isqrt(np.arange(limit + 1, dtype=np.int64)) + 1
+    # the squares are looked up in intp, where no sum of them wraps
+    squares = np.square(np.arange(top + 1, dtype=np.intp))
+    left = limit - np.repeat(squares[l1], runs) - squares[_runs(0, runs)]
+    counts = _isqrt(np.arange(limit + 1), np.intp) + 1
     for _ in range(rank - 4):
-        acc = np.zeros(limit + 1, dtype=np.int64)
+        acc = np.zeros(limit + 1, dtype=np.intp)
         for sq in squares:
             acc[sq:] += counts[: limit + 1 - sq]
         counts = acc
@@ -120,35 +123,40 @@ def checked_count(rank: int, delta: float, max_points: int) -> int:
 
 def grid_nbytes(rank: int, delta: float, points: int) -> int:
     """Bytes of the arrays of a rank-M grid of ``points`` points, without
-    building it: per run, the ones row, the M - 2 squared prefix coordinates
-    and the run's start; per point, one code; and the table of squares.  The
-    runs are the points of the rank M - 1 lattice, one run at rank 2."""
+    building it: per run, its start and the M - 2 prefix codes; per point,
+    one code; and the table of squares.  A code is one or two bytes, the
+    smallest unsigned dtype of isqrt(L).  The runs are the points of the
+    rank M - 1 lattice, one run at rank 2."""
     top = isqrt(_lattice_radius_sq(delta))
     runs = count_grid_points(rank - 1, delta) if rank > 2 else 1
-    return 8 * rank * runs + points * np.min_scalar_type(top).itemsize + 8 * (top + 1)
+    code = np.min_scalar_type(top).itemsize
+    return 8 * runs + (rank - 2) * runs * code + points * code + 8 * (top + 1)
 
 
-def _isqrt(values: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(v)) of nonnegative int64 values, exactly.
+def _isqrt(values: np.ndarray, dtype) -> np.ndarray:
+    """Elementwise floor(sqrt(v)) of nonnegative integers, as ``dtype``.
 
-    The float root is off by at most one, which the two corrections undo.
+    Exact below 2**52, where every integer is a double and the correctly
+    rounded root of one never reaches the next integer; a budget that large
+    needs a spacing below 2**-26.
     """
-    root = np.sqrt(values.astype(float)).astype(np.int64)
-    root -= root * root > values
-    root += (root + 1) * (root + 1) <= values
-    return root
+    return np.sqrt(values, dtype=float).astype(dtype)
 
 
 def _runs(first, counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     """``f, f + 1, ..., f + c - 1`` for each run's first value f (one for all
     runs or one per run) and count c >= 1 in turn, as one array of ``dtype``:
-    unit steps with a jump at each run's start, summed in place.  In an
-    unsigned dtype a negative jump wraps, but the sum is exact modulo 2**bits,
-    so every value that fits the dtype comes out right."""
+    unit steps with a jump at each run's start, summed in place.  The jumps
+    are made in intp, where no difference wraps; in an unsigned dtype a
+    negative jump then wraps, but the sum is exact modulo 2**bits, so every
+    value that fits the dtype comes out right."""
     first = np.broadcast_to(first, counts.shape)
     steps = np.ones(int(counts.sum()), dtype=dtype)
-    jumps = first[1:] - first[:-1] - counts[:-1] + 1
-    steps[np.cumsum(counts[:-1])] = jumps.astype(dtype)
+    jumps = np.subtract(first[1:], first[:-1], dtype=np.intp)
+    jumps -= counts[:-1]
+    jumps += 1
+    jumps = jumps.astype(dtype)
+    steps[np.cumsum(counts[:-1], dtype=np.intp)] = jumps
     steps[:1] = first[:1]
     return np.cumsum(steps, out=steps)
 
@@ -164,26 +172,36 @@ def _ball_runs(limit: int, lo, hi) -> tuple[list[np.ndarray], np.ndarray]:
     the next coordinate, in increasing order.  A value is admissible when
     the box's lower corner in the remaining coordinates still fits in the
     ball, so every prefix extends to a point and no point outside the ball
-    is ever made.
+    is ever made.  Coordinates are held in the smallest unsigned dtype of
+    isqrt(limit), run lengths in that of isqrt(limit) + 1 and the budgets
+    left in that of ``limit``.
     """
+    top = isqrt(limit)
+    coord_type = np.min_scalar_type(top)
+    count_type = np.min_scalar_type(top + 1)
     lo = [int(v) for v in lo]
-    hi = [int(v) for v in hi]
+    hi = [min(int(v), top) for v in hi]
     # tail[k]: squared norm of the lower corner in coordinates k, k+1, ...
     tail = [0] * (len(lo) + 1)
     for k in range(len(lo) - 1, -1, -1):
         tail[k] = tail[k + 1] + lo[k] * lo[k]
-    # one budget left per prefix; none when the box misses the ball
-    left = np.array([limit] if tail[0] <= limit else [], dtype=np.int64)
+    if tail[0] > limit:  # the box misses the ball
+        return [np.empty(0, coord_type)] * (len(lo) - 1), np.empty(0, count_type)
+    # one budget left per prefix, at least the tail of the coordinates after it
+    left = np.array([limit], dtype=np.min_scalar_type(limit))
     prefix: list[np.ndarray] = []
     for k in range(len(lo)):
         # admissible values of coordinate k after each prefix
-        counts = np.minimum(_isqrt(left - tail[k + 1]), hi[k]) - lo[k] + 1
+        counts = np.minimum(_isqrt(left - tail[k + 1], count_type), hi[k])
+        counts -= lo[k]
+        counts += 1
         if k + 1 == len(lo):
             return prefix, counts
-        coord = _runs(lo[k], counts)
+        coord = _runs(lo[k], counts, coord_type)
         prefix = [np.repeat(col, counts) for col in prefix]
         prefix.append(coord)
-        left = np.repeat(left, counts) - coord * coord
+        left = np.repeat(left, counts)
+        left -= np.square(coord, dtype=left.dtype)
 
 
 def _ground(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -200,17 +218,17 @@ def _ground(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
 class AmplitudeGrid:
     """Lattice points for one window rank and spacing, as the LP's row matrix.
 
-    ``rows``, the only array data held, is a read-only
-    :class:`~fockroof.simplex.RunMatrix` of shape (rank, n_points).  Its run
-    rows are the ones row and the squared prefix coordinates (l_k*delta)²,
-    k = 1..M-2, once per run.  Its one column row is coded: each point keeps
-    the step l of its last coordinate, in the smallest unsigned dtype that
-    holds isqrt(L), and the table holds (l*delta)² for l = 0..isqrt(L).  The
-    grid is built from ``prefix``, the M - 2 integer prefix coordinates of
-    each run, ``first``, each run's first last coordinate (one value for all
-    runs or one per run), and ``counts``, each run's length.  The spacing
-    must lie in (0, 1) and the coordinates are integers, so ``rows`` is
-    finite by construction.
+    ``rows``, the only array data held, is a read-only coded
+    :class:`~fockroof.simplex.RunMatrix` of shape (rank, n_points).  Its
+    first row, all ones, is implicit.  Every coordinate is a code: per run,
+    the prefix steps l_1..l_{M-2}, and per point, the step l of its last
+    coordinate, each in the smallest unsigned dtype that holds isqrt(L).  All
+    of them read the one table ``squares`` of (l*delta)², l = 0..isqrt(L).
+    The grid is built from ``prefix``, the M - 2 integer prefix coordinates
+    of each run, ``first``, each run's first last coordinate (one value for
+    all runs or one per run), and ``counts``, each run's length.  The
+    spacing must lie in (0, 1) and the coordinates are integers in
+    [0, isqrt(L)], so ``rows`` is finite by construction.
     """
 
     def __init__(self, rank: int, delta: float, prefix, first, counts):
@@ -222,26 +240,35 @@ class AmplitudeGrid:
         for col in (*prefix, np.asarray(first), counts):
             if col.dtype.kind not in "iu":
                 raise ValueError(f"lattice coordinates are {col.dtype}, not integer")
-        if counts.size and (np.min(first) < 0 or np.max(first + counts) - 1 > top):
-            raise ValueError(f"last coordinates must lie in [0, {top}]")
-        run_rows = np.empty((rank - 1, counts.size))
-        run_rows[0] = 1.0
-        for k, col in enumerate(prefix, start=1):
-            np.multiply(col, self.delta, out=run_rows[k])
-            np.square(run_rows[k], out=run_rows[k])
+        # each run's last coordinate, widened so that no sum wraps, and
+        # freed before the codes are made
+        ends = np.add(first, counts, dtype=np.intp) - 1
+        for col in (*prefix, np.asarray(first), ends):
+            if counts.size and (np.min(col) < 0 or np.max(col) > top):
+                raise ValueError(f"lattice coordinates must lie in [0, {top}]")
+        del ends
+        code_type = np.min_scalar_type(top)
+        run_codes = np.empty((rank - 2, counts.size), dtype=code_type)
+        for row, col in zip(run_codes, prefix):
+            row[:] = col
         starts = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        # the codes are made in their own dtype; the table's squares are the
-        # products that built every lattice row, (l*delta)*(l*delta)
-        codes = _runs(first, counts, dtype=np.min_scalar_type(top))
+        np.cumsum(counts[:-1], dtype=np.intp, out=starts[1:])
+        codes = _runs(first, counts, dtype=code_type)
+        # the squares are the products that built every lattice row,
+        # (l*delta)*(l*delta)
         table = np.arange(top + 1.0)
         np.multiply(table, self.delta, out=table)
         np.square(table, out=table)
-        self.rows = RunMatrix(run_rows, starts, codes[None, :], table)
+        self.rows = RunMatrix(starts, codes[None, :], run_codes, table, ones=True)
 
     @property
     def n_points(self) -> int:
         return self.rows.shape[1]
+
+    @property
+    def squares(self) -> np.ndarray:
+        """The table (l*delta)², l = 0..isqrt(L), that every code reads."""
+        return self.rows.table
 
     def amplitudes(self, columns) -> np.ndarray:
         """(rank, len(columns)) amplitude vectors (x0, l_1*delta, ...) of the
@@ -267,8 +294,8 @@ class AmplitudeGrid:
         for lo in range(0, self.n_points, _BLOCK):
             hi = min(lo + _BLOCK, self.n_points)
             runs, counts = rows.span(lo, hi)
-            prefix = rows.run_rows[1:, runs]
-            last = np.take(rows.table, rows.col_rows[0, lo:hi])
+            prefix = np.take(self.squares, rows.run_codes[:, runs])
+            last = np.take(self.squares, rows.col_rows[0, lo:hi])
             acc = alpha[lo:hi]
             norm = np.zeros(counts.size)
             for sq in prefix:

@@ -7,10 +7,10 @@ a lattice turns that maximization into a linear program over a histogram of
 weights, one column per lattice point: the LP optimum is a one-sided
 (never-below) estimate of the true nonclassicality that tightens as the
 spacing shrinks.  The lattice is held as the LP's row matrix, shared by
-every program on it: runs of consecutive last coordinates, whose ones row
-and squared prefix coordinates are stored once per run, and one small
-integer code per column into a table of the last coordinate's squares, so
-pricing reads one byte per column.  An optimal histogram is returned as the
+every program on it: runs of consecutive last coordinates, whose prefix
+coordinates are stored once per run, and the last coordinate per column,
+each as a small integer code into one table of squares, so pricing reads
+one byte per column.  An optimal histogram is returned as the
 amplitude vectors of its support and their weights, and is checked against
 the populations before it is returned.  Every solve returns one
 :class:`Estimate`: the value, the spacing and that histogram.  Phases never
@@ -171,24 +171,25 @@ def _column_index(grid: AmplitudeGrid, key: tuple[float, ...]) -> int:
     """Column whose squared coordinates (rows 1.. of the grid) are ``key``,
     or -1.
 
-    The last square is looked up in the grid's table of squares, which
-    gives its step l.  The grid's runs are in lexicographic order of prefix
-    and first step, which the squares of nonnegative coordinates keep, so
-    the last run at or before ``(prefix, l)`` is the only one that can hold
-    the point, at ``l`` minus the run's first step past its start.
+    Each square is looked up in the grid's table of squares, which gives its
+    step; the grid's codes are those steps, so the bisection compares codes
+    and decodes nothing.  The grid's runs are in lexicographic order of
+    prefix and first step, so the last run at or before ``(prefix, l)`` is
+    the only one that can hold the point, at ``l`` minus the run's first
+    step past its start.
     """
-    rows = grid.rows
-    prefix, starts, codes = rows.run_rows[1:], rows.starts, rows.col_rows[0]
-    table = rows.table
-    l = int(np.searchsorted(table, key[-1]))
-    if l == table.size or table[l] != key[-1]:
+    rows, squares = grid.rows, grid.squares
+    steps = np.searchsorted(squares, key)
+    if steps.max() == squares.size or np.any(squares[steps] != key):
         return -1
+    *head, l = steps.tolist()
+    prefix, starts, codes = rows.run_codes, rows.starts, rows.col_rows[0]
     r = bisect_right(
         range(starts.size),
-        (*key[:-1], l),
+        (*head, l),
         key=lambda r: (*prefix[:, r].tolist(), int(codes[starts[r]])),
     ) - 1
-    if r < 0 or tuple(prefix[:, r].tolist()) != key[:-1]:
+    if r < 0 or prefix[:, r].tolist() != head:
         return -1
     end = starts[r + 1] if r + 1 < starts.size else codes.size
     j = int(starts[r]) + l - int(codes[starts[r]])

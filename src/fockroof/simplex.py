@@ -30,23 +30,27 @@ to 32,768 is faster beyond run-to-run noise, on those programs, the
 ``thermal`` refinement programs or the rank-5 one.
 
 The solver reads every row matrix as a :class:`RunMatrix`: its first p rows
-are stored once per run of consecutive columns and the other rows once per
+are constant along runs of consecutive columns and the other rows vary per
 column, and a block is priced as
 ``c - (repeat(y[:p] @ run_rows[:, runs of the block]) + y[p:] @ col_rows)``.
-A lattice program has p = M - 1 (the ones row and the squared prefix
-coordinates, ``grid.AmplitudeGrid``) and one coded column row: each column
-holds a small integer code into a table of the row's values, and the row is
-priced as ``take(y[p] * table, codes)``, one product per column and the same
-bits as ``y[p] * values``.  So pricing reads one byte per column besides the
-objective.  A dense program is the case p = 0 with one run and no table,
-priced as ``c - y @ A`` bit for bit.  Basis and entering columns are
-gathered through the run starts.
+A lattice program (``grid.AmplitudeGrid``) has p = M - 1: a ones row, which
+is not stored, and the M - 2 squared prefix coordinates, stored per run as
+small integer codes into one table of squares; its one column row, the
+last coordinate's square, is a code per column into the same table.  A
+block decodes only its own runs, into the float (p, runs) block that
+``y[:p] @`` reads, and prices the column row as ``take(y[p] * table,
+codes)``, one product per column and the same bits as ``y[p] * values``.
+So pricing reads one byte per column besides the objective, and the run
+rows M - 2 bytes per run.  A dense program is the case p = 0 with one run
+and no table, priced as ``c - y @ A`` bit for bit.  Basis and entering
+columns are gathered through the run starts.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
 structural columns are priced, so an artificial that leaves never re-enters.
-Both phases read the caller's row matrix; rows are flipped on a copy only
-when some right-hand side is negative."""
+Both phases read the caller's row matrix; when some right-hand side is
+negative, its rows are flipped by signs that each read applies, and the
+arrays are shared."""
 
 from __future__ import annotations
 
@@ -95,31 +99,59 @@ class RunMatrix:
     """A row matrix whose first p rows are constant along runs of columns.
 
     Run r is the columns ``starts[r] <= j < starts[r + 1]`` (the last run
-    ends at the last column), and ``starts[0]`` is 0.  Row i < p of every
-    column of run r is ``run_rows[i, r]``.  Row p + i of column j is
-    ``col_rows[i, j]``, or ``table[col_rows[i, j]]`` when a ``table`` is
-    given: then the column rows are integer codes into it, and there is at
-    most one.  A dense matrix is the case p = 0 with one run and no table.
-    The arrays are held as read-only views.
+    ends at the last column), and ``starts[0]`` is 0.  The rows are, in
+    order:
+
+    - with ``ones``, one row of ones, which is not stored;
+    - the coded run rows: row i of every column of run r is
+      ``table[run_codes[i, r]]``; these and the ones row are the p rows;
+    - the column rows: row p + i of column j is ``col_rows[i, j]``, or
+      ``table[col_rows[i, j]]`` when a ``table`` is given.
+
+    With a table, every code is an integer, checked once here to lie in the
+    table, and there is at most one column row; without one there are no
+    run codes.  Row i is multiplied by ``signs[i]`` when ``signs`` are given
+    (see :meth:`scaled`).  A dense matrix is the case with one run, no ones
+    row and no table.  The arrays are held as read-only views.
     """
 
     def __init__(
         self,
-        run_rows: np.ndarray,
         starts: np.ndarray,
         col_rows: np.ndarray,
+        run_codes: np.ndarray | None = None,
         table: np.ndarray | None = None,
+        ones: bool = False,
+        signs: np.ndarray | None = None,
     ):
-        if table is not None and col_rows.shape[0] > 1:
-            raise ValueError("a coded matrix has at most one column row")
-        self.run_rows = _read_only(run_rows)
+        if run_codes is None:
+            run_codes = np.empty((0, starts.size), dtype=np.uint8)
+        if table is None:
+            if len(run_codes):
+                raise ValueError("coded run rows need a table")
+        else:
+            if col_rows.shape[0] > 1:
+                raise ValueError("a coded matrix has at most one column row")
+            for codes in (run_codes, col_rows):
+                if codes.dtype.kind not in "iu":
+                    raise ValueError(f"codes are {codes.dtype}, not integer")
+                if codes.size and (
+                    np.max(codes) >= table.size or codes.dtype.kind == "i" and np.min(codes) < 0
+                ):
+                    raise ValueError(f"codes must lie in [0, {table.size})")
         self.starts = _read_only(starts)
         self.col_rows = _read_only(col_rows)
+        self.run_codes = _read_only(run_codes)
         self.table = None if table is None else _read_only(table)
+        self.ones = int(ones)
+        self.signs = None if signs is None else _read_only(signs)
+        self._p = self.ones + len(run_codes)
+        # pricing spans by block; a race between threads stores one value twice
+        self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.run_rows.shape[0] + self.col_rows.shape[0], self.col_rows.shape[1]
+        return self._p + self.col_rows.shape[0], self.col_rows.shape[1]
 
     def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
         """The runs that meet columns lo:hi, and how many of those columns
@@ -130,19 +162,49 @@ class RunMatrix:
         edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
         return slice(first, end), edges[1:] - edges[:-1]
 
-    def _values(self, cols: np.ndarray) -> np.ndarray:
-        """Column rows read from ``col_rows`` as floats."""
-        return cols if self.table is None else self.table[cols]
+    def _priced_span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+        """:meth:`span`, kept for the next pricing of the same block.  The
+        pricing blocks cover the columns once, so this keeps about one count
+        per run while the matrix lives, and saves a few numpy calls a block."""
+        key = (lo, hi)
+        hit = self._spans.get(key)
+        if hit is None:
+            hit = self._spans[key] = self.span(lo, hi)
+        return hit
+
+    def _run_values(self, runs) -> np.ndarray:
+        """The unsigned (p, len(runs)) float run rows of ``runs``, a slice or
+        an index array: only those runs are decoded, in one gather."""
+        codes = self.run_codes[:, runs]
+        out = np.empty((self._p, codes.shape[1]))
+        if self.ones:
+            out[0].fill(1.0)
+        if len(codes):
+            # the codes were checked against the table once, at construction
+            self.table.take(codes, out=out[self.ones :], mode="clip")
+        return out
+
+    def _signed(self, out: np.ndarray) -> np.ndarray:
+        if self.signs is not None:
+            out *= self.signs.reshape(-1, *(1,) * (out.ndim - 1))
+        return out
 
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
         over its columns, plus the column rows' products."""
-        p = self.run_rows.shape[0]
+        if self.signs is not None:
+            # (y_i * s_i) * a is the same bits as y_i * (s_i * a) for ±1
+            y = y * self.signs
+        p = self._p
         cols = self.col_rows[:, lo:hi]
         if self.table is not None:
             # one product per table entry, gathered: the same bits as the
             # product of y[p] with each column's value
-            out = np.take(y[p] * self.table, cols[0]) if len(cols) else np.zeros(hi - lo)
+            out = (
+                (y[p] * self.table).take(cols[0], mode="clip")
+                if len(cols)
+                else np.zeros(hi - lo)
+            )
         elif len(cols) == 1:
             # the same bits as matmul, which has no BLAS path for a single
             # row; np.dot copies a matrix whose rows are strided
@@ -150,45 +212,53 @@ class RunMatrix:
         else:
             out = y[p:] @ cols
         if p:
-            runs, counts = self.span(lo, hi)
-            out += np.repeat(y[:p] @ self.run_rows[:, runs], counts)
+            runs, counts = self._priced_span(lo, hi)
+            out += (y[:p] @ self._run_values(runs)).repeat(counts)
         return out
 
     def columns(self, idx) -> np.ndarray:
         """The dense columns ``A[:, idx]``: one column for an integer index,
         a matrix for an index sequence."""
         runs = self.starts.searchsorted(idx, side="right") - 1
-        return np.concatenate((self.run_rows[:, runs], self._values(self.col_rows[:, idx])))
+        out = np.empty((self.shape[0], *runs.shape))
+        out[: self.ones] = 1.0
+        if self.table is None:
+            out[self._p :] = self.col_rows[:, idx]
+        else:
+            codes = self.run_codes[:, runs]
+            self.table.take(codes, out=out[self.ones : self._p], mode="clip")
+            self.table.take(self.col_rows[:, idx], out=out[self._p :], mode="clip")
+        return self._signed(out)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """The dense columns ``A[:, lo:hi]``."""
         runs, counts = self.span(lo, hi)
-        return np.concatenate(
-            (
-                np.repeat(self.run_rows[:, runs], counts, axis=1),
-                self._values(self.col_rows[:, lo:hi]),
-            )
-        )
+        cols = self.col_rows[:, lo:hi]
+        if self.table is not None:
+            cols = self.table.take(cols, mode="clip")
+        out = np.concatenate((np.repeat(self._run_values(runs), counts, axis=1), cols))
+        return self._signed(out)
 
     def scaled(self, signs: np.ndarray) -> RunMatrix:
-        """A copy with row i multiplied by ``signs[i]``; a coded row's table
-        is scaled, which is exact for signs of ±1, and its codes shared."""
-        p = self.run_rows.shape[0]
-        run_rows = self.run_rows * signs[:p, None]
-        if self.table is None:
-            return RunMatrix(run_rows, self.starts, self.col_rows * signs[p:, None])
-        table = self.table * signs[p] if len(self.col_rows) else self.table
-        return RunMatrix(run_rows, self.starts, self.col_rows, table)
+        """The matrix with row i multiplied by ``signs[i]``, each ±1, which
+        every read applies exactly; the arrays are shared, not copied."""
+        if self.signs is not None:
+            signs = self.signs * signs
+        return RunMatrix(
+            self.starts, self.col_rows, self.run_codes, self.table, self.ones, signs
+        )
 
     def rows(self, keep: Sequence[int]) -> RunMatrix:
         """The rows ``keep``, in increasing order."""
         keep = np.asarray(keep, dtype=np.intp)
-        p = self.run_rows.shape[0]
+        c, p = self.ones, self._p
         return RunMatrix(
-            self.run_rows[keep[keep < p]],
             self.starts,
             self.col_rows[keep[keep >= p] - p],
+            self.run_codes[keep[(keep >= c) & (keep < p)] - c],
             self.table,
+            bool(c and np.any(keep == 0)),
+            None if self.signs is None else self.signs[keep],
         )
 
 
@@ -197,7 +267,7 @@ def _run_form(row_matrix) -> RunMatrix:
     run with no run rows, not copied."""
     if isinstance(row_matrix, RunMatrix):
         return row_matrix
-    return RunMatrix(np.empty((0, 1)), np.zeros(1, dtype=np.intp), row_matrix)
+    return RunMatrix(np.zeros(1, dtype=np.intp), row_matrix)
 
 
 @dataclass(frozen=True)
@@ -354,7 +424,7 @@ def _choose_entering(c, a, y, cursor, block, tol, bland):
         lo = cursor
         hi = min(lo + block, n)
         d = _price_block(c, a, y, lo, hi)
-        j = int(np.argmax(d))
+        j = int(d.argmax())
         if d[j] > tol:
             return lo + j, cursor
         cursor = hi if hi < n else 0

@@ -58,6 +58,21 @@ def radius_sq(delta):
     return int((1.0 + 1e-12) / (delta * delta) + 1e-9)
 
 
+def reference_count(rank, delta):
+    """Lattice points by an int64 convolution: ``ways[j]`` points of sum of
+    squares exactly j, one coordinate at a time."""
+    limit = radius_sq(delta)
+    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
+    ways = np.zeros(limit + 1, dtype=np.int64)
+    ways[squares] = 1
+    for _ in range(rank - 2):
+        acc = np.zeros_like(ways)
+        for sq in squares:
+            acc[sq:] += ways[: limit + 1 - sq]
+        ways = acc
+    return int(ways.sum())
+
+
 def reference_neighborhood(delta, centers, center_delta, radius):
     """Every box point by itertools, deduplicated with np.unique(axis=0)."""
     limit = radius_sq(delta)
@@ -124,6 +139,13 @@ class TestCounts:
                 build_grid(rank, 0.001)
             assert err.value.requested == count
 
+    @pytest.mark.parametrize("rank", [5, 6, 7])
+    @pytest.mark.parametrize("delta", [0.05, 0.003])
+    def test_high_ranks_match_an_int64_count(self, rank, delta):
+        # the coordinates are uint8 at 0.05, where l_1² reaches 400, and
+        # uint16 at 0.003
+        assert count_grid_points(rank, delta) == reference_count(rank, delta)
+
     def test_paper_scale_pin(self):
         # the published rank-4 instance: 537052 columns at spacing 0.00999
         assert count_grid_points(4, 0.00999) == 537052
@@ -153,17 +175,20 @@ class TestGridGeometry:
         assert amplitudes_of(grid)[0][0] == pytest.approx(1.0)
         assert amplitudes_of(grid)[0][2] == pytest.approx(0.0)
         # the LP's row matrix, read-only, and nothing else: rank 2 is one run
-        # with the ones row, and one code per point into the table of squares
+        # with the implicit ones row and no prefix, and one code per point
+        # into the table of squares
         assert sorted(vars(grid)) == ["delta", "rank", "rows"]
         rows = grid.rows
-        for arr in (rows.run_rows, rows.starts, rows.col_rows, rows.table):
+        for arr in (rows.starts, rows.run_codes, rows.col_rows, rows.table):
             assert arr.flags.c_contiguous
             assert not arr.flags.writeable
-        assert rows.run_rows.tolist() == [[1.0]]
+        assert rows.ones == 1
+        assert rows.run_codes.shape == (0, 1)
         assert rows.starts.tolist() == [0]
         assert rows.col_rows.dtype == np.uint8
         assert rows.col_rows.tolist() == [[0, 1, 2]]
         assert rows.table.tolist() == [0.0, 0.25, 1.0]
+        assert grid.squares is rows.table
         np.testing.assert_array_equal(rows.block(0, 3), [[1.0] * 3, [0.0, 0.25, 1.0]])
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.inf, math.nan])
@@ -211,6 +236,35 @@ class TestRuns:
             AmplitudeGrid(2, 0.5, [], 1, np.array([3]))
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             AmplitudeGrid(3, 0.5, [np.array([0, 1])], np.array([0, -1]), np.array([2, 2]))
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(3, 0.5, [np.array([0, 3])], np.array([0, 0]), np.array([2, 2]))
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(3, 0.5, [np.array([0, -1])], 0, np.array([2, 2]))
+
+    @pytest.mark.parametrize("dtype,delta,top", [(np.uint8, 1 / 255.5, 255), (np.uint16, 0.002, 500)])
+    def test_narrow_coordinates_are_checked_without_wrapping(self, dtype, delta, top):
+        # a run's last coordinate, first + count - 1, is past the table even
+        # where first + count wraps in the coordinates' own dtype
+        limit = np.iinfo(dtype).max
+        assert isqrt(radius_sq(delta)) == top
+        for first, count in ((limit - 5, 10), (top - 5, 7)):
+            with pytest.raises(ValueError, match=rf"\[0, {top}\]"):
+                AmplitudeGrid(2, delta, [], np.array([first], dtype), np.array([count], dtype))
+            with pytest.raises(ValueError, match=rf"\[0, {top}\]"):
+                AmplitudeGrid(
+                    3, delta, [np.array([0, 1], dtype)],
+                    np.array([0, first], dtype), np.array([2, count], dtype),
+                )
+        with pytest.raises(ValueError, match=rf"\[0, {top}\]"):
+            AmplitudeGrid(3, delta, [np.array([top + 1], np.uint16)], 0, np.array([1], dtype))
+        # the last run that fits ends at the table's last entry
+        grid = AmplitudeGrid(
+            3, delta, [np.array([0, top], dtype)], np.array([0, top - 5], dtype),
+            np.array([2, 6], dtype),
+        )
+        assert grid.rows.col_rows.tolist() == [[0, 1, *range(top - 5, top + 1)]]
+        assert grid.rows.run_codes.tolist() == [[0, top]]
+        assert grid.rows.col_rows.dtype == grid.rows.run_codes.dtype == dtype
 
 
 def stored_amplitudes(lattice, delta):
@@ -270,13 +324,16 @@ def traced_peak(call):
 
 
 class TestMemory:
+    # traced peaks were 0.0455 and 0.0832 of the dense matrix's bytes
+    BUILD_PEAK = {(4, 0.00999): 0.054, (6, 0.05): 0.099}
+
     @pytest.mark.parametrize("rank,delta", [(4, 0.00999), (6, 0.05)])
     def test_build_holds_one_coordinate_beside_the_rows(self, rank, delta):
-        # the prefixes stay one entry per run, and only the last coordinate's
-        # codes are as long as the grid; bounded by the dense (M, N) matrix's
+        # every coordinate is a one-byte code, and the enumeration holds
+        # narrow arrays: bounded by a fraction of the dense (M, N) matrix's
         # bytes
         grid, peak = traced_peak(lambda: build_grid(rank, delta))
-        assert peak <= 0.25 * 8 * rank * grid.n_points
+        assert peak <= self.BUILD_PEAK[rank, delta] * 8 * rank * grid.n_points
 
     def test_refinement_peak(self):
         full = 8 * 6 * build_grid(6, 0.05).n_points  # the dense row matrix
@@ -284,8 +341,8 @@ class TestMemory:
         with pytest.warns(GridResolutionWarning):
             _, peak = traced_peak(lambda: refine(truncated_thermal(0.5, 6), 0.05, 3))
         # one grid at a time: the previous level's grid is freed before the
-        # next is built
-        assert peak <= 0.35 * full
+        # next is built; the traced peak was 0.2378 of the dense matrix
+        assert peak <= 0.28 * full
 
 
 class TestCapacity:
@@ -294,6 +351,12 @@ class TestCapacity:
             build_grid(3, 0.01, max_points=100)
         assert err.value.requested == count_grid_points(3, 0.01)
         assert err.value.budget == 100
+
+    def test_fine_rank3_spacing_rejected_before_allocating(self):
+        # an exact count at rank 3 reads one budget per first coordinate,
+        # never a table of the L + 1 = 10^8 + 1 budgets
+        _, peak = traced_peak(lambda: pytest.raises(GridCapacityError, build_grid, 3, 1e-4))
+        assert peak < 2**20
 
     def test_fine_spacing_rejected_before_allocating(self):
         # an exact rank-4 count at delta = 1e-4 would hold arrays of 10^8 + 1

@@ -59,12 +59,14 @@ class TestAssemble:
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_row_matrix_is_row_major_squares(self):
-        # the row matrix is the grid's own run form: the ones row and the
-        # prefix squares once per run, the last coordinate's square per point
+        # the row matrix is the grid's own run form: the implicit ones row,
+        # the prefix steps coded once per run, the last coordinate's step
+        # coded per point
         grid = build_grid(4, 0.1)
         rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
         assert rows is grid.rows
-        assert rows.run_rows.shape == (3, count_grid_points(3, 0.1))
+        assert rows.ones == 1
+        assert rows.run_codes.shape == (2, count_grid_points(3, 0.1))
         assert rows.col_rows.shape == (1, grid.n_points)
         free = grid.amplitudes(np.arange(grid.n_points))[1:]
         expected = np.vstack([np.ones(grid.n_points), free**2])
@@ -73,7 +75,7 @@ class TestAssemble:
     def test_row_matrix_is_shared_not_copied(self):
         grid = build_grid(4, 0.1)
         lp = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid)
-        for name in ("run_rows", "starts", "col_rows"):
+        for name in ("starts", "run_codes", "col_rows", "table"):
             arr = getattr(lp.row_matrix, name)
             assert arr is getattr(grid.rows, name)
             assert not arr.flags.writeable
@@ -83,7 +85,7 @@ class TestAssemble:
         lattices = LatticeLps([s0, s2], 0.05)
         (grid0, lp0), (grid2, lp2) = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
         assert grid0 is grid2
-        for name in ("run_rows", "starts", "col_rows"):
+        for name in ("starts", "run_codes", "col_rows", "table"):
             assert getattr(lp0.row_matrix, name) is getattr(grid0.rows, name)
             assert getattr(lp2.row_matrix, name) is getattr(grid0.rows, name)
 

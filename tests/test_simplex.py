@@ -308,9 +308,15 @@ class TestRunMatrix:
         rng = np.random.default_rng(3)
         a, c, y = rng.normal(size=(5, 40000)), rng.normal(size=40000), rng.normal(size=5)
         dense = simplex._run_form(a)
+        signs = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+        flipped = a * signs[:, None]
         for lo, hi in ((0, 16384), (16384, 32768), (32768, 40000), (0, 40000)):
             got = simplex._price_block(c, dense, y, lo, hi)
             assert got.tobytes() == (c[lo:hi] - y @ a[:, lo:hi]).tobytes()
+            # a scaled matrix applies its signs to y, the same bits
+            got = simplex._price_block(c, dense.scaled(signs), y, lo, hi)
+            assert got.tobytes() == (c[lo:hi] - y @ flipped[:, lo:hi]).tobytes()
+            assert dense.scaled(signs).block(lo, hi).tobytes() == flipped[:, lo:hi].tobytes()
 
     @pytest.mark.parametrize("rank,delta", [(2, 0.01), (4, 0.05), (6, 0.1)])
     def test_run_form_reads_as_its_dense_matrix(self, rank, delta):
@@ -337,43 +343,115 @@ class TestRunMatrix:
         [
             build_grid(4, 0.05),
             build_grid(2, 0.002),
-            neighborhood_grid(3, 0.002, np.array([[0.3, 0.5], [0.31, 0.2]]), 0.01),
+            build_grid(3, 0.003),
+            neighborhood_grid(4, 0.002, np.array([[0.3, 0.5, 0.1], [0.31, 0.2, 0.4]]), 0.01),
         ],
-        ids=["uint8", "uint16", "uint16-neighbourhood"],
+        ids=["uint8", "uint16", "uint16-rank3", "uint16-neighbourhood"],
     )
     def test_coded_row_reads_as_its_expansion(self, grid):
-        # the coded row against the same run form with the row's values
-        # stored as floats, bit for bit
+        # every coded row against the same run form with its rows stored as
+        # floats, bit for bit, also scaled and with rows dropped
         rows = grid.rows
+        assert rows.col_rows.dtype == rows.run_codes.dtype
         assert rows.col_rows.dtype == (np.uint8 if grid.delta == 0.05 else np.uint16)
-        expanded = RunMatrix(rows.run_rows, rows.starts, rows.table[rows.col_rows])
-        n, p = rows.shape[1], rows.run_rows.shape[0]
+        floats = FloatRunForm.of(rows)
+        n, m = rows.shape[1], grid.rank
         rng = np.random.default_rng(2)
-        y = rng.normal(size=grid.rank)
+        y = rng.normal(size=m)
         idx = rng.integers(0, n, size=50)
-        spans = [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3)]
-        signs = np.where(np.arange(grid.rank) % 2, -1.0, 1.0)
-        pairs = [
-            (rows, expanded),
-            (rows.scaled(signs), expanded.scaled(signs)),
-            (rows.scaled(-signs), expanded.scaled(-signs)),
-            (rows.rows(range(p)), expanded.rows(range(p))),  # the coded row dropped
-            (rows.rows(range(1, p + 1)), expanded.rows(range(1, p + 1))),
-        ]
-        for coded, dense in pairs:
-            assert coded.shape == dense.shape
+        spans = [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3), (n - 7, n)]
+        signs = np.where(np.arange(m) % 2, -1.0, 1.0)
+        keeps = [range(m - 1), range(1, m), [0, m - 1], [1], [m - 1]]
+        if m > 2:
+            keeps.append([0] + list(range(2, m)))  # a coded run row dropped
+        pairs = [(rows, floats), (rows.scaled(signs), floats.scaled(signs))]
+        pairs.append((rows.scaled(-signs), floats.scaled(-signs)))
+        pairs += [(rows.rows(keep), floats.rows(keep)) for keep in keeps]
+        pairs.append((rows.scaled(-signs).rows(keeps[-1]), floats.scaled(-signs).rows(keeps[-1])))
+        for coded, ref in pairs:
+            assert coded.shape == ref.shape
             k = coded.shape[0]
-            assert coded.columns(idx).tobytes() == dense.columns(idx).tobytes()
-            assert coded.columns(idx[0]).tobytes() == dense.columns(idx[0]).tobytes()
+            assert coded.columns(idx).tobytes() == ref.columns(idx).tobytes()
+            assert coded.columns(idx[0]).tobytes() == ref.columns(idx[0]).tobytes()
             for lo, hi in spans:
-                assert coded.block(lo, hi).tobytes() == dense.block(lo, hi).tobytes()
-                got, want = coded.dot(y[:k], lo, hi), dense.dot(y[:k], lo, hi)
+                assert coded.block(lo, hi).tobytes() == ref.block(lo, hi).tobytes()
+                got, want = coded.dot(y[:k], lo, hi), ref.dot(y[:k], lo, hi)
                 assert got.tobytes() == want.tobytes()
-        # the codes are shared, not copied
-        assert np.shares_memory(rows.scaled(signs).col_rows, rows.col_rows)
-        # one table serves one coded row
+        # scaling shares the codes and the table; dropping rows the table
+        scaled = rows.scaled(signs)
+        for name in ("starts", "col_rows", "table") + (("run_codes",) if m > 2 else ()):
+            assert np.shares_memory(getattr(scaled, name), getattr(rows, name))
+        assert np.shares_memory(rows.rows(range(m - 1)).table, rows.table)
+
+    def test_coded_matrix_checks_its_codes(self):
+        starts, table = np.array([0, 2]), np.array([0.0, 0.25, 1.0])
+        codes = np.array([[0, 1, 2, 2]], dtype=np.uint8)
+        run_codes = np.array([[1, 2]], dtype=np.uint8)
+        RunMatrix(starts, codes, run_codes, table, ones=True)
+        # one table serves one coded column row
         with pytest.raises(ValueError, match="one column row"):
-            RunMatrix(rows.run_rows, rows.starts, np.vstack([rows.col_rows] * 2), rows.table)
+            RunMatrix(starts, np.vstack([codes] * 2), run_codes, table)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            RunMatrix(starts, codes + 1, run_codes, table)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            RunMatrix(starts, codes, run_codes.astype(np.int64) - 2, table)
+        with pytest.raises(ValueError, match="not integer"):
+            RunMatrix(starts, codes, run_codes.astype(float), table)
+        with pytest.raises(ValueError, match="need a table"):
+            RunMatrix(starts, codes.astype(float), run_codes)
+
+
+class FloatRunForm:
+    """A run form whose run rows and column rows are stored as floats, read
+    as :class:`RunMatrix` read them before its rows were coded."""
+
+    def __init__(self, run_rows, starts, col_rows):
+        self.run_rows, self.starts, self.col_rows = run_rows, starts, col_rows
+        self.shape = (len(run_rows) + len(col_rows), col_rows.shape[1])
+
+    @classmethod
+    def of(cls, rows):
+        runs = rows.table[rows.run_codes]
+        if rows.ones:
+            runs = np.vstack([np.ones(rows.starts.size), runs])
+        return cls(runs, rows.starts, rows.table[rows.col_rows])
+
+    def _span(self, lo, hi):
+        # a slice, so that run_rows[:, runs] is a view with rows of unit
+        # stride, as pricing read it (a fancy index gives another layout,
+        # which matmul sums in another order)
+        counts = np.diff(np.clip(np.append(self.starts, self.shape[1]), lo, hi))
+        runs = np.flatnonzero(counts)
+        return slice(runs[0], runs[-1] + 1), counts[runs]
+
+    def dot(self, y, lo, hi):
+        p = len(self.run_rows)
+        out = y[p] * self.col_rows[0, lo:hi] if len(self.col_rows) else np.zeros(hi - lo)
+        if p:
+            runs, counts = self._span(lo, hi)
+            out += np.repeat(y[:p] @ self.run_rows[:, runs], counts)
+        return out
+
+    def columns(self, idx):
+        runs = self.starts.searchsorted(idx, side="right") - 1
+        return np.concatenate((self.run_rows[:, runs], self.col_rows[:, idx]))
+
+    def block(self, lo, hi):
+        runs, counts = self._span(lo, hi)
+        return np.concatenate(
+            (np.repeat(self.run_rows[:, runs], counts, axis=1), self.col_rows[:, lo:hi])
+        )
+
+    def scaled(self, signs):
+        p = len(self.run_rows)
+        return FloatRunForm(
+            self.run_rows * signs[:p, None], self.starts, self.col_rows * signs[p:, None]
+        )
+
+    def rows(self, keep):
+        keep = np.asarray(keep)
+        p = len(self.run_rows)
+        return FloatRunForm(self.run_rows[keep[keep < p]], self.starts, self.col_rows[keep[keep >= p] - p])
 
 
 class TestStart:
