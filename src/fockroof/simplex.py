@@ -180,8 +180,7 @@ class RunMatrix:
         if self.ones:
             out[0].fill(1.0)
         if len(codes):
-            # the codes were checked against the table once, at construction
-            self.table.take(codes, out=out[self.ones :], mode="clip")
+            self.table.take(codes, out=out[self.ones :])
         return out
 
     def _signed(self, out: np.ndarray) -> np.ndarray:
@@ -200,11 +199,7 @@ class RunMatrix:
         if self.table is not None:
             # one product per table entry, gathered: the same bits as the
             # product of y[p] with each column's value
-            out = (
-                (y[p] * self.table).take(cols[0], mode="clip")
-                if len(cols)
-                else np.zeros(hi - lo)
-            )
+            out = (y[p] * self.table).take(cols[0]) if len(cols) else np.zeros(hi - lo)
         elif len(cols) == 1:
             # the same bits as matmul, which has no BLAS path for a single
             # row; np.dot copies a matrix whose rows are strided
@@ -226,8 +221,8 @@ class RunMatrix:
             out[self._p :] = self.col_rows[:, idx]
         else:
             codes = self.run_codes[:, runs]
-            self.table.take(codes, out=out[self.ones : self._p], mode="clip")
-            self.table.take(self.col_rows[:, idx], out=out[self._p :], mode="clip")
+            self.table.take(codes, out=out[self.ones : self._p])
+            self.table.take(self.col_rows[:, idx], out=out[self._p :])
         return self._signed(out)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
@@ -235,7 +230,7 @@ class RunMatrix:
         runs, counts = self.span(lo, hi)
         cols = self.col_rows[:, lo:hi]
         if self.table is not None:
-            cols = self.table.take(cols, mode="clip")
+            cols = self.table.take(cols)
         out = np.concatenate((np.repeat(self._run_values(runs), counts, axis=1), cols))
         return self._signed(out)
 
