@@ -146,8 +146,11 @@ class RunMatrix:
         self.ones = int(ones)
         self.signs = None if signs is None else _read_only(signs)
         self._p = self.ones + len(run_codes)
-        # pricing spans by block; a race between threads stores one value twice
+        # pricing spans by block, and the run rows of the last block priced,
+        # which the next pivot prices first; a race between threads stores a
+        # value twice or replaces the last block early
         self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
+        self._last: tuple = (None, None, None)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -165,7 +168,8 @@ class RunMatrix:
     def _priced_span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
         """:meth:`span`, kept for the next pricing of the same block.  The
         pricing blocks cover the columns once, so this keeps about one count
-        per run while the matrix lives, and saves a few numpy calls a block."""
+        per run while the matrix lives, and saves a few numpy calls a block.
+        """
         key = (lo, hi)
         hit = self._spans.get(key)
         if hit is None:
@@ -190,7 +194,9 @@ class RunMatrix:
 
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
-        over its columns, plus the column rows' products."""
+        over its columns, plus the column rows' products.  The decoded run
+        rows of the last block are kept: each pivot prices first the block
+        where the previous one found its entering column."""
         if self.signs is not None:
             # (y_i * s_i) * a is the same bits as y_i * (s_i * a) for ±1
             y = y * self.signs
@@ -207,8 +213,12 @@ class RunMatrix:
         else:
             out = y[p:] @ cols
         if p:
-            runs, counts = self._priced_span(lo, hi)
-            out += (y[:p] @ self._run_values(runs)).repeat(counts)
+            key, counts, values = self._last
+            if key != (lo, hi):
+                runs, counts = self._priced_span(lo, hi)
+                values = self._run_values(runs)
+                self._last = ((lo, hi), counts, values)
+            out += (y[:p] @ values).repeat(counts)
         return out
 
     def columns(self, idx) -> np.ndarray:

@@ -357,7 +357,7 @@ class TestRunMatrix:
         floats = FloatRunForm.of(rows)
         n, m = rows.shape[1], grid.rank
         rng = np.random.default_rng(2)
-        y = rng.normal(size=m)
+        y, y2 = rng.normal(size=m), rng.normal(size=m)
         idx = rng.integers(0, n, size=50)
         spans = [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3), (n - 7, n)]
         signs = np.where(np.arange(m) % 2, -1.0, 1.0)
@@ -375,8 +375,9 @@ class TestRunMatrix:
             assert coded.columns(idx[0]).tobytes() == ref.columns(idx[0]).tobytes()
             for lo, hi in spans:
                 assert coded.block(lo, hi).tobytes() == ref.block(lo, hi).tobytes()
-                got, want = coded.dot(y[:k], lo, hi), ref.dot(y[:k], lo, hi)
-                assert got.tobytes() == want.tobytes()
+                # the second product reads the block's run rows kept from the first
+                for yk in (y[:k], y2[:k]):
+                    assert coded.dot(yk, lo, hi).tobytes() == ref.dot(yk, lo, hi).tobytes()
         # scaling shares the codes and the table; dropping rows the table
         scaled = rows.scaled(signs)
         for name in ("starts", "col_rows", "table") + (("run_codes",) if m > 2 else ()):
