@@ -146,9 +146,8 @@ class RunMatrix:
         self.ones = int(ones)
         self.signs = None if signs is None else _read_only(signs)
         self._p = self.ones + len(run_codes)
-        # pricing spans by block, and the run rows of the last block priced,
-        # which the next pivot prices first; a race between threads stores a
-        # value twice or replaces the last block early
+        # see _priced_runs; a race between threads stores a value twice or
+        # replaces the last block early
         self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
         self._last: tuple = (None, None, None)
 
@@ -165,20 +164,29 @@ class RunMatrix:
         edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
         return slice(first, end), edges[1:] - edges[:-1]
 
-    def _priced_span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
-        """:meth:`span`, kept for the next pricing of the same block.  The
-        pricing blocks cover the columns once, so this keeps about one count
-        per run while the matrix lives, and saves a few numpy calls a block.
-        """
+    def _priced_runs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """How many of columns lo:hi each of their runs holds, and the runs'
+        decoded rows.  A pricing block keeps its span for its next pricing,
+        and the last block priced keeps its run rows too: each pivot prices
+        first the block where the previous one found its entering column.
+        A wider scan keeps nothing, so what is kept stays about one count
+        per run and one block's run rows."""
         key = (lo, hi)
-        hit = self._spans.get(key)
-        if hit is None:
-            hit = self._spans[key] = self.span(lo, hi)
-        return hit
+        if self._last[0] == key:
+            return self._last[1:]
+        if hi - lo > _PRICING_BLOCK:
+            runs, counts = self.span(lo, hi)
+            return counts, self._run_values(runs)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = self.span(lo, hi)
+        runs, counts = span
+        self._last = (key, counts, self._run_values(runs))
+        return self._last[1:]
 
     def _run_values(self, runs) -> np.ndarray:
-        """The unsigned (p, len(runs)) float run rows of ``runs``, a slice or
-        an index array: only those runs are decoded, in one gather."""
+        """The (p, runs) float run rows of the slice ``runs``, before signs:
+        only those runs are decoded, in one gather."""
         codes = self.run_codes[:, runs]
         out = np.empty((self._p, codes.shape[1]))
         if self.ones:
@@ -188,15 +196,14 @@ class RunMatrix:
         return out
 
     def _signed(self, out: np.ndarray) -> np.ndarray:
+        """``out``, a new array of rows, with row i multiplied by signs[i]."""
         if self.signs is not None:
             out *= self.signs.reshape(-1, *(1,) * (out.ndim - 1))
         return out
 
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
-        over its columns, plus the column rows' products.  The decoded run
-        rows of the last block are kept: each pivot prices first the block
-        where the previous one found its entering column."""
+        over its columns, plus the column rows' products."""
         if self.signs is not None:
             # (y_i * s_i) * a is the same bits as y_i * (s_i * a) for ±1
             y = y * self.signs
@@ -213,11 +220,7 @@ class RunMatrix:
         else:
             out = y[p:] @ cols
         if p:
-            key, counts, values = self._last
-            if key != (lo, hi):
-                runs, counts = self._priced_span(lo, hi)
-                values = self._run_values(runs)
-                self._last = ((lo, hi), counts, values)
+            counts, values = self._priced_runs(lo, hi)
             out += (y[:p] @ values).repeat(counts)
         return out
 
