@@ -18,9 +18,9 @@ per point, the step of the last coordinate.  The ones row is implicit.  A
 code takes one byte while isqrt(L) <= 255, that is for delta above about
 1/256.  The enumeration holds its coordinates, run lengths and budgets in
 the narrowest unsigned dtypes too; only the run starts, and a few
-transients per run, are eight bytes wide.  At rank 6 and delta = 0.05 that is 58,201
-runs for 662,629 points, 1.36 MB instead of the 31.8 MB of the dense
-(M, N) matrix, or the 3.46 MB with float run rows.  Amplitudes are
+transients per run, are eight bytes wide.  At rank 6 and delta = 0.05 that
+is 58,201 runs for 662,629 points, 1.36 MB instead of the 31.8 MB of the
+dense (M, N) matrix, or the 3.46 MB with float run rows.  Amplitudes are
 recomputed from the squares where they are needed; the square root of a
 correctly rounded square is exact, so they are the same bits as l_k*delta.
 """

@@ -241,7 +241,9 @@ class TestRuns:
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
             AmplitudeGrid(3, 0.5, [np.array([0, -1])], 0, np.array([2, 2]))
 
-    @pytest.mark.parametrize("dtype,delta,top", [(np.uint8, 1 / 255.5, 255), (np.uint16, 0.002, 500)])
+    @pytest.mark.parametrize(
+        "dtype,delta,top", [(np.uint8, 1 / 255.5, 255), (np.uint16, 0.002, 500)]
+    )
     def test_narrow_coordinates_are_checked_without_wrapping(self, dtype, delta, top):
         # a run's last coordinate, first + count - 1, is past the table even
         # where first + count wraps in the coordinates' own dtype
@@ -341,7 +343,7 @@ class TestMemory:
         with pytest.warns(GridResolutionWarning):
             _, peak = traced_peak(lambda: refine(truncated_thermal(0.5, 6), 0.05, 3))
         # one grid at a time: the previous level's grid is freed before the
-        # next is built; the traced peak was 0.2378 of the dense matrix
+        # next is built; the traced peak was 0.2423 of the dense matrix
         assert peak <= 0.28 * full
 
 

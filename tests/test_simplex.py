@@ -452,7 +452,9 @@ class FloatRunForm:
     def rows(self, keep):
         keep = np.asarray(keep)
         p = len(self.run_rows)
-        return FloatRunForm(self.run_rows[keep[keep < p]], self.starts, self.col_rows[keep[keep >= p] - p])
+        return FloatRunForm(
+            self.run_rows[keep[keep < p]], self.starts, self.col_rows[keep[keep >= p] - p]
+        )
 
 
 class TestStart:
