@@ -50,6 +50,22 @@ def bounded_random_lp(rng, rows, cols):
     return make_lp(c, a, b)
 
 
+def signed_random_lp(rng):
+    """Random feasible program, degenerate when its support is smaller than
+    its rows, with at least one row negated, so that some rhs is negative."""
+    rows = int(rng.integers(1, 7))
+    cols = int(rng.integers(rows + 1, 60))
+    a = np.vstack([np.ones(cols), rng.normal(size=(rows - 1, cols))])
+    x0 = np.zeros(cols)
+    support = rng.choice(cols, size=int(rng.integers(1, rows + 1)), replace=False)
+    x0[support] = rng.uniform(0.2, 1.0, size=support.size)
+    b = a @ x0
+    signs = np.where(rng.random(rows) < 0.5, -1.0, 1.0)
+    r = rng.integers(rows)
+    signs[r] = -np.sign(b[r])
+    return make_lp(rng.normal(size=cols), a * signs[:, None], b * signs)
+
+
 def brute_force_optimum(lp, tol=1e-9):
     """Enumerate every basic solution and return the best feasible objective."""
     rows, cols = lp.n_rows, lp.n_cols
@@ -123,12 +139,47 @@ class TestBasics:
         assert solve(lp).status is LpStatus.OPTIMAL
         assert [arr.tobytes() for arr in (lp.objective, lp.row_matrix, lp.rhs)] == before
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_negative_rhs_solves_as_its_flipped_program(self, seed):
+        # the same status, objective bits, primal, basis and pivots as the
+        # program with every row of negative rhs negated by hand
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(20):
+            lp = signed_random_lp(rng)
+            signs = np.where(lp.rhs < 0, -1.0, 1.0)
+            assert signs.min() < 0
+            flipped = make_lp(lp.objective, lp.row_matrix * signs[:, None], lp.rhs * signs)
+            sol, ref = solve(lp), solve(flipped)
+            assert sol.status is ref.status
+            assert sol.objective_value.hex() == ref.objective_value.hex()
+            assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
+            assert sol.primal.values.tobytes() == ref.primal.values.tobytes()
+            assert sol.basis == ref.basis
+            assert (sol.iterations, sol.phase1_iterations) == (
+                ref.iterations,
+                ref.phase1_iterations,
+            )
+
     def test_redundant_row_is_tolerated(self):
-        # second row is twice the first: phase 1 must drop it, not fail
+        # second row is twice the first: phase 1 must not fail on it, and
+        # the primal reproduces both rows
         lp = make_lp([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+        assert residuals(lp, sol) == (pytest.approx(0.0, abs=simplex.FEAS_TOL), 0.0)
+        # a row that is a combination of two others, in a larger program
+        rng = np.random.default_rng(8)
+        base = bounded_random_lp(rng, 4, 30)
+        a = np.vstack([base.row_matrix, base.row_matrix[1] - 2.0 * base.row_matrix[2]])
+        b = np.append(base.rhs, base.rhs[1] - 2.0 * base.rhs[2])
+        lp = make_lp(base.objective, a, b)
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(solve(base).objective_value, abs=1e-9)
+        eq, neg = residuals(lp, sol)
+        assert eq <= simplex.FEAS_TOL
+        assert neg == 0.0
 
     def test_with_rhs_checks_only_the_new_rhs(self):
         lp = make_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
