@@ -10,8 +10,9 @@ enumeration that builds the prefixes (l_1, ..., l_{M-2}) one coordinate at
 a time, never makes a point outside the ball, and ends each prefix with one
 run of consecutive values of the last coordinate.
 
-A grid is the LP's row matrix and nothing else, a coded
-:class:`~fockroof.simplex.RunMatrix`.  Every coordinate is stored as its
+A grid is the LP's row matrix and nothing else, a coded :class:`RunMatrix`
+that the solver reads through its four members (``shape``, ``dot``,
+``columns`` and ``block``).  Every coordinate is stored as its
 integer step l, a code into the one table of the isqrt(L) + 1 squares
 (l*delta)²: per run, the column where it starts and the M - 2 prefix steps;
 per point, the step of the last coordinate.  The ones row is implicit.  A
@@ -28,14 +29,14 @@ correctly rounded square is exact, so they are the same bits as l_k*delta.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from math import isqrt
 
 import numpy as np
 
-from .simplex import RunMatrix
-
 DEFAULT_MAX_POINTS = 5_000_000
-# columns per block of the objective computation
+# columns per block of the objective computation; a RunMatrix keeps what
+# it decodes only for blocks up to this width, the solver's pricing block
 _BLOCK = 16_384
 
 
@@ -215,11 +216,118 @@ def _ground(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+class RunMatrix:
+    """A lattice's row matrix, coded: its rows are constant along runs of
+    consecutive columns except the last.
+
+    Run r is the columns ``starts[r] <= j < starts[r + 1]`` (the last run
+    ends at the last column), and ``starts[0]`` is 0.  The rows are, in
+    order: one row of ones, which is not stored; the coded run rows, row
+    1 + i of every column of run r being ``table[run_codes[i, r]]``; and
+    the column row, ``table[codes[j]]`` for column j.  Every code is an
+    integer, checked once here to lie in the table.  The arrays are held as
+    read-only views.
+
+    A block of columns is priced by decoding only its own runs into the
+    float run rows that ``y[:-1] @`` reads, and the column row as
+    ``take(y[-1] * table, codes)``: one product per table entry and the
+    same bits as the product with each column's value.  So pricing reads
+    one code per column and M - 2 per run.
+    """
+
+    def __init__(self, starts, codes, run_codes, table):
+        for arr in (run_codes, codes):
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"codes are {arr.dtype}, not integer")
+            if arr.size and (
+                np.max(arr) >= table.size or arr.dtype.kind == "i" and np.min(arr) < 0
+            ):
+                raise ValueError(f"codes must lie in [0, {table.size})")
+        for name, arr in (
+            ("starts", starts), ("codes", codes), ("run_codes", run_codes), ("table", table)
+        ):
+            view = arr.view()
+            view.setflags(write=False)
+            setattr(self, name, view)
+        # see _priced_runs; a race between threads stores a value twice or
+        # replaces the last block early
+        self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
+        self._last: tuple = (None, None, None)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.run_codes) + 2, self.codes.size
+
+    def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+        """The runs that meet columns lo:hi, and how many of those columns
+        each of them holds."""
+        first = int(self.starts.searchsorted(lo, side="right")) - 1
+        end = int(self.starts.searchsorted(hi))
+        edges = np.empty(end - first + 1, dtype=np.intp)
+        edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
+        return slice(first, end), edges[1:] - edges[:-1]
+
+    def _priced_runs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """How many of columns lo:hi each of their runs holds, and the runs'
+        decoded rows.  A pricing block keeps its span for its next pricing,
+        and the last block priced keeps its run rows too: each pivot prices
+        first the block where the previous one found its entering column.
+        A wider scan keeps nothing, so what is kept stays about one count
+        per run and one block's run rows."""
+        key = (lo, hi)
+        if self._last[0] == key:
+            return self._last[1:]
+        if hi - lo > _BLOCK:
+            runs, counts = self.span(lo, hi)
+            return counts, self._run_values(runs)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = self.span(lo, hi)
+        runs, counts = span
+        self._last = (key, counts, self._run_values(runs))
+        return self._last[1:]
+
+    def _run_values(self, runs) -> np.ndarray:
+        """The float run rows, the ones row first, of the slice ``runs``:
+        only those runs are decoded, in one gather."""
+        codes = self.run_codes[:, runs]
+        out = np.empty((len(codes) + 1, codes.shape[1]))
+        out[0].fill(1.0)
+        self.table.take(codes, out=out[1:])
+        return out
+
+    def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
+        over its columns, plus the column row's products."""
+        # one product per table entry, gathered: the same bits as the
+        # product of y[-1] with each column's value
+        out = (y[-1] * self.table).take(self.codes[lo:hi])
+        counts, values = self._priced_runs(lo, hi)
+        out += (y[:-1] @ values).repeat(counts)
+        return out
+
+    def columns(self, idx) -> np.ndarray:
+        """The dense columns ``A[:, idx]``: one column for an integer index,
+        a matrix for an index sequence."""
+        runs = self.starts.searchsorted(idx, side="right") - 1
+        out = np.empty((self.shape[0], *runs.shape))
+        out[0] = 1.0
+        out[1:-1] = self.table[self.run_codes[:, runs]]
+        out[-1] = self.table[self.codes[idx]]
+        return out
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The dense columns ``A[:, lo:hi]``."""
+        runs, counts = self.span(lo, hi)
+        last = self.table.take(self.codes[None, lo:hi])
+        return np.concatenate((np.repeat(self._run_values(runs), counts, axis=1), last))
+
+
 class AmplitudeGrid:
     """Lattice points for one window rank and spacing, as the LP's row matrix.
 
     ``rows``, the only array data held, is a read-only coded
-    :class:`~fockroof.simplex.RunMatrix` of shape (rank, n_points).  Its
+    :class:`RunMatrix` of shape (rank, n_points).  Its
     first row, all ones, is implicit.  Every coordinate is a code: per run,
     the prefix steps l_1..l_{M-2}, and per point, the step l of its last
     coordinate, each in the smallest unsigned dtype that holds isqrt(L).  All
@@ -259,7 +367,7 @@ class AmplitudeGrid:
         table = np.arange(top + 1.0)
         np.multiply(table, self.delta, out=table)
         np.square(table, out=table)
-        self.rows = RunMatrix(starts, codes[None, :], run_codes, table, ones=True)
+        self.rows = RunMatrix(starts, codes, run_codes, table)
 
     @property
     def n_points(self) -> int:
@@ -279,6 +387,34 @@ class AmplitudeGrid:
         _ground(squares[1:], out=x[0])
         return x
 
+    def column_index(self, key: tuple[float, ...]) -> int:
+        """Column whose squared coordinates (rows 1.. of the grid) are
+        ``key``, or -1.
+
+        Each square is looked up in the table of squares, which gives its
+        step; the codes are those steps, so the bisection compares codes
+        and decodes nothing.  The runs are in lexicographic order of prefix
+        and first step, so the last run at or before ``(prefix, l)`` is the
+        only one that can hold the point, at ``l`` minus the run's first
+        step past its start.
+        """
+        squares = self.squares
+        steps = np.searchsorted(squares, key)
+        if steps.max() == squares.size or np.any(squares[steps] != key):
+            return -1
+        *head, l = steps.tolist()
+        prefix, starts, codes = self.rows.run_codes, self.rows.starts, self.rows.codes
+        r = bisect_right(
+            range(starts.size),
+            (*head, l),
+            key=lambda r: (*prefix[:, r].tolist(), int(codes[starts[r]])),
+        ) - 1
+        if r < 0 or prefix[:, r].tolist() != head:
+            return -1
+        end = starts[r + 1] if r + 1 < starts.size else codes.size
+        j = int(starts[r]) + l - int(codes[starts[r]])
+        return j if j < end else -1
+
     def objective_coeffs(self, offset: int) -> np.ndarray:
         """Squared coherence kernel of every point for a window starting at offset.
 
@@ -295,7 +431,7 @@ class AmplitudeGrid:
             hi = min(lo + _BLOCK, self.n_points)
             runs, counts = rows.span(lo, hi)
             prefix = np.take(self.squares, rows.run_codes[:, runs])
-            last = np.take(self.squares, rows.col_rows[0, lo:hi])
+            last = np.take(self.squares, rows.codes[lo:hi])
             acc = alpha[lo:hi]
             norm = np.zeros(counts.size)
             for sq in prefix:

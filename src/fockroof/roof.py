@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
@@ -167,35 +166,6 @@ def _warn_fine_populations(state: FockDiagonalState, delta: float) -> None:
         )
 
 
-def _column_index(grid: AmplitudeGrid, key: tuple[float, ...]) -> int:
-    """Column whose squared coordinates (rows 1.. of the grid) are ``key``,
-    or -1.
-
-    Each square is looked up in the grid's table of squares, which gives its
-    step; the grid's codes are those steps, so the bisection compares codes
-    and decodes nothing.  The grid's runs are in lexicographic order of
-    prefix and first step, so the last run at or before ``(prefix, l)`` is
-    the only one that can hold the point, at ``l`` minus the run's first
-    step past its start.
-    """
-    rows, squares = grid.rows, grid.squares
-    steps = np.searchsorted(squares, key)
-    if steps.max() == squares.size or np.any(squares[steps] != key):
-        return -1
-    *head, l = steps.tolist()
-    prefix, starts, codes = rows.run_codes, rows.starts, rows.col_rows[0]
-    r = bisect_right(
-        range(starts.size),
-        (*head, l),
-        key=lambda r: (*prefix[:, r].tolist(), int(codes[starts[r]])),
-    ) - 1
-    if r < 0 or prefix[:, r].tolist() != head:
-        return -1
-    end = starts[r + 1] if r + 1 < starts.size else codes.size
-    j = int(starts[r]) + l - int(codes[starts[r]])
-    return j if j < end else -1
-
-
 def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | None:
     """Grid columns of the Kuhn simplex around sqrt(p): a feasible basis.
 
@@ -220,11 +190,11 @@ def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | No
     ]
     # (l * delta) * (l * delta) is the product that built the grid's rows
     vertex = [(l * delta) * (l * delta) for l in corner]
-    columns = [_column_index(grid, tuple(vertex))]
+    columns = [grid.column_index(tuple(vertex))]
     for k in sorted(range(len(corner)), key=lambda k: (-frac[k], k)):
         l = corner[k] + 1
         vertex[k] = (l * delta) * (l * delta)
-        columns.append(_column_index(grid, tuple(vertex)))
+        columns.append(grid.column_index(tuple(vertex)))
     return None if min(columns) < 0 else columns
 
 
@@ -241,7 +211,7 @@ def _solve_on_grid(
     earlier solve when all of its columns are on the grid, else from the
     Kuhn simplex, else in phase 1.
     """
-    start = None if carried is None else [_column_index(grid, k) for k in carried]
+    start = None if carried is None else [grid.column_index(k) for k in carried]
     if start is None or min(start) < 0:
         start = _kuhn_start(state, grid)
     sol = simplex.solve(lp, max_iter=max_iter, start=start)
@@ -260,7 +230,7 @@ def _solve_on_grid(
             f"histogram residuals exceed {simplex.FEAS_TOL:g}: {residual:.3g}",
         )
     basis = None
-    if len(sol.basis) == lp.n_rows and max(sol.basis) < lp.n_cols:
+    if max(sol.basis) < lp.n_cols:  # no artificial of a redundant row
         basis = [tuple(key) for key in grid.rows.columns(sol.basis)[1:].T.tolist()]
     value = mean_photon(state) - sol.objective_value
     return Estimate(value, grid.delta, amplitudes, weights), basis

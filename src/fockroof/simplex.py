@@ -29,28 +29,19 @@ seven rank-4 programs at delta = 0.00999 (5,812 pivots at 4,096, 1,539 at
 to 32,768 is faster beyond run-to-run noise, on those programs, the
 ``thermal`` refinement programs or the rank-5 one.
 
-The solver reads every row matrix as a :class:`RunMatrix`: its first p rows
-are constant along runs of consecutive columns and the other rows vary per
-column, and a block is priced as
-``c - (repeat(y[:p] @ run_rows[:, runs of the block]) + y[p:] @ col_rows)``.
-A lattice program (``grid.AmplitudeGrid``) has p = M - 1: a ones row, which
-is not stored, and the M - 2 squared prefix coordinates, stored per run as
-small integer codes into one table of squares; its one column row, the
-last coordinate's square, is a code per column into the same table.  A
-block decodes only its own runs, into the float (p, runs) block that
-``y[:p] @`` reads, and prices the column row as ``take(y[p] * table,
-codes)``, one product per column and the same bits as ``y[p] * values``.
-So pricing reads one byte per column besides the objective, and the run
-rows M - 2 bytes per run.  A dense program is the case p = 0 with one run
-and no table, priced as ``c - y @ A`` bit for bit.  Basis and entering
-columns are gathered through the run starts.
+The solver reads a row matrix through four members: ``shape``,
+``dot(y, lo, hi)`` for ``y @ A[:, lo:hi]``, ``columns(idx)`` for dense
+columns and ``block(lo, hi)`` for a dense block.  A dense array is read in
+place through a small adapter; a lattice program's row matrix, its grid's
+``rows``, provides them itself.
 
 Phase 1 adds one artificial per row without storing it: a basis index
-``j >= n_cols`` stands for the unit column ``e_(j - n_cols)``, and only the
-structural columns are priced, so an artificial that leaves never re-enters.
-Both phases read the caller's row matrix; when some right-hand side is
-negative, its rows are flipped by signs that each read applies, and the
-arrays are shared."""
+``j >= n_cols`` stands for the column ``s_r e_r`` with r = j - n_cols and
+s_r the sign of ``b_r`` (+1 for zero), so the first basic solution is
+``|b|`` and the program's rows are never flipped.  Only the structural
+columns are priced, so an artificial that leaves never re-enters.  An
+artificial that no structural column can replace belongs to a redundant row;
+it stays basic at zero, and phase 2 prices it at cost 0."""
 
 from __future__ import annotations
 
@@ -95,187 +86,33 @@ def _checked_view(name: str, arr: np.ndarray) -> np.ndarray:
     return _read_only(arr)
 
 
-class RunMatrix:
-    """A row matrix whose first p rows are constant along runs of columns.
+class _DenseRows:
+    """A dense row matrix, read in place through the solver's four
+    members."""
 
-    Run r is the columns ``starts[r] <= j < starts[r + 1]`` (the last run
-    ends at the last column), and ``starts[0]`` is 0.  The rows are, in
-    order:
-
-    - with ``ones``, one row of ones, which is not stored;
-    - the coded run rows: row i of every column of run r is
-      ``table[run_codes[i, r]]``; these and the ones row are the p rows;
-    - the column rows: row p + i of column j is ``col_rows[i, j]``, or
-      ``table[col_rows[i, j]]`` when a ``table`` is given.
-
-    With a table, every code is an integer, checked once here to lie in the
-    table, and there is at most one column row; without one there are no
-    run codes.  Row i is multiplied by ``signs[i]`` when ``signs`` are given
-    (see :meth:`scaled`).  A dense matrix is the case with one run, no ones
-    row and no table.  The arrays are held as read-only views.
-    """
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        col_rows: np.ndarray,
-        run_codes: np.ndarray | None = None,
-        table: np.ndarray | None = None,
-        ones: bool = False,
-        signs: np.ndarray | None = None,
-    ):
-        if run_codes is None:
-            run_codes = np.empty((0, starts.size), dtype=np.uint8)
-        if table is None:
-            if len(run_codes):
-                raise ValueError("coded run rows need a table")
-        else:
-            if col_rows.shape[0] > 1:
-                raise ValueError("a coded matrix has at most one column row")
-            for codes in (run_codes, col_rows):
-                if codes.dtype.kind not in "iu":
-                    raise ValueError(f"codes are {codes.dtype}, not integer")
-                if codes.size and (
-                    np.max(codes) >= table.size or codes.dtype.kind == "i" and np.min(codes) < 0
-                ):
-                    raise ValueError(f"codes must lie in [0, {table.size})")
-        self.starts = _read_only(starts)
-        self.col_rows = _read_only(col_rows)
-        self.run_codes = _read_only(run_codes)
-        self.table = None if table is None else _read_only(table)
-        self.ones = int(ones)
-        self.signs = None if signs is None else _read_only(signs)
-        self._p = self.ones + len(run_codes)
-        # see _priced_runs; a race between threads stores a value twice or
-        # replaces the last block early
-        self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
-        self._last: tuple = (None, None, None)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._p + self.col_rows.shape[0], self.col_rows.shape[1]
-
-    def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
-        """The runs that meet columns lo:hi, and how many of those columns
-        each of them holds."""
-        first = int(self.starts.searchsorted(lo, side="right")) - 1
-        end = int(self.starts.searchsorted(hi))
-        edges = np.empty(end - first + 1, dtype=np.intp)
-        edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
-        return slice(first, end), edges[1:] - edges[:-1]
-
-    def _priced_runs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """How many of columns lo:hi each of their runs holds, and the runs'
-        decoded rows.  A pricing block keeps its span for its next pricing,
-        and the last block priced keeps its run rows too: each pivot prices
-        first the block where the previous one found its entering column.
-        A wider scan keeps nothing, so what is kept stays about one count
-        per run and one block's run rows."""
-        key = (lo, hi)
-        if self._last[0] == key:
-            return self._last[1:]
-        if hi - lo > _PRICING_BLOCK:
-            runs, counts = self.span(lo, hi)
-            return counts, self._run_values(runs)
-        span = self._spans.get(key)
-        if span is None:
-            span = self._spans[key] = self.span(lo, hi)
-        runs, counts = span
-        self._last = (key, counts, self._run_values(runs))
-        return self._last[1:]
-
-    def _run_values(self, runs) -> np.ndarray:
-        """The (p, runs) float run rows of the slice ``runs``, before signs:
-        only those runs are decoded, in one gather."""
-        codes = self.run_codes[:, runs]
-        out = np.empty((self._p, codes.shape[1]))
-        if self.ones:
-            out[0].fill(1.0)
-        if len(codes):
-            self.table.take(codes, out=out[self.ones :])
-        return out
-
-    def _signed(self, out: np.ndarray) -> np.ndarray:
-        """``out``, a new array of rows, with row i multiplied by signs[i]."""
-        if self.signs is not None:
-            out *= self.signs.reshape(-1, *(1,) * (out.ndim - 1))
-        return out
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.shape = a.shape
 
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
-        over its columns, plus the column rows' products."""
-        if self.signs is not None:
-            # (y_i * s_i) * a is the same bits as y_i * (s_i * a) for ±1
-            y = y * self.signs
-        p = self._p
-        cols = self.col_rows[:, lo:hi]
-        if self.table is not None:
-            # one product per table entry, gathered: the same bits as the
-            # product of y[p] with each column's value
-            out = (y[p] * self.table).take(cols[0]) if len(cols) else np.zeros(hi - lo)
-        elif len(cols) == 1:
+        cols = self.a[:, lo:hi]
+        if len(cols) == 1:
             # the same bits as matmul, which has no BLAS path for a single
             # row; np.dot copies a matrix whose rows are strided
-            out = np.dot(y[p:], cols)
-        else:
-            out = y[p:] @ cols
-        if p:
-            counts, values = self._priced_runs(lo, hi)
-            out += (y[:p] @ values).repeat(counts)
-        return out
+            return np.dot(y, cols)
+        return y @ cols
 
     def columns(self, idx) -> np.ndarray:
-        """The dense columns ``A[:, idx]``: one column for an integer index,
-        a matrix for an index sequence."""
-        runs = self.starts.searchsorted(idx, side="right") - 1
-        out = np.empty((self.shape[0], *runs.shape))
-        out[: self.ones] = 1.0
-        if self.table is None:
-            out[self._p :] = self.col_rows[:, idx]
-        else:
-            codes = self.run_codes[:, runs]
-            self.table.take(codes, out=out[self.ones : self._p])
-            self.table.take(self.col_rows[:, idx], out=out[self._p :])
-        return self._signed(out)
+        return self.a.take(idx, axis=1)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """The dense columns ``A[:, lo:hi]``."""
-        runs, counts = self.span(lo, hi)
-        cols = self.col_rows[:, lo:hi]
-        if self.table is not None:
-            cols = self.table.take(cols)
-        out = np.concatenate((np.repeat(self._run_values(runs), counts, axis=1), cols))
-        return self._signed(out)
-
-    def scaled(self, signs: np.ndarray) -> RunMatrix:
-        """The matrix with row i multiplied by ``signs[i]``, each ±1, which
-        every read applies exactly; the arrays are shared, not copied."""
-        if self.signs is not None:
-            signs = self.signs * signs
-        return RunMatrix(
-            self.starts, self.col_rows, self.run_codes, self.table, self.ones, signs
-        )
-
-    def rows(self, keep: Sequence[int]) -> RunMatrix:
-        """The rows ``keep``, in increasing order."""
-        keep = np.asarray(keep, dtype=np.intp)
-        c, p = self.ones, self._p
-        return RunMatrix(
-            self.starts,
-            self.col_rows[keep[keep >= p] - p],
-            self.run_codes[keep[(keep >= c) & (keep < p)] - c],
-            self.table,
-            bool(c and np.any(keep == 0)),
-            None if self.signs is None else self.signs[keep],
-        )
+        return self.a[:, lo:hi]
 
 
-def _run_form(row_matrix) -> RunMatrix:
-    """A program's row matrix as the solver reads it; a dense array is one
-    run with no run rows, not copied."""
-    if isinstance(row_matrix, RunMatrix):
-        return row_matrix
-    return RunMatrix(np.zeros(1, dtype=np.intp), row_matrix)
+def _rows_of(lp: StandardFormLp):
+    """The program's row matrix as the solver reads it."""
+    a = lp.row_matrix
+    return _DenseRows(a) if isinstance(a, np.ndarray) else a
 
 
 @dataclass(frozen=True)
@@ -283,12 +120,13 @@ class StandardFormLp:
     """maximize objective·q  subject to  row_matrix·q = rhs,  q >= 0.
 
     The public constructor takes three arrays and stores them as read-only
-    views, each checked to be finite.  A lattice program's row matrix is the
-    grid's :class:`RunMatrix` instead.
+    views, each checked to be finite.  A lattice program's row matrix is its
+    grid's ``rows`` instead, one of any row matrices with the solver's four
+    members.
     """
 
     objective: np.ndarray
-    row_matrix: np.ndarray | RunMatrix
+    row_matrix: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
@@ -310,7 +148,8 @@ class StandardFormLp:
     @classmethod
     def _of_finite(cls, objective, row_matrix, rhs) -> StandardFormLp:
         """The program on a float objective and a read-only row matrix (an
-        array or a :class:`RunMatrix`) that are finite by construction and of
+        array or a row matrix with the solver's four members) that are
+        finite by construction and of
         matching shapes, neither copied nor scanned; only ``rhs`` is
         checked."""
         b = np.asarray(rhs, dtype=float)
@@ -373,14 +212,16 @@ def _empty_primal(size: int) -> SparseVector:
 class _Tableau:
     """Mutable simplex state: basis, dense basis inverse and basic values.
 
-    ``a`` is a :class:`RunMatrix`.  A basis index ``j >= a.shape[1]`` is the
-    phase-1 artificial column ``e_(j - a.shape[1])``; artificial columns are
-    never stored.
+    ``a`` is the row matrix as the solver reads it.  A basis index
+    ``j >= a.shape[1]`` is the phase-1 artificial column ``signs[r] * e_r``,
+    r = j - a.shape[1], with ``signs`` those of ``b``; artificial columns
+    are never stored.
     """
 
     def __init__(self, a, b, basis):
         self.a = a
         self.b = b
+        self.signs = np.where(b < 0, -1.0, 1.0)
         self.basis = basis
         self.refactor()
 
@@ -390,7 +231,8 @@ class _Tableau:
         artificial = basis >= n
         b_mat = np.zeros((rows, rows))
         b_mat[:, ~artificial] = self.a.columns(basis[~artificial])
-        b_mat[basis[artificial] - n, np.nonzero(artificial)[0]] = 1.0
+        art_rows = basis[artificial] - n
+        b_mat[art_rows, np.nonzero(artificial)[0]] = self.signs[art_rows]
         self.b_inv = np.linalg.inv(b_mat)
         self.x_b = np.maximum(self.b_inv @ self.b, 0.0)
 
@@ -441,8 +283,9 @@ def _choose_entering(c, a, y, cursor, block, tol, bland):
 
 
 def _choose_leaving(tab: _Tableau, w, bland):
-    """Ratio test.  Ties break lexicographically on rows of [x_B | B^-1],
-    or by smallest basis index under Bland's rule."""
+    """Ratio test.  Ties break lexicographically on rows of [x_B | B^-1 S],
+    S the artificials' signs, or by smallest basis index under Bland's
+    rule."""
     cand = np.nonzero(w > _PIVOT_TOL)[0]
     if cand.size == 0:
         return -1
@@ -455,21 +298,24 @@ def _choose_leaving(tab: _Tableau, w, bland):
         basis_arr = np.asarray(tab.basis)
         return int(sel[np.argmin(basis_arr[sel])])
     for col in range(tab.b_inv.shape[1]):
-        vals = tab.b_inv[sel, col] / w[sel]
+        vals = tab.b_inv[sel, col] * tab.signs[col] / w[sel]
         sel = sel[vals <= vals.min() + 1e-14]
         if sel.size == 1:
             break
     return int(sel[0])
 
 
-def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
+def _run_phase(
+    tab: _Tableau, c, pivots_left: int, artificial_cost: float = 0.0
+) -> tuple[str, int]:
     """Iterate to optimality of c over the current feasible basis, taking at
     most ``pivots_left`` pivots.
 
-    ``c`` covers the basis indices; only the structural columns of
-    ``tab.a`` are priced.  Returns the outcome ("optimal", "unbounded" or
-    "iter_limit") and the number of pivots taken.
+    ``c`` covers the structural columns of ``tab.a``, the only ones priced;
+    a basic artificial costs ``artificial_cost``.  Returns the outcome
+    ("optimal", "unbounded" or "iter_limit") and the number of pivots taken.
     """
+    n = tab.a.shape[1]
     bland = False
     stalls = 0
     cursor = 0
@@ -478,7 +324,8 @@ def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
     while True:
         if pivots >= pivots_left:
             return "iter_limit", pivots
-        y = tab.b_inv.T @ c[tab.basis]
+        c_b = np.array([c[j] if j < n else artificial_cost for j in tab.basis])
+        y = tab.b_inv.T @ c_b
         entering, cursor = _choose_entering(
             c, tab.a, y, cursor, _PRICING_BLOCK, FEAS_TOL, bland
         )
@@ -506,12 +353,12 @@ def _run_phase(tab: _Tableau, c, pivots_left: int) -> tuple[str, int]:
 def _drive_out_artificials(tab: _Tableau):
     """Pivot zero-level artificial variables out of the basis.
 
-    Rows whose artificial cannot be replaced by any structural column are
-    linearly dependent on the rest and are dropped.  An artificial never
-    re-enters, so the one for row ``r`` sits at basis position ``r``.
+    An artificial that no structural column can replace belongs to a row
+    that depends on the others: its row of B^-1 A is zero, so it stays basic
+    at zero and no pivot moves it.  An artificial never re-enters, so the
+    one for row ``r`` sits at basis position ``r``.
     """
     n_struct = tab.a.shape[1]
-    drop = []
     for r in range(len(tab.basis)):
         if tab.basis[r] < n_struct:
             continue
@@ -520,15 +367,7 @@ def _drive_out_artificials(tab: _Tableau):
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         entering = next((int(j) for j in candidates if j not in in_basis), -1)
         if entering >= 0:
-            w = tab.b_inv @ tab.a.columns(entering)
-            tab.pivot(entering, r, w)
-        else:
-            drop.append(r)
-    if drop:
-        keep = [r for r in range(len(tab.basis)) if r not in drop]
-        tab.a = tab.a.rows(keep)
-        tab.b = tab.b[keep]
-        tab.basis = [tab.basis[r] for r in keep]
+            tab.pivot(entering, r, tab.b_inv @ tab.a.columns(entering))
     tab.refactor()
 
 
@@ -582,18 +421,14 @@ def solve(
     rows, cols = lp.n_rows, lp.n_cols
     if start is not None:
         start = _check_start(start, rows, cols)
-    a, b = _run_form(lp.row_matrix), lp.rhs
-    if np.any(b < 0):
-        signs = np.where(b < 0, -1.0, 1.0)
-        a, b = a.scaled(signs), b * signs
+    a, b = _rows_of(lp), lp.rhs
 
     tab = None if start is None else _crash_tableau(a, b, start)
     phase1 = 0
     if tab is None:
         # Phase 1: an implicit artificial on every row, maximize minus their sum.
-        c_phase1 = np.concatenate([np.zeros(cols), -np.ones(rows)])
         tab = _Tableau(a, b, list(range(cols, cols + rows)))
-        outcome, phase1 = _run_phase(tab, c_phase1, max_iter)
+        outcome, phase1 = _run_phase(tab, np.zeros(cols), max_iter, artificial_cost=-1.0)
         if outcome == "iter_limit":
             return _finish(lp, tab, cols, LpStatus.ITERATION_LIMIT, phase1, phase1)
         artificial_mass = sum(
@@ -643,7 +478,7 @@ def write_lp(lp: StandardFormLp, path) -> None:
     def fmt(values):
         return " ".join(f"{v:.17g}" for v in values)
 
-    a, n = _run_form(lp.row_matrix), lp.n_cols
+    a, n = _rows_of(lp), lp.n_cols
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"rows={lp.n_rows} cols={n}\n")
         fh.write(fmt(lp.objective) + "\n")

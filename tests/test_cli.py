@@ -368,7 +368,7 @@ class TestGridInfo:
         grid = build_grid(m, delta)
         rows = grid.rows
         grid_bytes = sum(
-            arr.nbytes for arr in (rows.starts, rows.run_codes, rows.col_rows, rows.table)
+            arr.nbytes for arr in (rows.starts, rows.run_codes, rows.codes, rows.table)
         )
         assert row["grid_bytes"] == grid_bytes
         lp = assemble_lp(FockDiagonalState(0, np.full(m, 1.0 / m)), grid)

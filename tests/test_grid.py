@@ -179,14 +179,14 @@ class TestGridGeometry:
         # into the table of squares
         assert sorted(vars(grid)) == ["delta", "rank", "rows"]
         rows = grid.rows
-        for arr in (rows.starts, rows.run_codes, rows.col_rows, rows.table):
+        for arr in (rows.starts, rows.run_codes, rows.codes, rows.table):
             assert arr.flags.c_contiguous
             assert not arr.flags.writeable
-        assert rows.ones == 1
+        assert rows.shape == (2, 3)
         assert rows.run_codes.shape == (0, 1)
         assert rows.starts.tolist() == [0]
-        assert rows.col_rows.dtype == np.uint8
-        assert rows.col_rows.tolist() == [[0, 1, 2]]
+        assert rows.codes.dtype == np.uint8
+        assert rows.codes.tolist() == [0, 1, 2]
         assert rows.table.tolist() == [0.0, 0.25, 1.0]
         assert grid.squares is rows.table
         np.testing.assert_array_equal(rows.block(0, 3), [[1.0] * 3, [0.0, 0.25, 1.0]])
@@ -264,9 +264,9 @@ class TestRuns:
             3, delta, [np.array([0, top], dtype)], np.array([0, top - 5], dtype),
             np.array([2, 6], dtype),
         )
-        assert grid.rows.col_rows.tolist() == [[0, 1, *range(top - 5, top + 1)]]
+        assert grid.rows.codes.tolist() == [0, 1, *range(top - 5, top + 1)]
         assert grid.rows.run_codes.tolist() == [[0, top]]
-        assert grid.rows.col_rows.dtype == grid.rows.run_codes.dtype == dtype
+        assert grid.rows.codes.dtype == grid.rows.run_codes.dtype == dtype
 
 
 def stored_amplitudes(lattice, delta):

@@ -26,7 +26,7 @@ from fockroof import (
 )
 
 from fockroof import roof, simplex
-from fockroof.grid import neighborhood_grid
+from fockroof.grid import AmplitudeGrid, neighborhood_grid
 from fockroof.roof import LatticeLps
 
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
@@ -65,9 +65,9 @@ class TestAssemble:
         grid = build_grid(4, 0.1)
         rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
         assert rows is grid.rows
-        assert rows.ones == 1
+        assert rows.shape == (4, grid.n_points)
         assert rows.run_codes.shape == (2, count_grid_points(3, 0.1))
-        assert rows.col_rows.shape == (1, grid.n_points)
+        assert rows.codes.shape == (grid.n_points,)
         free = grid.amplitudes(np.arange(grid.n_points))[1:]
         expected = np.vstack([np.ones(grid.n_points), free**2])
         assert np.array_equal(rows.block(0, grid.n_points), expected)
@@ -75,7 +75,7 @@ class TestAssemble:
     def test_row_matrix_is_shared_not_copied(self):
         grid = build_grid(4, 0.1)
         lp = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid)
-        for name in ("starts", "run_codes", "col_rows", "table"):
+        for name in ("starts", "run_codes", "codes", "table"):
             arr = getattr(lp.row_matrix, name)
             assert arr is getattr(grid.rows, name)
             assert not arr.flags.writeable
@@ -85,7 +85,7 @@ class TestAssemble:
         lattices = LatticeLps([s0, s2], 0.05)
         (grid0, lp0), (grid2, lp2) = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
         assert grid0 is grid2
-        for name in ("starts", "run_codes", "col_rows", "table"):
+        for name in ("starts", "run_codes", "codes", "table"):
             assert getattr(lp0.row_matrix, name) is getattr(grid0.rows, name)
             assert getattr(lp2.row_matrix, name) is getattr(grid0.rows, name)
 
@@ -97,7 +97,7 @@ class TestAssemble:
         copied = simplex.StandardFormLp(
             shared.objective, shared.row_matrix.block(0, shared.n_cols), shared.rhs
         )
-        assert not np.shares_memory(copied.row_matrix, grid.rows.col_rows)
+        assert not np.shares_memory(copied.row_matrix, grid.rows.codes)
         est, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
         est_copy, _ = roof._solve_on_grid(s, grid, copied, simplex.DEFAULT_MAX_ITER)
         assert est.value == est_copy.value
@@ -274,16 +274,16 @@ class TestColumnIndex:
         squares = grid.rows.block(0, grid.n_points)[1:]
         on_grid = set()
         for j, key in enumerate(map(tuple, squares.T.tolist())):
-            assert roof._column_index(grid, key) == j
+            assert grid.column_index(key) == j
             on_grid.add(key)
         # every point of the full lattice at this spacing that the grid lacks
         full = build_grid(grid.rank, grid.delta)
         for key in map(tuple, full.rows.block(0, full.n_points)[1:].T.tolist()):
             if key not in on_grid:
-                assert roof._column_index(grid, key) == -1
+                assert grid.column_index(key) == -1
         # outside the ball, and between two lattice values
         for last in (1.5, 1e-3):
-            assert roof._column_index(grid, (0.0,) * (grid.rank - 2) + (last,)) == -1
+            assert grid.column_index((0.0,) * (grid.rank - 2) + (last,)) == -1
 
 
 class TestRefine:
@@ -321,7 +321,7 @@ class TestRefine:
 
 def _start_from_phase_one(monkeypatch):
     # no start column is found on any grid
-    monkeypatch.setattr(roof, "_column_index", lambda grid, key: -1)
+    monkeypatch.setattr(AmplitudeGrid, "column_index", lambda grid, key: -1)
 
 
 def _recorded_solves(monkeypatch) -> list[simplex.LpSolution]:

@@ -18,8 +18,8 @@ from fockroof import (
     write_lp,
 )
 from fockroof import roof, simplex
-from fockroof.grid import neighborhood_grid
-from fockroof.simplex import RunMatrix, read_lp
+from fockroof.grid import RunMatrix, neighborhood_grid
+from fockroof.simplex import read_lp
 
 
 def residuals(lp, sol):
@@ -358,16 +358,17 @@ class TestRunMatrix:
     def test_dense_pricing_is_c_minus_y_a(self):
         rng = np.random.default_rng(3)
         a, c, y = rng.normal(size=(5, 40000)), rng.normal(size=40000), rng.normal(size=5)
-        dense = simplex._run_form(a)
-        signs = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
-        flipped = a * signs[:, None]
+        dense, one_row = simplex._DenseRows(a), simplex._DenseRows(a[:1])
         for lo, hi in ((0, 16384), (16384, 32768), (32768, 40000), (0, 40000)):
             got = simplex._price_block(c, dense, y, lo, hi)
             assert got.tobytes() == (c[lo:hi] - y @ a[:, lo:hi]).tobytes()
-            # a scaled matrix applies its signs to y, the same bits
-            got = simplex._price_block(c, dense.scaled(signs), y, lo, hi)
-            assert got.tobytes() == (c[lo:hi] - y @ flipped[:, lo:hi]).tobytes()
-            assert dense.scaled(signs).block(lo, hi).tobytes() == flipped[:, lo:hi].tobytes()
+            # a single row is priced by np.dot, the same bits as matmul
+            got = simplex._price_block(c, one_row, y[:1], lo, hi)
+            assert got.tobytes() == (c[lo:hi] - y[:1] @ a[:1, lo:hi]).tobytes()
+            assert dense.block(lo, hi).tobytes() == a[:, lo:hi].tobytes()
+        idx = np.array([3, 39999, 0])
+        assert dense.columns(idx).tobytes() == a[:, idx].tobytes()
+        assert dense.columns(7).tobytes() == a[:, 7].copy().tobytes()
 
     @pytest.mark.parametrize("rank,delta", [(2, 0.01), (4, 0.05), (6, 0.1)])
     def test_run_form_reads_as_its_dense_matrix(self, rank, delta):
@@ -401,56 +402,63 @@ class TestRunMatrix:
     )
     def test_coded_row_reads_as_its_expansion(self, grid):
         # every coded row against the same run form with its rows stored as
-        # floats, bit for bit, also scaled and with rows dropped
+        # floats, bit for bit
         rows = grid.rows
-        assert rows.col_rows.dtype == rows.run_codes.dtype
-        assert rows.col_rows.dtype == (np.uint8 if grid.delta == 0.05 else np.uint16)
+        assert rows.codes.dtype == rows.run_codes.dtype
+        assert rows.codes.dtype == (np.uint8 if grid.delta == 0.05 else np.uint16)
         floats = FloatRunForm.of(rows)
+        assert rows.shape == floats.shape
         n, m = rows.shape[1], grid.rank
         rng = np.random.default_rng(2)
         y, y2 = rng.normal(size=m), rng.normal(size=m)
         idx = rng.integers(0, n, size=50)
-        spans = [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3), (n - 7, n)]
-        signs = np.where(np.arange(m) % 2, -1.0, 1.0)
-        keeps = [range(m - 1), range(1, m), [0, m - 1], [1], [m - 1]]
-        if m > 2:
-            keeps.append([0] + list(range(2, m)))  # a coded run row dropped
-        pairs = [(rows, floats), (rows.scaled(signs), floats.scaled(signs))]
-        pairs.append((rows.scaled(-signs), floats.scaled(-signs)))
-        pairs += [(rows.rows(keep), floats.rows(keep)) for keep in keeps]
-        pairs.append((rows.scaled(-signs).rows(keeps[-1]), floats.scaled(-signs).rows(keeps[-1])))
-        for coded, ref in pairs:
-            assert coded.shape == ref.shape
-            k = coded.shape[0]
-            assert coded.columns(idx).tobytes() == ref.columns(idx).tobytes()
-            assert coded.columns(idx[0]).tobytes() == ref.columns(idx[0]).tobytes()
-            for lo, hi in spans:
-                assert coded.block(lo, hi).tobytes() == ref.block(lo, hi).tobytes()
-                # the second product reads the block's run rows kept from the first
-                for yk in (y[:k], y2[:k]):
-                    assert coded.dot(yk, lo, hi).tobytes() == ref.dot(yk, lo, hi).tobytes()
-        # scaling shares the codes and the table; dropping rows the table
-        scaled = rows.scaled(signs)
-        for name in ("starts", "col_rows", "table") + (("run_codes",) if m > 2 else ()):
-            assert np.shares_memory(getattr(scaled, name), getattr(rows, name))
-        assert np.shares_memory(rows.rows(range(m - 1)).table, rows.table)
+        assert rows.columns(idx).tobytes() == floats.columns(idx).tobytes()
+        assert rows.columns(idx[0]).tobytes() == floats.columns(idx[0]).tobytes()
+        for lo, hi in [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3), (n - 7, n)]:
+            assert rows.block(lo, hi).tobytes() == floats.block(lo, hi).tobytes()
+            # the second product reads the block's run rows kept from the first
+            for yk in (y, y2):
+                assert rows.dot(yk, lo, hi).tobytes() == floats.dot(yk, lo, hi).tobytes()
 
     def test_coded_matrix_checks_its_codes(self):
         starts, table = np.array([0, 2]), np.array([0.0, 0.25, 1.0])
-        codes = np.array([[0, 1, 2, 2]], dtype=np.uint8)
+        codes = np.array([0, 1, 2, 2], dtype=np.uint8)
         run_codes = np.array([[1, 2]], dtype=np.uint8)
-        RunMatrix(starts, codes, run_codes, table, ones=True)
-        # one table serves one coded column row
-        with pytest.raises(ValueError, match="one column row"):
-            RunMatrix(starts, np.vstack([codes] * 2), run_codes, table)
+        rows = RunMatrix(starts, codes, run_codes, table)
+        assert rows.shape == (3, 4)
+        assert rows.block(0, 4).tolist() == [[1.0] * 4, [0.25] * 2 + [1.0] * 2, [0.0, 0.25, 1.0, 1.0]]
+        # read-only views of the caller's arrays, which keep their flags
+        assert np.shares_memory(rows.codes, codes) and not rows.codes.flags.writeable
+        assert codes.flags.writeable
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             RunMatrix(starts, codes + 1, run_codes, table)
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             RunMatrix(starts, codes, run_codes.astype(np.int64) - 2, table)
         with pytest.raises(ValueError, match="not integer"):
             RunMatrix(starts, codes, run_codes.astype(float), table)
-        with pytest.raises(ValueError, match="need a table"):
-            RunMatrix(starts, codes.astype(float), run_codes)
+        with pytest.raises(ValueError, match="not integer"):
+            RunMatrix(starts, codes.astype(float), run_codes, table)
+
+    @pytest.mark.parametrize(
+        "pops,rank,delta,pivots",
+        [
+            ([0.6, 0.2, 0.15, 0.05], 4, 0.02, 71),
+            (None, 6, 0.05, 366),
+            ([0.4, 0.5, 0.0, 0.1], 4, 0.05, 14),
+        ],
+        ids=["rank4", "thermal-rank6", "stalling-rank4"],
+    )
+    def test_solver_reads_any_row_matrix(self, pops, rank, delta, pivots):
+        # a lattice program solves through any object with the four members
+        # exactly as through the grid's own matrix
+        s = truncated_thermal(0.5, 6) if pops is None else FockDiagonalState(0, np.array(pops))
+        lp = assemble_lp(s, build_grid(rank, delta))
+        duck = StandardFormLp._of_finite(lp.objective, FloatRunForm.of(lp.row_matrix), lp.rhs)
+        sol, ref = solve(duck), solve(lp)
+        assert sol.status is ref.status is LpStatus.OPTIMAL
+        assert sol.iterations == ref.iterations == pivots
+        assert sol.basis == ref.basis
+        assert sol.objective_value.hex() == ref.objective_value.hex()
 
 
 class FloatRunForm:
@@ -463,10 +471,8 @@ class FloatRunForm:
 
     @classmethod
     def of(cls, rows):
-        runs = rows.table[rows.run_codes]
-        if rows.ones:
-            runs = np.vstack([np.ones(rows.starts.size), runs])
-        return cls(runs, rows.starts, rows.table[rows.col_rows])
+        runs = np.vstack([np.ones(rows.starts.size), rows.table[rows.run_codes]])
+        return cls(runs, rows.starts, rows.table[rows.codes][None, :])
 
     def _span(self, lo, hi):
         # a slice, so that run_rows[:, runs] is a view with rows of unit
@@ -492,19 +498,6 @@ class FloatRunForm:
         runs, counts = self._span(lo, hi)
         return np.concatenate(
             (np.repeat(self.run_rows[:, runs], counts, axis=1), self.col_rows[:, lo:hi])
-        )
-
-    def scaled(self, signs):
-        p = len(self.run_rows)
-        return FloatRunForm(
-            self.run_rows * signs[:p, None], self.starts, self.col_rows * signs[p:, None]
-        )
-
-    def rows(self, keep):
-        keep = np.asarray(keep)
-        p = len(self.run_rows)
-        return FloatRunForm(
-            self.run_rows[keep[keep < p]], self.starts, self.col_rows[keep[keep >= p] - p]
         )
 
 
