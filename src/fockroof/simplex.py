@@ -149,9 +149,8 @@ class StandardFormLp:
     def _of_finite(cls, objective, row_matrix, rhs) -> StandardFormLp:
         """The program on a float objective and a read-only row matrix (an
         array or a row matrix with the solver's four members) that are
-        finite by construction and of
-        matching shapes, neither copied nor scanned; only ``rhs`` is
-        checked."""
+        finite by construction and of matching shapes, neither copied nor
+        scanned; only ``rhs`` is checked."""
         b = np.asarray(rhs, dtype=float)
         if b.shape != (row_matrix.shape[0],):
             raise ValueError(f"rhs has shape {b.shape}, need {(row_matrix.shape[0],)}")
@@ -367,7 +366,8 @@ def _drive_out_artificials(tab: _Tableau):
         candidates = np.nonzero(np.abs(row) > 1e-8)[0]
         entering = next((int(j) for j in candidates if j not in in_basis), -1)
         if entering >= 0:
-            tab.pivot(entering, r, tab.b_inv @ tab.a.columns(entering))
+            w = tab.b_inv @ tab.a.columns(entering)
+            tab.pivot(entering, r, w)
     tab.refactor()
 
 
