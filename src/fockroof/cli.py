@@ -349,10 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_parser = partial(sub.add_parser, exit_on_error=False)
 
-    def add_common(p, fmt=True):
+    def add_common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if fmt:
-            p.add_argument("--format", default="json", choices=("csv", "json"))
+        p.add_argument("--format", default="json", choices=("csv", "json"))
         p.add_argument("--max-iter", type=_at_least(1), default=simplex.DEFAULT_MAX_ITER)
 
     p_eval = add_parser("eval", help="evaluate one state")
@@ -365,23 +364,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_s3 = add_parser("sweep3", help="three-level phase diagram")
-    p_s3.add_argument("--n", type=_at_least(0), default=0)
-    p_s3.add_argument("--step", type=_spacing, default=0.05)
-    p_s3.add_argument("--delta", type=_spacing, default=0.01)
-    p_s3.add_argument("--lp-check", type=_at_least(0), default=0, metavar="STRIDE")
-    p_s3.add_argument("--threads", type=_at_least(1), default=1)
-    add_common(p_s3)
-    p_s3.set_defaults(func=lambda args: _cmd_sweep(args, 3))
-
-    p_s4 = add_parser("sweep4", help="four-level phase diagram")
-    p_s4.add_argument("--n", type=_at_least(0), default=0)
-    p_s4.add_argument("--step", type=_spacing, default=0.1)
-    p_s4.add_argument("--delta", type=_spacing, default=0.01)
-    p_s4.add_argument("--lp-check", type=_at_least(0), default=0, metavar="STRIDE")
-    p_s4.add_argument("--threads", type=_at_least(1), default=1)
-    add_common(p_s4)
-    p_s4.set_defaults(func=lambda args: _cmd_sweep(args, 4))
+    for rank, word, step in ((3, "three", 0.05), (4, "four", 0.1)):
+        p_sw = add_parser(f"sweep{rank}", help=f"{word}-level phase diagram")
+        p_sw.add_argument("--n", type=_at_least(0), default=0)
+        p_sw.add_argument("--step", type=_spacing, default=step)
+        p_sw.add_argument("--delta", type=_spacing, default=0.01)
+        p_sw.add_argument("--lp-check", type=_at_least(0), default=0, metavar="STRIDE")
+        p_sw.add_argument("--threads", type=_at_least(1), default=1)
+        add_common(p_sw)
+        p_sw.set_defaults(func=partial(_cmd_sweep, rank=rank))
 
     p_th = add_parser("thermal", help="truncated thermal states")
     p_th.add_argument("--nth", type=_positive, required=True)

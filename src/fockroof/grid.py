@@ -10,9 +10,9 @@ enumeration that builds the prefixes (l_1, ..., l_{M-2}) one coordinate at
 a time, never makes a point outside the ball, and ends each prefix with one
 run of consecutive values of the last coordinate.
 
-A grid is the LP's row matrix and nothing else, a coded :class:`RunMatrix`
-that the solver reads through its four members (``shape``, ``dot``,
-``columns`` and ``block``).  Every coordinate is stored as its
+A grid is the LP's row matrix and nothing else, coded, and the solver
+reads it through three members (``shape``, ``dot`` and
+``columns``).  Every coordinate is stored as its
 integer step l, a code into the one table of the isqrt(L) + 1 squares
 (l*delta)²: per run, the column where it starts and the M - 2 prefix steps;
 per point, the step of the last coordinate.  The ones row is implicit.  A
@@ -24,6 +24,8 @@ is 58,201 runs for 662,629 points, 1.36 MB instead of the 31.8 MB of the
 dense (M, N) matrix, or the 3.46 MB with float run rows.  Amplitudes are
 recomputed from the squares where they are needed; the square root of a
 correctly rounded square is exact, so they are the same bits as l_k*delta.
+Callers name a point by its integer steps; only this module reads the
+codes and the table.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from math import isqrt
 import numpy as np
 
 DEFAULT_MAX_POINTS = 5_000_000
-# columns per block of the objective computation; a RunMatrix keeps what
-# it decodes only for blocks up to this width, the solver's pricing block
+# columns per block of the objective computation; a grid keeps what it
+# decodes only for blocks up to this width, the solver's pricing block
 _BLOCK = 16_384
 
 
@@ -216,127 +218,32 @@ def _ground(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-class RunMatrix:
-    """A lattice's row matrix, coded: its rows are constant along runs of
-    consecutive columns except the last.
-
-    Run r is the columns ``starts[r] <= j < starts[r + 1]`` (the last run
-    ends at the last column), and ``starts[0]`` is 0.  The rows are, in
-    order: one row of ones, which is not stored; the coded run rows, row
-    1 + i of every column of run r being ``table[run_codes[i, r]]``; and
-    the column row, ``table[codes[j]]`` for column j.  Every code is an
-    integer, checked once here to lie in the table.  The arrays are held as
-    read-only views.
-
-    A block of columns is priced by decoding only its own runs into the
-    float run rows that ``y[:-1] @`` reads, and the column row as
-    ``take(y[-1] * table, codes)``: one product per table entry and the
-    same bits as the product with each column's value.  So pricing reads
-    one code per column and M - 2 per run.
-    """
-
-    def __init__(self, starts, codes, run_codes, table):
-        for arr in (run_codes, codes):
-            if arr.dtype.kind not in "iu":
-                raise ValueError(f"codes are {arr.dtype}, not integer")
-            if arr.size and (
-                np.max(arr) >= table.size or arr.dtype.kind == "i" and np.min(arr) < 0
-            ):
-                raise ValueError(f"codes must lie in [0, {table.size})")
-        for name, arr in (
-            ("starts", starts), ("codes", codes), ("run_codes", run_codes), ("table", table)
-        ):
-            view = arr.view()
-            view.setflags(write=False)
-            setattr(self, name, view)
-        # see _priced_runs; a race between threads stores a value twice or
-        # replaces the last block early
-        self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
-        self._last: tuple = (None, None, None)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.run_codes) + 2, self.codes.size
-
-    def span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
-        """The runs that meet columns lo:hi, and how many of those columns
-        each of them holds."""
-        first = int(self.starts.searchsorted(lo, side="right")) - 1
-        end = int(self.starts.searchsorted(hi))
-        edges = np.empty(end - first + 1, dtype=np.intp)
-        edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
-        return slice(first, end), edges[1:] - edges[:-1]
-
-    def _priced_runs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """How many of columns lo:hi each of their runs holds, and the runs'
-        decoded rows.  A pricing block keeps its span for its next pricing,
-        and the last block priced keeps its run rows too: each pivot prices
-        first the block where the previous one found its entering column.
-        A wider scan keeps nothing, so what is kept stays about one count
-        per run and one block's run rows."""
-        key = (lo, hi)
-        if self._last[0] == key:
-            return self._last[1:]
-        if hi - lo > _BLOCK:
-            runs, counts = self.span(lo, hi)
-            return counts, self._run_values(runs)
-        span = self._spans.get(key)
-        if span is None:
-            span = self._spans[key] = self.span(lo, hi)
-        runs, counts = span
-        self._last = (key, counts, self._run_values(runs))
-        return self._last[1:]
-
-    def _run_values(self, runs) -> np.ndarray:
-        """The float run rows, the ones row first, of the slice ``runs``:
-        only those runs are decoded, in one gather."""
-        codes = self.run_codes[:, runs]
-        out = np.empty((len(codes) + 1, codes.shape[1]))
-        out[0].fill(1.0)
-        self.table.take(codes, out=out[1:])
-        return out
-
-    def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
-        over its columns, plus the column row's products."""
-        # one product per table entry, gathered: the same bits as the
-        # product of y[-1] with each column's value
-        out = (y[-1] * self.table).take(self.codes[lo:hi])
-        counts, values = self._priced_runs(lo, hi)
-        out += (y[:-1] @ values).repeat(counts)
-        return out
-
-    def columns(self, idx) -> np.ndarray:
-        """The dense columns ``A[:, idx]``: one column for an integer index,
-        a matrix for an index sequence."""
-        runs = self.starts.searchsorted(idx, side="right") - 1
-        out = np.empty((self.shape[0], *runs.shape))
-        out[0] = 1.0
-        out[1:-1] = self.table[self.run_codes[:, runs]]
-        out[-1] = self.table[self.codes[idx]]
-        return out
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """The dense columns ``A[:, lo:hi]``."""
-        runs, counts = self.span(lo, hi)
-        last = self.table.take(self.codes[None, lo:hi])
-        return np.concatenate((np.repeat(self._run_values(runs), counts, axis=1), last))
-
-
 class AmplitudeGrid:
     """Lattice points for one window rank and spacing, as the LP's row matrix.
 
-    ``rows``, the only array data held, is a read-only coded
-    :class:`RunMatrix` of shape (rank, n_points).  Its
-    first row, all ones, is implicit.  Every coordinate is a code: per run,
-    the prefix steps l_1..l_{M-2}, and per point, the step l of its last
-    coordinate, each in the smallest unsigned dtype that holds isqrt(L).  All
-    of them read the one table ``squares`` of (l*delta)², l = 0..isqrt(L).
+    The matrix has shape (rank, n_points), and its rows are, in order: one
+    row of ones, which is not stored; the M - 2 prefix rows, constant along
+    each run of consecutive columns, row k of run r being
+    ``squares[run_codes[k - 1, r]]``; and the last row, ``squares[codes[j]]``
+    for column j.  Run r is the columns ``starts[r] <= j < starts[r + 1]``
+    (the last run ends at the last column), and ``starts[0]`` is 0.  Every
+    code is a step l, in the smallest unsigned dtype that holds isqrt(L),
+    and ``squares`` is the table of (l*delta)², l = 0..isqrt(L).  These four
+    read-only arrays are the grid's data; besides them it keeps only caches
+    of what pricing decoded.
+
     The grid is built from ``prefix``, the M - 2 integer prefix coordinates
     of each run, ``first``, each run's first last coordinate (one value for
     all runs or one per run), and ``counts``, each run's length.  The
     spacing must lie in (0, 1) and the coordinates are integers in
-    [0, isqrt(L)], so ``rows`` is finite by construction.
+    [0, isqrt(L)], so every code lies in the table and the rows are finite
+    by construction.
+
+    A block of columns is priced by decoding only its own runs into the
+    float prefix rows that ``y[:-1] @`` reads, and the last row as
+    ``take(y[-1] * squares, codes)``: one product per table entry and the
+    same bits as the product with each column's value.  So pricing reads
+    one code per column and M - 2 per run.
     """
 
     def __init__(self, rank: int, delta: float, prefix, first, counts):
@@ -356,54 +263,119 @@ class AmplitudeGrid:
                 raise ValueError(f"lattice coordinates must lie in [0, {top}]")
         del ends
         code_type = np.min_scalar_type(top)
-        run_codes = np.empty((rank - 2, counts.size), dtype=code_type)
-        for row, col in zip(run_codes, prefix):
+        self.run_codes = np.empty((rank - 2, counts.size), dtype=code_type)
+        for row, col in zip(self.run_codes, prefix):
             row[:] = col
-        starts = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], dtype=np.intp, out=starts[1:])
-        codes = _runs(first, counts, dtype=code_type)
-        # the squares are the products that built every lattice row,
-        # (l*delta)*(l*delta)
-        table = np.arange(top + 1.0)
-        np.multiply(table, self.delta, out=table)
-        np.square(table, out=table)
-        self.rows = RunMatrix(starts, codes, run_codes, table)
+        self.starts = np.zeros(counts.size, dtype=np.intp)
+        np.cumsum(counts[:-1], dtype=np.intp, out=self.starts[1:])
+        self.codes = _runs(first, counts, dtype=code_type)
+        # squares of the doubles l*delta, whose square roots give them back
+        self.squares = np.arange(top + 1.0)
+        np.multiply(self.squares, self.delta, out=self.squares)
+        np.square(self.squares, out=self.squares)
+        for arr in (self.run_codes, self.starts, self.codes, self.squares):
+            arr.flags.writeable = False
+        # see _priced_runs; a race between threads stores a value twice or
+        # replaces the last block early
+        self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
+        self._last: tuple = (None, None, None)
 
     @property
     def n_points(self) -> int:
-        return self.rows.shape[1]
+        return self.codes.size
 
     @property
-    def squares(self) -> np.ndarray:
-        """The table (l*delta)², l = 0..isqrt(L), that every code reads."""
-        return self.rows.table
+    def shape(self) -> tuple[int, int]:
+        return self.rank, self.codes.size
+
+    def _span(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+        """The runs that meet columns lo:hi, and how many of those columns
+        each of them holds."""
+        first = int(self.starts.searchsorted(lo, side="right")) - 1
+        end = int(self.starts.searchsorted(hi))
+        edges = np.empty(end - first + 1, dtype=np.intp)
+        edges[0], edges[1:-1], edges[-1] = lo, self.starts[first + 1 : end], hi
+        return slice(first, end), edges[1:] - edges[:-1]
+
+    def _priced_runs(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """How many of columns lo:hi each of their runs holds, and the runs'
+        decoded rows.  A pricing block keeps its span for its next pricing,
+        and the last block priced keeps its run rows too: each pivot prices
+        first the block where the previous one found its entering column.
+        A wider scan keeps nothing, so what is kept stays about one count
+        per run and one block's run rows."""
+        key = (lo, hi)
+        # read once, as another thread may replace it
+        last = self._last
+        if last[0] == key:
+            return last[1:]
+        if hi - lo > _BLOCK:
+            runs, counts = self._span(lo, hi)
+            return counts, self._run_values(runs)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = self._span(lo, hi)
+        runs, counts = span
+        last = self._last = (key, counts, self._run_values(runs))
+        return last[1:]
+
+    def _run_values(self, runs) -> np.ndarray:
+        """The float run rows, the ones row first, of the slice ``runs``:
+        only those runs are decoded, in one gather."""
+        codes = self.run_codes[:, runs]
+        out = np.empty((len(codes) + 1, codes.shape[1]))
+        out[0].fill(1.0)
+        self.squares.take(codes, out=out[1:])
+        return out
+
+    def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
+        over its columns, plus the last row's products."""
+        # one product per table entry, gathered: the same bits as the
+        # product of y[-1] with each column's value
+        out = (y[-1] * self.squares).take(self.codes[lo:hi])
+        counts, values = self._priced_runs(lo, hi)
+        out += (y[:-1] @ values).repeat(counts)
+        return out
+
+    def steps(self, idx) -> np.ndarray:
+        """The integer coordinates (l_1, ..., l_{M-1}) of the columns ``idx``,
+        as codes: one column of steps for an integer index, one per index
+        of a sequence."""
+        runs = self.starts.searchsorted(idx, side="right") - 1
+        return np.concatenate((self.run_codes[:, runs], self.codes[None, idx]))
+
+    def columns(self, idx) -> np.ndarray:
+        """The dense columns ``A[:, idx]``: one column for an integer index,
+        a matrix for an index sequence."""
+        steps = self.steps(idx)
+        out = np.empty((self.rank, *steps.shape[1:]))
+        out[0] = 1.0
+        self.squares.take(steps, out=out[1:])
+        return out
 
     def amplitudes(self, columns) -> np.ndarray:
         """(rank, len(columns)) amplitude vectors (x0, l_1*delta, ...) of the
         given points.  The square root of a correctly rounded square is
         exact, so row k gives back l_k*delta bit for bit."""
-        squares = self.rows.columns(columns)
+        squares = self.columns(columns)
         x = np.sqrt(squares)
         _ground(squares[1:], out=x[0])
         return x
 
-    def column_index(self, key: tuple[float, ...]) -> int:
-        """Column whose squared coordinates (rows 1.. of the grid) are
-        ``key``, or -1.
+    def column_index(self, steps) -> int:
+        """Column of the point with integer coordinates ``steps`` =
+        (l_1, ..., l_{M-1}), or -1 when the grid does not hold it.
 
-        Each square is looked up in the table of squares, which gives its
-        step; the codes are those steps, so the bisection compares codes
-        and decodes nothing.  The runs are in lexicographic order of prefix
-        and first step, so the last run at or before ``(prefix, l)`` is the
-        only one that can hold the point, at ``l`` minus the run's first
-        step past its start.
+        The codes are the steps, so the bisection compares codes and decodes
+        nothing.  The runs are in lexicographic order of prefix and first
+        step, so the last run at or before ``(prefix, l)`` is the only one
+        that can hold the point, at ``l`` minus the run's first step past
+        its start.  A point before every run, with another prefix or past
+        the end of that run is not on the grid.
         """
-        squares = self.squares
-        steps = np.searchsorted(squares, key)
-        if steps.max() == squares.size or np.any(squares[steps] != key):
-            return -1
-        *head, l = steps.tolist()
-        prefix, starts, codes = self.rows.run_codes, self.rows.starts, self.rows.codes
+        *head, l = steps
+        prefix, starts, codes = self.run_codes, self.starts, self.codes
         r = bisect_right(
             range(starts.size),
             (*head, l),
@@ -425,13 +397,12 @@ class AmplitudeGrid:
         repeated over its columns.
         """
         scale = np.sqrt(offset + np.arange(1.0, self.rank))
-        rows = self.rows
         alpha = np.zeros(self.n_points)
         for lo in range(0, self.n_points, _BLOCK):
             hi = min(lo + _BLOCK, self.n_points)
-            runs, counts = rows.span(lo, hi)
-            prefix = np.take(self.squares, rows.run_codes[:, runs])
-            last = np.take(self.squares, rows.codes[lo:hi])
+            runs, counts = self._span(lo, hi)
+            prefix = np.take(self.squares, self.run_codes[:, runs])
+            last = np.take(self.squares, self.codes[lo:hi])
             acc = alpha[lo:hi]
             norm = np.zeros(counts.size)
             for sq in prefix:

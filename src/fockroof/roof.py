@@ -125,15 +125,14 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     coherence kernel; equality rows are the weight normalization and the
     populations of levels 1..M-1.  The level-0 row is implied by the others
     and is omitted to keep the rows independent.  The row matrix is the
-    grid's ``rows`` itself, the run-form matrix shared by every program on
-    that grid.  The grid and its objective are finite by construction, so
-    neither is scanned.
+    grid itself, shared by every program on that grid.  The grid and its
+    objective are finite by construction, so neither is scanned.
     """
     _require_lp_ready(state)
     if grid.rank != state.rank:
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
     return StandardFormLp._of_finite(
-        grid.objective_coeffs(state.offset), grid.rows, _population_rhs(state)
+        grid.objective_coeffs(state.offset), grid, _population_rhs(state)
     )
 
 
@@ -188,13 +187,11 @@ def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | No
         (p - l * l * delta * delta) / ((2 * l + 1) * delta * delta)
         for p, l in zip(pops, corner)
     ]
-    # (l * delta) * (l * delta) is the product that built the grid's rows
-    vertex = [(l * delta) * (l * delta) for l in corner]
-    columns = [grid.column_index(tuple(vertex))]
+    vertex = list(corner)
+    columns = [grid.column_index(vertex)]
     for k in sorted(range(len(corner)), key=lambda k: (-frac[k], k)):
-        l = corner[k] + 1
-        vertex[k] = (l * delta) * (l * delta)
-        columns.append(grid.column_index(tuple(vertex)))
+        vertex[k] += 1
+        columns.append(grid.column_index(vertex))
     return None if min(columns) < 0 else columns
 
 
@@ -203,10 +200,10 @@ def _solve_on_grid(
     grid: AmplitudeGrid,
     lp: StandardFormLp,
     max_iter: int,
-    carried: list[tuple] | None = None,
-) -> tuple[Estimate, list[tuple] | None]:
+    carried: list[list[int]] | None = None,
+) -> tuple[Estimate, list[list[int]] | None]:
     """Estimate with its checked optimal histogram, and the optimal basis as
-    the squared coordinates of its columns (None unless one structural
+    the integer coordinates of its columns (None unless one structural
     column per row).  The solve starts from the ``carried`` basis of an
     earlier solve when all of its columns are on the grid, else from the
     Kuhn simplex, else in phase 1.
@@ -231,7 +228,7 @@ def _solve_on_grid(
         )
     basis = None
     if max(sol.basis) < lp.n_cols:  # no artificial of a redundant row
-        basis = [tuple(key) for key in grid.rows.columns(sol.basis)[1:].T.tolist()]
+        basis = grid.steps(sol.basis).T.tolist()
     value = mean_photon(state) - sol.objective_value
     return Estimate(value, grid.delta, amplitudes, weights), basis
 
@@ -243,8 +240,9 @@ class LatticeLps:
     rank and the offset; a state enters the LP through its right-hand side
     alone.  Each grid is enumerated once per rank, and its rows are the row
     matrix of every window of that rank; an objective is built once per
-    window of the given states.  The instance is read-only afterwards, so
-    threads may share it.
+    window of the given states.  Threads may share the instance: its
+    programs are read-only, and a race on a grid's pricing caches only
+    makes a block be decoded again.
     """
 
     def __init__(self, states: Iterable[FockDiagonalState], delta: float):
@@ -300,11 +298,11 @@ def refine(
     retained, so the estimate sequence cannot increase).  Returns each
     level's estimate, in level order.
 
-    Each level starts from the previous level's optimal basis, which is
-    feasible wherever the neighborhood holds its columns: (2l * (delta/2))²
-    and (l * delta)² are one correctly rounded square, so each column keeps
-    its bits.  Only that basis and the estimate outlive a level, so one grid
-    is alive at a time.
+    Each level starts from the previous level's optimal basis, whose
+    column at step l is the refined grid's column at step 2l, wherever the
+    neighborhood holds it: 2l * (delta/2) is l * delta, so each column keeps
+    its bits and the basis stays feasible.  Only that basis and the
+    estimate outlive a level, so one grid is alive at a time.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -322,6 +320,8 @@ def refine(
             grid = neighborhood_grid(
                 state.rank, delta, steps[-1].amplitudes[:, 1:], radius=radius
             )
+            if basis is not None:
+                basis = [[2 * l for l in key] for key in basis]
         estimate, basis = _solve_on_grid(state, grid, assemble_lp(state, grid), max_iter, basis)
         steps.append(estimate)
     return steps

@@ -29,11 +29,10 @@ seven rank-4 programs at delta = 0.00999 (5,812 pivots at 4,096, 1,539 at
 to 32,768 is faster beyond run-to-run noise, on those programs, the
 ``thermal`` refinement programs or the rank-5 one.
 
-The solver reads a row matrix through four members: ``shape``,
-``dot(y, lo, hi)`` for ``y @ A[:, lo:hi]``, ``columns(idx)`` for dense
-columns and ``block(lo, hi)`` for a dense block.  A dense array is read in
-place through a small adapter; a lattice program's row matrix, its grid's
-``rows``, provides them itself.
+The solver reads a row matrix through three members: ``shape``,
+``dot(y, lo, hi)`` for ``y @ A[:, lo:hi]`` and ``columns(idx)`` for dense
+columns.  A dense array is read in place through a small adapter; a
+lattice program's row matrix, its grid, provides them itself.
 
 Phase 1 adds one artificial per row without storing it: a basis index
 ``j >= n_cols`` stands for the column ``s_r e_r`` with r = j - n_cols and
@@ -87,7 +86,7 @@ def _checked_view(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 class _DenseRows:
-    """A dense row matrix, read in place through the solver's four
+    """A dense row matrix, read in place through the solver's three
     members."""
 
     def __init__(self, a: np.ndarray):
@@ -105,9 +104,6 @@ class _DenseRows:
     def columns(self, idx) -> np.ndarray:
         return self.a.take(idx, axis=1)
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        return self.a[:, lo:hi]
-
 
 def _rows_of(lp: StandardFormLp):
     """The program's row matrix as the solver reads it."""
@@ -121,8 +117,7 @@ class StandardFormLp:
 
     The public constructor takes three arrays and stores them as read-only
     views, each checked to be finite.  A lattice program's row matrix is its
-    grid's ``rows`` instead, one of any row matrices with the solver's four
-    members.
+    grid instead, one of any row matrices with the solver's three members.
     """
 
     objective: np.ndarray
@@ -148,7 +143,7 @@ class StandardFormLp:
     @classmethod
     def _of_finite(cls, objective, row_matrix, rhs) -> StandardFormLp:
         """The program on a float objective and a read-only row matrix (an
-        array or a row matrix with the solver's four members) that are
+        array or a row matrix with the solver's three members) that are
         finite by construction and of matching shapes, neither copied nor
         scanned; only ``rhs`` is checked."""
         b = np.asarray(rhs, dtype=float)
@@ -485,7 +480,7 @@ def write_lp(lp: StandardFormLp, path) -> None:
         for r in range(lp.n_rows):
             # the rows are expanded one block of columns at a time
             row = " ".join(
-                fmt(a.block(lo, min(lo + _PRICING_BLOCK, n))[r])
+                fmt(a.columns(np.arange(lo, min(lo + _PRICING_BLOCK, n)))[r])
                 for lo in range(0, n, _PRICING_BLOCK)
             )
             fh.write(row + " " + f"{lp.rhs[r]:.17g}" + "\n")

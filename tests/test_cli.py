@@ -366,13 +366,12 @@ class TestGridInfo:
             "rows"
         ][0]
         grid = build_grid(m, delta)
-        rows = grid.rows
         grid_bytes = sum(
-            arr.nbytes for arr in (rows.starts, rows.run_codes, rows.codes, rows.table)
+            arr.nbytes for arr in (grid.starts, grid.run_codes, grid.codes, grid.squares)
         )
         assert row["grid_bytes"] == grid_bytes
         lp = assemble_lp(FockDiagonalState(0, np.full(m, 1.0 / m)), grid)
-        assert lp.row_matrix is rows
+        assert lp.row_matrix is grid
         assert row["lp_bytes"] == grid_bytes + lp.objective.nbytes
 
 
@@ -391,7 +390,7 @@ class TestDumpLp:
         )
         np.testing.assert_array_equal(parsed.objective, expected.objective)
         np.testing.assert_array_equal(
-            parsed.row_matrix, expected.row_matrix.block(0, expected.n_cols)
+            parsed.row_matrix, expected.row_matrix.columns(np.arange(expected.n_cols))
         )
         np.testing.assert_array_equal(parsed.rhs, expected.rhs)
 

@@ -174,22 +174,23 @@ class TestGridGeometry:
         assert amplitudes_of(grid)[1:].T.tolist() == [[0.0], [0.5], [1.0]]
         assert amplitudes_of(grid)[0][0] == pytest.approx(1.0)
         assert amplitudes_of(grid)[0][2] == pytest.approx(0.0)
-        # the LP's row matrix, read-only, and nothing else: rank 2 is one run
-        # with the implicit ones row and no prefix, and one code per point
-        # into the table of squares
-        assert sorted(vars(grid)) == ["delta", "rank", "rows"]
-        rows = grid.rows
-        for arr in (rows.starts, rows.run_codes, rows.codes, rows.table):
+        # the LP's row matrix, read-only, and nothing else but its pricing
+        # caches: rank 2 is one run with the implicit ones row and no
+        # prefix, and one code per point into the table of squares
+        assert sorted(vars(grid)) == [
+            "_last", "_spans", "codes", "delta", "rank", "run_codes", "squares", "starts"
+        ]
+        for arr in (grid.starts, grid.run_codes, grid.codes, grid.squares):
             assert arr.flags.c_contiguous
             assert not arr.flags.writeable
-        assert rows.shape == (2, 3)
-        assert rows.run_codes.shape == (0, 1)
-        assert rows.starts.tolist() == [0]
-        assert rows.codes.dtype == np.uint8
-        assert rows.codes.tolist() == [0, 1, 2]
-        assert rows.table.tolist() == [0.0, 0.25, 1.0]
-        assert grid.squares is rows.table
-        np.testing.assert_array_equal(rows.block(0, 3), [[1.0] * 3, [0.0, 0.25, 1.0]])
+        assert grid.shape == (2, 3)
+        assert grid.run_codes.shape == (0, 1)
+        assert grid.starts.tolist() == [0]
+        assert grid.codes.dtype == np.uint8
+        assert grid.codes.tolist() == [0, 1, 2]
+        assert grid.squares.tolist() == [0.0, 0.25, 1.0]
+        assert grid.steps([0, 2]).tolist() == [[0, 2]]
+        np.testing.assert_array_equal(grid.columns(np.arange(3)), [[1.0] * 3, [0.0, 0.25, 1.0]])
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.inf, math.nan])
     def test_rejects_a_spacing_outside_the_unit_interval(self, delta):
@@ -264,9 +265,9 @@ class TestRuns:
             3, delta, [np.array([0, top], dtype)], np.array([0, top - 5], dtype),
             np.array([2, 6], dtype),
         )
-        assert grid.rows.codes.tolist() == [0, 1, *range(top - 5, top + 1)]
-        assert grid.rows.run_codes.tolist() == [[0, top]]
-        assert grid.rows.codes.dtype == grid.rows.run_codes.dtype == dtype
+        assert grid.codes.tolist() == [0, 1, *range(top - 5, top + 1)]
+        assert grid.run_codes.tolist() == [[0, top]]
+        assert grid.codes.dtype == grid.run_codes.dtype == dtype
 
 
 def stored_amplitudes(lattice, delta):
@@ -524,7 +525,7 @@ class TestNeighborhood:
         assert lattice_of(fine).tolist() == [list(p) for p in sorted(set(points))]
         # runs of one prefix that touch or overlap are one run
         ints = lattice_of(fine)
-        heads = fine.rows.starts[1:]
+        heads = fine.starts[1:]
         same_prefix = np.all(ints[heads, :-1] == ints[heads - 1, :-1], axis=1)
         assert np.all(ints[heads, -1][same_prefix] > ints[heads - 1, -1][same_prefix] + 1)
 

@@ -44,7 +44,7 @@ class TestAssemble:
         assert lp.n_rows == 2
         assert lp.n_cols == grid.n_points
         np.testing.assert_allclose(lp.rhs, [1.0, 0.16])
-        np.testing.assert_allclose(lp.row_matrix.block(0, lp.n_cols)[0], 1.0)
+        np.testing.assert_allclose(lp.row_matrix.columns(np.arange(lp.n_cols))[0], 1.0)
         # the column at x1 = 0.4 carries kernel 0.16 * 0.84
         x1 = grid.amplitudes(np.arange(grid.n_points))[1]
         j = int(np.argmin(np.abs(x1 - 0.4)))
@@ -59,35 +59,32 @@ class TestAssemble:
         assert lp.objective[idx] == pytest.approx(0.5, abs=1e-12)
 
     def test_row_matrix_is_row_major_squares(self):
-        # the row matrix is the grid's own run form: the implicit ones row,
-        # the prefix steps coded once per run, the last coordinate's step
-        # coded per point
+        # the row matrix is the grid itself: the implicit ones row, the
+        # prefix steps coded once per run, the last coordinate's step coded
+        # per point
         grid = build_grid(4, 0.1)
         rows = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid).row_matrix
-        assert rows is grid.rows
+        assert rows is grid
         assert rows.shape == (4, grid.n_points)
         assert rows.run_codes.shape == (2, count_grid_points(3, 0.1))
         assert rows.codes.shape == (grid.n_points,)
         free = grid.amplitudes(np.arange(grid.n_points))[1:]
         expected = np.vstack([np.ones(grid.n_points), free**2])
-        assert np.array_equal(rows.block(0, grid.n_points), expected)
+        assert np.array_equal(rows.columns(np.arange(grid.n_points)), expected)
 
     def test_row_matrix_is_shared_not_copied(self):
         grid = build_grid(4, 0.1)
         lp = assemble_lp(state(0, [0.4, 0.3, 0.2, 0.1]), grid)
-        for name in ("starts", "run_codes", "codes", "table"):
-            arr = getattr(lp.row_matrix, name)
-            assert arr is getattr(grid.rows, name)
-            assert not arr.flags.writeable
+        assert lp.row_matrix is grid
+        for name in ("starts", "run_codes", "codes", "squares"):
+            assert not getattr(grid, name).flags.writeable
 
     def test_lattice_lps_share_one_matrix_per_rank(self):
         s0, s2 = state(0, [0.5, 0.3, 0.2]), state(2, [0.3, 0.45, 0.25])
         lattices = LatticeLps([s0, s2], 0.05)
         (grid0, lp0), (grid2, lp2) = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
         assert grid0 is grid2
-        for name in ("starts", "run_codes", "codes", "table"):
-            assert getattr(lp0.row_matrix, name) is getattr(grid0.rows, name)
-            assert getattr(lp2.row_matrix, name) is getattr(grid0.rows, name)
+        assert lp0.row_matrix is lp2.row_matrix is grid0
 
     @pytest.mark.parametrize("pops", [[0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
     def test_shared_matrix_solves_as_a_copy(self, pops):
@@ -95,9 +92,9 @@ class TestAssemble:
         grid = build_grid(s.rank, 0.05)
         shared = assemble_lp(s, grid)
         copied = simplex.StandardFormLp(
-            shared.objective, shared.row_matrix.block(0, shared.n_cols), shared.rhs
+            shared.objective, shared.row_matrix.columns(np.arange(shared.n_cols)), shared.rhs
         )
-        assert not np.shares_memory(copied.row_matrix, grid.rows.codes)
+        assert not np.shares_memory(copied.row_matrix, grid.codes)
         est, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
         est_copy, _ = roof._solve_on_grid(s, grid, copied, simplex.DEFAULT_MAX_ITER)
         assert est.value == est_copy.value
@@ -271,19 +268,24 @@ class TestColumnIndex:
         ],
     )
     def test_every_column_and_nothing_else(self, grid):
-        squares = grid.rows.block(0, grid.n_points)[1:]
+        steps = grid.steps(np.arange(grid.n_points))
+        # the steps are the columns' integer coordinates
+        free = grid.amplitudes(np.arange(grid.n_points))[1:]
+        np.testing.assert_array_equal(steps * grid.delta, free)
         on_grid = set()
-        for j, key in enumerate(map(tuple, squares.T.tolist())):
+        for j, key in enumerate(map(tuple, steps.T.tolist())):
             assert grid.column_index(key) == j
             on_grid.add(key)
         # every point of the full lattice at this spacing that the grid lacks
         full = build_grid(grid.rank, grid.delta)
-        for key in map(tuple, full.rows.block(0, full.n_points)[1:].T.tolist()):
+        for key in map(tuple, full.steps(np.arange(full.n_points)).T.tolist()):
             if key not in on_grid:
                 assert grid.column_index(key) == -1
-        # outside the ball, and between two lattice values
-        for last in (1.5, 1e-3):
-            assert grid.column_index((0.0,) * (grid.rank - 2) + (last,)) == -1
+        # past the table in the last or every coordinate, and before the
+        # first run
+        top, zeros = grid.squares.size - 1, (0,) * (grid.rank - 2)
+        for key in (zeros + (top + 1,), (top + 1,) * (grid.rank - 1), zeros + (-1,)):
+            assert grid.column_index(key) == -1
 
 
 class TestRefine:
@@ -438,7 +440,7 @@ class TestCrashStart:
         def missing_column(st, grid, lp, max_iter, carried=None):
             if carried is not None:
                 # a point outside the ball is on no grid
-                carried = [(1.0,) * (st.rank - 1)] + carried[1:]
+                carried = [[grid.squares.size] * (st.rank - 1)] + carried[1:]
             return solve_on_grid(st, grid, lp, max_iter, carried)
 
         monkeypatch.setattr(roof, "_kuhn_start", recorded)

@@ -18,7 +18,7 @@ from fockroof import (
     write_lp,
 )
 from fockroof import roof, simplex
-from fockroof.grid import RunMatrix, neighborhood_grid
+from fockroof.grid import AmplitudeGrid, neighborhood_grid
 from fockroof.simplex import read_lp
 
 
@@ -336,7 +336,7 @@ class TestLatticeProgram:
         # but not the optimal vertex
         # (here: the run form against the dense matrix in both layouts)
         lp = request.getfixturevalue(program)
-        dense = lp.row_matrix.block(0, lp.n_cols)
+        dense = lp.row_matrix.columns(np.arange(lp.n_cols))
         sol = solve(lp)
         for matrix in (dense, np.asfortranarray(dense)):
             ref = solve(StandardFormLp(lp.objective, matrix, lp.rhs))
@@ -355,6 +355,9 @@ class TestLatticeProgram:
 
 
 class TestRunMatrix:
+    """The row matrices the solver reads: a dense array's adapter and a
+    lattice's coded grid."""
+
     def test_dense_pricing_is_c_minus_y_a(self):
         rng = np.random.default_rng(3)
         a, c, y = rng.normal(size=(5, 40000)), rng.normal(size=40000), rng.normal(size=5)
@@ -365,28 +368,26 @@ class TestRunMatrix:
             # a single row is priced by np.dot, the same bits as matmul
             got = simplex._price_block(c, one_row, y[:1], lo, hi)
             assert got.tobytes() == (c[lo:hi] - y[:1] @ a[:1, lo:hi]).tobytes()
-            assert dense.block(lo, hi).tobytes() == a[:, lo:hi].tobytes()
         idx = np.array([3, 39999, 0])
         assert dense.columns(idx).tobytes() == a[:, idx].tobytes()
         assert dense.columns(7).tobytes() == a[:, 7].copy().tobytes()
 
     @pytest.mark.parametrize("rank,delta", [(2, 0.01), (4, 0.05), (6, 0.1)])
     def test_run_form_reads_as_its_dense_matrix(self, rank, delta):
-        rows = build_grid(rank, delta).rows
-        n = rows.shape[1]
-        dense = rows.block(0, n)
-        assert dense.shape == rows.shape == (rank, n)
-        for lo in range(0, n, 997):
-            hi = min(lo + 997, n)
-            np.testing.assert_array_equal(rows.block(lo, hi), dense[:, lo:hi])
+        grid = build_grid(rank, delta)
+        n = grid.shape[1]
+        dense = grid.columns(np.arange(n))
+        assert dense.shape == grid.shape == (rank, n)
+        np.testing.assert_array_equal(dense[0], 1.0)
+        np.testing.assert_array_equal(dense[1:], (grid.steps(np.arange(n)) * delta) ** 2)
         idx = np.random.default_rng(0).integers(0, n, size=50)
-        np.testing.assert_array_equal(rows.columns(idx), dense[:, idx])
+        np.testing.assert_array_equal(grid.columns(idx), dense[:, idx])
         for j in idx[:5]:
-            np.testing.assert_array_equal(rows.columns(j), dense[:, j])
+            np.testing.assert_array_equal(grid.columns(j), dense[:, j])
         y = np.random.default_rng(1).normal(size=rank)
         for lo, hi in ((0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3)):
             np.testing.assert_allclose(
-                rows.dot(y, lo, hi), y @ dense[:, lo:hi], rtol=1e-14, atol=1e-15
+                grid.dot(y, lo, hi), y @ dense[:, lo:hi], rtol=1e-14, atol=1e-15
             )
 
 
@@ -403,41 +404,53 @@ class TestRunMatrix:
     def test_coded_row_reads_as_its_expansion(self, grid):
         # every coded row against the same run form with its rows stored as
         # floats, bit for bit
-        rows = grid.rows
-        assert rows.codes.dtype == rows.run_codes.dtype
-        assert rows.codes.dtype == (np.uint8 if grid.delta == 0.05 else np.uint16)
-        floats = FloatRunForm.of(rows)
-        assert rows.shape == floats.shape
-        n, m = rows.shape[1], grid.rank
+        assert grid.codes.dtype == grid.run_codes.dtype
+        assert grid.codes.dtype == (np.uint8 if grid.delta == 0.05 else np.uint16)
+        floats = FloatRunForm.of(grid)
+        assert grid.shape == floats.shape
+        n, m = grid.shape[1], grid.rank
         rng = np.random.default_rng(2)
         y, y2 = rng.normal(size=m), rng.normal(size=m)
         idx = rng.integers(0, n, size=50)
-        assert rows.columns(idx).tobytes() == floats.columns(idx).tobytes()
-        assert rows.columns(idx[0]).tobytes() == floats.columns(idx[0]).tobytes()
+        assert grid.columns(idx).tobytes() == floats.columns(idx).tobytes()
+        assert grid.columns(idx[0]).tobytes() == floats.columns(idx[0]).tobytes()
         for lo, hi in [(0, n), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3), (n - 7, n)]:
-            assert rows.block(lo, hi).tobytes() == floats.block(lo, hi).tobytes()
+            block = np.arange(lo, hi)
+            assert grid.columns(block).tobytes() == floats.columns(block).tobytes()
             # the second product reads the block's run rows kept from the first
             for yk in (y, y2):
-                assert rows.dot(yk, lo, hi).tobytes() == floats.dot(yk, lo, hi).tobytes()
+                assert grid.dot(yk, lo, hi).tobytes() == floats.dot(yk, lo, hi).tobytes()
 
     def test_coded_matrix_checks_its_codes(self):
-        starts, table = np.array([0, 2]), np.array([0.0, 0.25, 1.0])
-        codes = np.array([0, 1, 2, 2], dtype=np.uint8)
-        run_codes = np.array([[1, 2]], dtype=np.uint8)
-        rows = RunMatrix(starts, codes, run_codes, table)
-        assert rows.shape == (3, 4)
-        assert rows.block(0, 4).tolist() == [[1.0] * 4, [0.25] * 2 + [1.0] * 2, [0.0, 0.25, 1.0, 1.0]]
-        # read-only views of the caller's arrays, which keep their flags
-        assert np.shares_memory(rows.codes, codes) and not rows.codes.flags.writeable
-        assert codes.flags.writeable
-        with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            RunMatrix(starts, codes + 1, run_codes, table)
-        with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            RunMatrix(starts, codes, run_codes.astype(np.int64) - 2, table)
+        # the codes are the grid's coordinates, checked once as the grid is
+        # made: runs (1, 0..1) and (2, 1..2) at delta = 0.5
+        prefix, first = [np.array([1, 2], dtype=np.uint8)], np.array([0, 1], dtype=np.uint8)
+        counts = np.array([2, 2], dtype=np.uint8)
+        grid = AmplitudeGrid(3, 0.5, prefix, first, counts)
+        assert grid.shape == (3, 4)
+        assert grid.columns(np.arange(4)).tolist() == [
+            [1.0] * 4, [0.25] * 2 + [1.0] * 2, [0.0, 0.25, 0.25, 1.0]
+        ]
+        for arr in (grid.starts, grid.run_codes, grid.codes, grid.squares):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(3, 0.5, [prefix[0] + 1], first, counts)
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(3, 0.5, [prefix[0].astype(np.int64) - 2], first, counts)
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            AmplitudeGrid(3, 0.5, prefix, first + 1, counts)
         with pytest.raises(ValueError, match="not integer"):
-            RunMatrix(starts, codes, run_codes.astype(float), table)
+            AmplitudeGrid(3, 0.5, [prefix[0].astype(float)], first, counts)
         with pytest.raises(ValueError, match="not integer"):
-            RunMatrix(starts, codes.astype(float), run_codes, table)
+            AmplitudeGrid(3, 0.5, prefix, first.astype(float), counts)
+        # a code past the table in the narrow dtypes themselves
+        for dtype, delta, top in ((np.uint8, 0.5, 2), (np.uint16, 0.002, 500)):
+            big = np.array([top + 1], dtype=dtype)
+            one, zero = np.ones(1, dtype=dtype), np.zeros(1, dtype=dtype)
+            with pytest.raises(ValueError, match=rf"\[0, {top}\]"):
+                AmplitudeGrid(3, delta, [big], zero, one)
+            with pytest.raises(ValueError, match=rf"\[0, {top}\]"):
+                AmplitudeGrid(3, delta, [zero], big, one)
 
     @pytest.mark.parametrize(
         "pops,rank,delta,pivots",
@@ -449,8 +462,8 @@ class TestRunMatrix:
         ids=["rank4", "thermal-rank6", "stalling-rank4"],
     )
     def test_solver_reads_any_row_matrix(self, pops, rank, delta, pivots):
-        # a lattice program solves through any object with the four members
-        # exactly as through the grid's own matrix
+        # a lattice program solves through any object with the three
+        # members exactly as through the grid itself
         s = truncated_thermal(0.5, 6) if pops is None else FockDiagonalState(0, np.array(pops))
         lp = assemble_lp(s, build_grid(rank, delta))
         duck = StandardFormLp._of_finite(lp.objective, FloatRunForm.of(lp.row_matrix), lp.rhs)
@@ -463,16 +476,16 @@ class TestRunMatrix:
 
 class FloatRunForm:
     """A run form whose run rows and column rows are stored as floats, read
-    as :class:`RunMatrix` read them before its rows were coded."""
+    as a grid read them before its rows were coded."""
 
     def __init__(self, run_rows, starts, col_rows):
         self.run_rows, self.starts, self.col_rows = run_rows, starts, col_rows
         self.shape = (len(run_rows) + len(col_rows), col_rows.shape[1])
 
     @classmethod
-    def of(cls, rows):
-        runs = np.vstack([np.ones(rows.starts.size), rows.table[rows.run_codes]])
-        return cls(runs, rows.starts, rows.table[rows.codes][None, :])
+    def of(cls, grid):
+        runs = np.vstack([np.ones(grid.starts.size), grid.squares[grid.run_codes]])
+        return cls(runs, grid.starts, grid.squares[grid.codes][None, :])
 
     def _span(self, lo, hi):
         # a slice, so that run_rows[:, runs] is a view with rows of unit
@@ -493,12 +506,6 @@ class FloatRunForm:
     def columns(self, idx):
         runs = self.starts.searchsorted(idx, side="right") - 1
         return np.concatenate((self.run_rows[:, runs], self.col_rows[:, idx]))
-
-    def block(self, lo, hi):
-        runs, counts = self._span(lo, hi)
-        return np.concatenate(
-            (np.repeat(self.run_rows[:, runs], counts, axis=1), self.col_rows[:, lo:hi])
-        )
 
 
 class TestStart:
@@ -633,3 +640,12 @@ class TestDumpFormat:
         np.testing.assert_array_equal(again.objective, lp.objective)
         np.testing.assert_array_equal(again.row_matrix, lp.row_matrix)
         np.testing.assert_array_equal(again.rhs, lp.rhs)
+
+    def test_lattice_dump_reads_three_members(self, tmp_path):
+        # the dump reads a row matrix through the solver's members alone
+        grid = build_grid(4, 0.05)
+        lp = assemble_lp(FockDiagonalState(0, np.array([0.5, 0.3, 0.1, 0.1])), grid)
+        duck = StandardFormLp._of_finite(lp.objective, FloatRunForm.of(grid), lp.rhs)
+        write_lp(lp, tmp_path / "grid.lp")
+        write_lp(duck, tmp_path / "duck.lp")
+        assert (tmp_path / "grid.lp").read_bytes() == (tmp_path / "duck.lp").read_bytes()
