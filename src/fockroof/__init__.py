@@ -36,7 +36,6 @@ from .states import (
     moments,
     pure_nonclassicality,
     rank2_nonclassicality,
-    real_alpha,
     simple_bound,
     truncated_thermal,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "pure_nonclassicality",
     "quadrature_qfi",
     "rank2_nonclassicality",
-    "real_alpha",
     "refine",
     "simple_bound",
     "solve",

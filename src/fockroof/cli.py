@@ -3,8 +3,7 @@ truncated-thermal experiments, grid diagnostics and LP dumps.
 
 Every command emits either CSV (RFC-4180 quoting) or JSON (one object with
 ``meta`` and ``rows``).  Output is deterministic: fixed field order, floats
-as shortest round-trip decimals, rows in lattice order regardless of the
-worker-thread count.
+as shortest round-trip decimals, rows in lattice order.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure, 4 grid capacity.
 """
@@ -15,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from functools import partial
 
@@ -225,15 +225,20 @@ def _cmd_sweep(args, rank: int) -> int:
 
     Rows run over p_{n+M-1}, ..., p_{n+1} on the step lattice, top level
     outermost; the ground level takes the remainder, subtracted top level
-    first.  The whole lattice is checked and classified in one array pass.
-    With --lp-check K every K-th point also gets the LP estimate of its
-    trimmed window; those windows' lattice LPs are built once, before any
-    worker starts, and only their solves are spread over the threads.
+    first.  The row count C(K + M - 1, M - 1), K = 1/step, is checked
+    against the point budget before the lattice is built; the whole lattice
+    is then checked and classified in one array pass.  With --lp-check K
+    every K-th point also gets the LP estimate of its trimmed window, and
+    the lattice LPs are built once per window rank and offset.
     """
     n = args.n
     # the epsilon keeps the top corner of steps such as 0.00032, whose
     # reciprocal rounds just below an integer
-    tops = _simplex_lattice(int(1.0 / args.step + 1e-9), rank - 1) * args.step
+    count = int(1.0 / args.step + 1e-9)
+    n_rows = math.comb(count + rank - 1, rank - 1)
+    if n_rows > DEFAULT_MAX_POINTS:
+        raise GridCapacityError(n_rows, DEFAULT_MAX_POINTS)
+    tops = _simplex_lattice(count, rank - 1) * args.step
     rest = np.ones(len(tops))
     for column in tops.T:
         rest -= column
@@ -243,23 +248,14 @@ def _cmd_sweep(args, rank: int) -> int:
     checked = range(0, len(pops), args.lp_check) if args.lp_check else ()
     windows = {idx: FockDiagonalState(n, pops[idx]).trimmed() for idx in checked}
     lattices = LatticeLps([w for w in windows.values() if w.rank > 1], args.delta)
-
-    def lp_value(idx: int) -> float:
-        window = windows[idx]
-        if window.rank == 1:
-            return float(window.offset)
-        return float(lattices.estimate(window, max_iter=args.max_iter).value)
-
-    # the solves' numpy work releases the interpreter lock, so threads overlap it
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            lps = dict(zip(windows, pool.map(lp_value, windows)))
-    else:
-        lps = {idx: lp_value(idx) for idx in windows}
+    lps = {
+        idx: float(w.offset)
+        if w.rank == 1
+        else float(lattices.estimate(w, max_iter=args.max_iter).value)
+        for idx, w in windows.items()
+    }
     # the lattice LPs are freed before the output rows are built
-    del lattices, lp_value
+    del lattices
     rows = []
     for idx, (top, label, value) in enumerate(zip(tops.tolist(), labels, values.tolist())):
         row = {f"p{rank - 1 - d}": p for d, p in enumerate(top)}
@@ -310,7 +306,7 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_grid_info(args) -> int:
-    points = checked_count(args.m, args.delta, DEFAULT_MAX_POINTS)
+    points = checked_count(args.m, args.delta)
     # the grid is the LP's row matrix; the LP adds its objective and no copy
     grid_bytes = grid_nbytes(args.m, args.delta, points)
     lp_bytes = grid_bytes + 8 * points
@@ -370,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p_sw.add_argument("--step", type=_spacing, default=step)
         p_sw.add_argument("--delta", type=_spacing, default=0.01)
         p_sw.add_argument("--lp-check", type=_at_least(0), default=0, metavar="STRIDE")
-        p_sw.add_argument("--threads", type=_at_least(1), default=1)
         add_common(p_sw)
         p_sw.set_defaults(func=partial(_cmd_sweep, rank=rank))
 

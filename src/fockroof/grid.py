@@ -43,7 +43,7 @@ _BLOCK = 16_384
 
 
 class GridCapacityError(Exception):
-    """Requested grid would exceed the configured point budget."""
+    """Requested grid would exceed the point budget, ``DEFAULT_MAX_POINTS``."""
 
     def __init__(self, requested: int, budget: int, at_least: bool = False):
         bound = "at least " if at_least else ""
@@ -96,18 +96,18 @@ def count_grid_points(rank: int, delta: float) -> int:
     return int(counts[left].sum())
 
 
-def checked_count(rank: int, delta: float, max_points: int) -> int:
+def checked_count(rank: int, delta: float) -> int:
     """:func:`count_grid_points`, raising :class:`GridCapacityError` past
-    ``max_points``.
+    ``DEFAULT_MAX_POINTS``.
 
     An exact count of rank >= 4 holds arrays of about L entries (L = the
-    squared lattice radius).  Where L + 1 is more than ``max_points``, the
+    squared lattice radius).  Where L + 1 is more than the budget, the
     volume of the positive-orthant ball of radius sqrt(L) is checked first:
     the unit cells [l, l + 1) of the lattice points cover that ball, so the
     count is at least its volume.
     """
     limit = _lattice_radius_sq(delta)
-    if rank >= 4 and limit + 1 > max_points:
+    if rank >= 4 and limit + 1 > DEFAULT_MAX_POINTS:
         dims = rank - 1
         log_volume = (
             dims / 2 * math.log(math.pi * limit)
@@ -116,11 +116,11 @@ def checked_count(rank: int, delta: float, max_points: int) -> int:
         )
         # rounded down to stay a lower bound; e^700 exceeds any budget
         bound = math.ceil(math.exp(min(log_volume, 700.0)) * (1.0 - 1e-9))
-        if bound > max_points:
-            raise GridCapacityError(bound, max_points, at_least=True)
+        if bound > DEFAULT_MAX_POINTS:
+            raise GridCapacityError(bound, DEFAULT_MAX_POINTS, at_least=True)
     n = count_grid_points(rank, delta)
-    if n > max_points:
-        raise GridCapacityError(n, max_points)
+    if n > DEFAULT_MAX_POINTS:
+        raise GridCapacityError(n, DEFAULT_MAX_POINTS)
     return n
 
 
@@ -275,8 +275,7 @@ class AmplitudeGrid:
         np.square(self.squares, out=self.squares)
         for arr in (self.run_codes, self.starts, self.codes, self.squares):
             arr.flags.writeable = False
-        # see _priced_runs; a race between threads stores a value twice or
-        # replaces the last block early
+        # the pricing caches; see _priced_runs
         self._spans: dict[tuple[int, int], tuple[slice, np.ndarray]] = {}
         self._last: tuple = (None, None, None)
 
@@ -305,10 +304,8 @@ class AmplitudeGrid:
         A wider scan keeps nothing, so what is kept stays about one count
         per run and one block's run rows."""
         key = (lo, hi)
-        # read once, as another thread may replace it
-        last = self._last
-        if last[0] == key:
-            return last[1:]
+        if self._last[0] == key:
+            return self._last[1:]
         if hi - lo > _BLOCK:
             runs, counts = self._span(lo, hi)
             return counts, self._run_values(runs)
@@ -316,8 +313,8 @@ class AmplitudeGrid:
         if span is None:
             span = self._spans[key] = self._span(lo, hi)
         runs, counts = span
-        last = self._last = (key, counts, self._run_values(runs))
-        return last[1:]
+        self._last = (key, counts, self._run_values(runs))
+        return self._last[1:]
 
     def _run_values(self, runs) -> np.ndarray:
         """The float run rows, the ones row first, of the slice ``runs``:
@@ -421,9 +418,7 @@ class AmplitudeGrid:
         return alpha
 
 
-def build_grid(
-    rank: int, delta: float, max_points: int = DEFAULT_MAX_POINTS
-) -> AmplitudeGrid:
+def build_grid(rank: int, delta: float) -> AmplitudeGrid:
     """Enumerate the full amplitude lattice for a rank-M window.
 
     Points are ordered lexicographically in the integer coordinates.  Raises
@@ -431,7 +426,7 @@ def build_grid(
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
-    checked_count(rank, delta, max_points)
+    checked_count(rank, delta)
     limit = _lattice_radius_sq(delta)
     prefix, counts = _ball_runs(limit, [0] * (rank - 1), [isqrt(limit)] * (rank - 1))
     return AmplitudeGrid(rank, delta, prefix, 0, counts)

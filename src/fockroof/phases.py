@@ -88,7 +88,8 @@ def _best_fraction(s, a, b):
 
 
 def _coherence(offset: int, x: np.ndarray) -> np.ndarray:
-    """Squared <a> of the (N, 3) amplitude rows x, summed as ``real_alpha`` sums it."""
+    """Squared <a> of the (N, 3) amplitude rows x, the phase-aligned sum
+    (x_0 x_1 sqrt(offset + 1) + x_1 x_2 sqrt(offset + 2))²."""
     return pow_square((x[:, 1:] * x[:, :-1] * np.sqrt(offset + np.arange(2) + 1.0)).sum(axis=1))
 
 

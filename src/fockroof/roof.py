@@ -20,7 +20,6 @@ splitting every support point across roots-of-unity phase patterns.
 
 from __future__ import annotations
 
-import json
 import sys
 import warnings
 from collections.abc import Iterable
@@ -69,15 +68,6 @@ class Estimate:
     amplitudes: np.ndarray
     weights: np.ndarray
 
-    def to_csv(self, path) -> None:
-        """Write ``x1,...,x{M-1},weight`` rows, in lattice order."""
-        names = ",".join(f"x{k}" for k in range(1, self.amplitudes.shape[1]))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{names},weight\n")
-            for row, w in zip(self.amplitudes, self.weights):
-                coords = ",".join(f"{v:.17g}" for v in row[1:])
-                fh.write(f"{coords},{w:.17g}\n")
-
 
 @dataclass(frozen=True)
 class ExplicitDecomposition:
@@ -90,11 +80,6 @@ class ExplicitDecomposition:
 
     atoms: list[tuple[float, PureFockWindowState]]
     phase_order: int
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.to_jsonable(), fh)
-            fh.write("\n")
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -240,9 +225,7 @@ class LatticeLps:
     rank and the offset; a state enters the LP through its right-hand side
     alone.  Each grid is enumerated once per rank, and its rows are the row
     matrix of every window of that rank; an objective is built once per
-    window of the given states.  Threads may share the instance: its
-    programs are read-only, and a race on a grid's pricing caches only
-    makes a block be decoded again.
+    window of the given states.
     """
 
     def __init__(self, states: Iterable[FockDiagonalState], delta: float):

@@ -70,8 +70,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``.
 
     The solver reads the program's arrays without copying, and one matrix
-    may be shared by many programs and threads.  The caller's own array
-    keeps its flags.
+    may be shared by many programs.  The caller's own array keeps its
+    flags.
     """
     view = arr.view()
     view.setflags(write=False)
@@ -484,19 +484,3 @@ def write_lp(lp: StandardFormLp, path) -> None:
                 for lo in range(0, n, _PRICING_BLOCK)
             )
             fh.write(row + " " + f"{lp.rhs[r]:.17g}" + "\n")
-
-
-def read_lp(path) -> StandardFormLp:
-    """Parse a file written by :func:`write_lp`."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        rows = int(header[0].split("=")[1])
-        cols = int(header[1].split("=")[1])
-        c = np.array([float(t) for t in fh.readline().split()])
-        a = np.empty((rows, cols))
-        b = np.empty(rows)
-        for r in range(rows):
-            parts = [float(t) for t in fh.readline().split()]
-            a[r] = parts[:cols]
-            b[r] = parts[cols]
-    return StandardFormLp(objective=c, row_matrix=a, rhs=b)

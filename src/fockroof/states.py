@@ -173,22 +173,6 @@ def pure_nonclassicality(psi: PureFockWindowState) -> float:
     return m.n_bar - abs(m.alpha_bar) ** 2 + abs(m.xi_bar - m.alpha_bar**2)
 
 
-def real_alpha(amplitudes: np.ndarray, offset: int) -> float:
-    """<a> of a window state with nonnegative real amplitudes.
-
-    This is the phase-aligned coherence sum x_{k+1} x_k sqrt(n+k+1); its
-    square is the objective kernel of the decomposition linear program.
-    """
-    x = np.asarray(amplitudes, dtype=float)
-    norm_sq = float(np.sum(x * x))
-    if abs(norm_sq - 1.0) > ARITHMETIC_TOL:
-        raise ValueError(f"amplitudes must have unit norm (got |x|^2={norm_sq!r})")
-    if x.size == 1:
-        return 0.0
-    k = np.arange(x.size - 1)
-    return float(np.sum(x[1:] * x[:-1] * np.sqrt(offset + k + 1.0)))
-
-
 def rank2_nonclassicality(offset: int, p_upper: float) -> float:
     """Closed-form nonclassicality of p|n+1><n+1| + (1-p)|n><n|.
 

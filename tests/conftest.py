@@ -20,6 +20,23 @@ def random_trimmed_state(rng, max_rank=4, max_offset=3, floor=0.05):
     return FockDiagonalState(offset, pops)
 
 
+def real_alpha(amplitudes, offset):
+    """<a> of a window state with nonnegative real amplitudes.
+
+    This is the phase-aligned coherence sum x_{k+1} x_k sqrt(n+k+1); its
+    square is the objective kernel of the decomposition linear program.
+    The phase tests compare the closed-form ansatzes against it.
+    """
+    x = np.asarray(amplitudes, dtype=float)
+    norm_sq = float(np.sum(x * x))
+    if abs(norm_sq - 1.0) > 1e-10:
+        raise ValueError(f"amplitudes must have unit norm (got |x|^2={norm_sq!r})")
+    if x.size == 1:
+        return 0.0
+    k = np.arange(x.size - 1)
+    return float(np.sum(x[1:] * x[:-1] * np.sqrt(offset + k + 1.0)))
+
+
 def kernel_ansatz(state, label):
     """The ``label`` ansatz of the phase kernel of ``state``'s rank, scored
     on ``state`` alone: scalar ``value``, ``feasible`` and ``params``."""
@@ -30,6 +47,15 @@ def kernel_ansatz(state, label):
         feasible=bool(np.all(ansatz.feasible)),
         params={name: float(v[0]) for name, v in ansatz.params.items()},
     )
+
+
+def parse_dump(path):
+    """(objective, row matrix, rhs) of an LP written by ``write_lp``."""
+    with open(path, encoding="ascii") as fh:
+        header, objective, *rows = fh.read().splitlines()
+    assert header == f"rows={len(rows)} cols={len(objective.split())}"
+    table = np.array([[float(t) for t in row.split()] for row in rows])
+    return np.array([float(t) for t in objective.split()]), table[:, :-1], table[:, -1]
 
 
 def reconstruct_density(decomposition, rank):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from fockroof.cli import main
-from fockroof.simplex import read_lp
 from fockroof import FockDiagonalState, assemble_lp, build_grid, classify
+
+from conftest import parse_dump
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -138,6 +139,12 @@ class TestExitCodes:
         assert code == 4
         assert "at least" in capsys.readouterr().err
 
+    def test_sweep_capacity(self, capsys):
+        # C(503, 3) rows at step 0.002, counted before any row is built
+        code = main(["sweep4", "--step", "0.002"])
+        assert code == 4
+        assert "21084251 points" in capsys.readouterr().err
+
     def test_solver_failure(self, capsys):
         code, _ = run_cli(
             capsys, "eval", "--p", "0.6,0.2,0.2", "--delta", "0.05", "--max-iter", "1"
@@ -163,7 +170,6 @@ class TestExitCodes:
             "sweep3 --step 0",
             "sweep3 --step 0.6",
             "sweep3 --n -1",
-            "sweep4 --threads 0",
             "sweep4 --lp-check -1",
             "thermal --nth 0",
             "thermal --nth 1 --levels 0",
@@ -191,8 +197,10 @@ class TestExitCodes:
 
         assert run("eval", "--p", "0.84,0.16", "--delta", "0.1") == 0
         assert run("eval", "--p", "0.84,0.16", "--delta", "0.7") == 2
-        # a missing required option exits through argparse itself
+        # a missing required option or an unknown one exits through argparse
+        # itself
         assert run("eval") == 2
+        assert run("sweep4", "--threads", "2") == 2
         assert run("grid-info", "--m", "4", "--delta", "0.003") == 4
 
 
@@ -224,14 +232,6 @@ class TestSweep3:
             assert r["n_lp"] >= r["value"] - 1e-9
             assert r["n_lp"] <= r["value"] + 10 * 0.05**2 * 3
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sweep3", "--step", "0.1", "--format", "csv", "--out", str(a)]) == 0
-        assert main(
-            ["sweep3", "--step", "0.1", "--format", "csv", "--threads", "3", "--out", str(b)]
-        ) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_phase_regions(self, capsys):
         payload = run_json(capsys, "sweep3", "--step", "0.05", "--format", "json")
         rows = payload["rows"]
@@ -259,14 +259,14 @@ class TestSweep4:
         assert by_point[(0.0, 1.0, 0.0)]["value"] == pytest.approx(2.0)
         assert by_point[(1.0, 0.0, 0.0)]["value"] == pytest.approx(3.0)
 
-    def test_lp_check_threads_do_not_change_output(self, tmp_path):
-        # the checked windows span ranks 1-4, so the workers share several lattices
-        argv = ["sweep4", "--step", "0.25", "--lp-check", "2", "--delta", "0.1", "--format", "csv"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(argv + ["--out", str(a)]) == 0
-        assert main(argv + ["--threads", "3", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        rows = read_csv_text(a.read_text())
+    def test_lp_check_spans_window_ranks(self, capsys):
+        # the checked windows span ranks 1-4, so several lattices are shared
+        code, out = run_cli(
+            capsys, "sweep4", "--step", "0.25", "--lp-check", "2", "--delta", "0.1",
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = read_csv_text(out)
         assert sum(1 for r in rows[1:] if r[-1] != "") == 18
 
     def test_rank3_face_embedding(self, capsys):
@@ -384,15 +384,15 @@ class TestDumpLp:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "rows=2 cols=101"
-        parsed = read_lp(out)
+        objective, row_matrix, rhs = parse_dump(out)
         expected = assemble_lp(
             FockDiagonalState(0, np.array([0.84, 0.16])), build_grid(2, 0.01)
         )
-        np.testing.assert_array_equal(parsed.objective, expected.objective)
+        np.testing.assert_array_equal(objective, expected.objective)
         np.testing.assert_array_equal(
-            parsed.row_matrix, expected.row_matrix.columns(np.arange(expected.n_cols))
+            row_matrix, expected.row_matrix.columns(np.arange(expected.n_cols))
         )
-        np.testing.assert_array_equal(parsed.rhs, expected.rhs)
+        np.testing.assert_array_equal(rhs, expected.rhs)
 
 
 class TestDeterminism:

@@ -349,9 +349,10 @@ class TestMemory:
 
 
 class TestCapacity:
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 100)
         with pytest.raises(GridCapacityError) as err:
-            build_grid(3, 0.01, max_points=100)
+            build_grid(3, 0.01)
         assert err.value.requested == count_grid_points(3, 0.01)
         assert err.value.budget == 100
 
@@ -378,9 +379,10 @@ class TestCapacity:
 
     @pytest.mark.parametrize("rank", [4, 5, 6, 7])
     @pytest.mark.parametrize("delta", [0.3, 0.11, 0.05])
-    def test_volume_bound_is_a_lower_bound(self, rank, delta):
+    def test_volume_bound_is_a_lower_bound(self, rank, delta, monkeypatch):
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 1)
         with pytest.raises(GridCapacityError, match="at least") as err:
-            build_grid(rank, delta, max_points=1)
+            build_grid(rank, delta)
         assert 1 < err.value.requested <= count_grid_points(rank, delta)
 
     def test_bad_arguments(self):

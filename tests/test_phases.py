@@ -11,11 +11,10 @@ from fockroof import (
     estimate_nonclassicality,
     mean_photon,
     rank2_nonclassicality,
-    real_alpha,
     simple_bound,
 )
 
-from conftest import kernel_ansatz, random_trimmed_state
+from conftest import kernel_ansatz, random_trimmed_state, real_alpha
 
 
 def state(offset, pops):

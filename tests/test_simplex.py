@@ -19,7 +19,8 @@ from fockroof import (
 )
 from fockroof import roof, simplex
 from fockroof.grid import AmplitudeGrid, neighborhood_grid
-from fockroof.simplex import read_lp
+
+from conftest import parse_dump
 
 
 def residuals(lp, sol):
@@ -636,10 +637,10 @@ class TestDumpFormat:
         assert len(lines) == 1 + 1 + 3
         assert len(lines[1].split()) == 12
         assert all(len(line.split()) == 13 for line in lines[2:])
-        again = read_lp(path)
-        np.testing.assert_array_equal(again.objective, lp.objective)
-        np.testing.assert_array_equal(again.row_matrix, lp.row_matrix)
-        np.testing.assert_array_equal(again.rhs, lp.rhs)
+        objective, row_matrix, rhs = parse_dump(path)
+        np.testing.assert_array_equal(objective, lp.objective)
+        np.testing.assert_array_equal(row_matrix, lp.row_matrix)
+        np.testing.assert_array_equal(rhs, lp.rhs)
 
     def test_lattice_dump_reads_three_members(self, tmp_path):
         # the dump reads a row matrix through the solver's members alone

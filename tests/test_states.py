@@ -9,14 +9,13 @@ from fockroof import (
     moments,
     pure_nonclassicality,
     rank2_nonclassicality,
-    real_alpha,
     simple_bound,
     truncated_thermal,
 )
 
 from fockroof.states import check_populations
 
-from conftest import random_trimmed_state
+from conftest import random_trimmed_state, real_alpha
 
 
 class TestFockDiagonalState:
