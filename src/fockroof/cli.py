@@ -20,7 +20,6 @@ from functools import partial
 
 import numpy as np
 
-from . import simplex
 from .grid import (
     DEFAULT_MAX_POINTS,
     GridCapacityError,
@@ -110,24 +109,14 @@ def _parse_populations(text: str) -> list[float]:
     return pops
 
 
-def _json_default(value):
-    """numpy values for ``json.dumps``; an ``np.float64`` is a ``float`` and
-    never gets here."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _json(value) -> str:
-    return json.dumps(value, separators=(",", ":"), default=_json_default)
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _csv_cell(value):
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))  # shortest round-trip decimal
     if isinstance(value, (list, dict)):
         return _json(value)
@@ -161,23 +150,18 @@ def _cmd_eval(args) -> int:
     pops = _parse_populations(args.p)
     state = FockDiagonalState(args.n, np.asarray(pops))
     work = state.trimmed()
-    expansion = args.expansion_P if args.expansion_P else max(4, work.rank)
-    if expansion < max(3, work.rank):
-        raise ValueError(
-            f"expansion order must be >= max(3, M) = {max(3, work.rank)}"
-        )
     if work.rank == 1:
         n_lp = float(work.offset)
         support = [{"x": [], "weight": 1.0}]
         decomposition = [{"probability": 1.0, "amplitudes": [{"re": 1.0, "im": 0.0}]}]
     else:
-        estimate = estimate_nonclassicality(work, args.delta, max_iter=args.max_iter)
+        estimate = estimate_nonclassicality(work, args.delta)
         n_lp = estimate.value
         support = [
             {"x": [float(v) for v in row[1:]], "weight": float(w)}
             for row, w in zip(estimate.amplitudes, estimate.weights)
         ]
-        decomposition = expand_histogram(work, estimate, expansion).to_jsonable()
+        decomposition = expand_histogram(work, estimate).to_jsonable()
     if work.rank in (3, 4):
         ansatz = classify(work)
         ansatz_label, ansatz_value = ansatz.label.value, float(ansatz.value)
@@ -203,7 +187,7 @@ def _cmd_eval(args) -> int:
         "n": state.offset,
         "populations": [float(p) for p in state.populations],
         "delta": args.delta,
-        "expansion_P": expansion,
+        "expansion_P": max(4, work.rank),
     }
     _emit(meta, [row], args)
     return EXIT_OK
@@ -228,8 +212,8 @@ def _cmd_sweep(args, rank: int) -> int:
     first.  The row count C(K + M - 1, M - 1), K = 1/step, is checked
     against the point budget before the lattice is built; the whole lattice
     is then checked and classified in one array pass.  With --lp-check K
-    every K-th point also gets the LP estimate of its trimmed window, and
-    the lattice LPs are built once per window rank and offset.
+    every K-th point also gets the LP estimate of its trimmed window, on
+    lattice LPs shared by the windows of one rank and offset.
     """
     n = args.n
     # the epsilon keeps the top corner of steps such as 0.00032, whose
@@ -246,14 +230,11 @@ def _cmd_sweep(args, rank: int) -> int:
     check_populations(pops)
     labels, values = classify_many(n, pops)
     checked = range(0, len(pops), args.lp_check) if args.lp_check else ()
-    windows = {idx: FockDiagonalState(n, pops[idx]).trimmed() for idx in checked}
-    lattices = LatticeLps([w for w in windows.values() if w.rank > 1], args.delta)
-    lps = {
-        idx: float(w.offset)
-        if w.rank == 1
-        else float(lattices.estimate(w, max_iter=args.max_iter).value)
-        for idx, w in windows.items()
-    }
+    lattices = LatticeLps(args.delta)
+    lps = {}
+    for idx in checked:
+        w = FockDiagonalState(n, pops[idx]).trimmed()
+        lps[idx] = float(w.offset if w.rank == 1 else lattices.estimate(w).value)
     # the lattice LPs are freed before the output rows are built
     del lattices
     rows = []
@@ -278,11 +259,10 @@ def _cmd_thermal(args) -> int:
     for m in range(lo, hi + 1):
         state = truncated_thermal(args.nth, m)
         n_m = mean_photon(state)
-        if m == 1:
-            n_lp = 0.0
-        else:
-            estimates = refine(state, args.delta, args.levels, max_iter=args.max_iter)
-            n_lp = float(estimates[-1].value)
+        # top populations that underflow to 0 leave the window; a rank-1
+        # window's value is its offset
+        w = state.trimmed()
+        n_lp = float(w.offset if w.rank == 1 else refine(w, args.delta, args.levels)[-1].value)
         # the rank-1 truncation is the vacuum: zero energy, ratio reported as 0
         ratio = n_lp / n_m if n_m > 0 else 0.0
         rows.append(
@@ -348,15 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json", choices=("csv", "json"))
-        p.add_argument("--max-iter", type=_at_least(1), default=simplex.DEFAULT_MAX_ITER)
 
     p_eval = add_parser("eval", help="evaluate one state")
     p_eval.add_argument("--p", required=True, help="comma-separated populations")
     p_eval.add_argument("--n", type=_at_least(0), default=0, help="lowest photon number")
     p_eval.add_argument("--delta", type=_spacing, default=0.01)
-    p_eval.add_argument(
-        "--expansion-P", type=int, default=0, help="atoms per support point (0: max(4, M))"
-    )
     add_common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 

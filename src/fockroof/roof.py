@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
@@ -184,7 +183,6 @@ def _solve_on_grid(
     state: FockDiagonalState,
     grid: AmplitudeGrid,
     lp: StandardFormLp,
-    max_iter: int,
     carried: list[list[int]] | None = None,
 ) -> tuple[Estimate, list[list[int]] | None]:
     """Estimate with its checked optimal histogram, and the optimal basis as
@@ -196,7 +194,7 @@ def _solve_on_grid(
     start = None if carried is None else [grid.column_index(k) for k in carried]
     if start is None or min(start) < 0:
         start = _kuhn_start(state, grid)
-    sol = simplex.solve(lp, max_iter=max_iter, start=start)
+    sol = simplex.solve(lp, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
     keep = sol.primal.values > SUPPORT_TOL
@@ -223,56 +221,37 @@ class LatticeLps:
 
     The grid depends only on the window rank and the objective only on the
     rank and the offset; a state enters the LP through its right-hand side
-    alone.  Each grid is enumerated once per rank, and its rows are the row
-    matrix of every window of that rank; an objective is built once per
-    window of the given states.
+    alone.  A rank's grid is enumerated when a state of that rank first
+    needs it, and is the row matrix of every window of that rank; a window's
+    objective is built when a state of that window first needs it.
     """
 
-    def __init__(self, states: Iterable[FockDiagonalState], delta: float):
+    def __init__(self, delta: float):
         self.delta = delta
-        grids: dict[int, AmplitudeGrid] = {}
-        self._lps: dict[tuple[int, int], tuple[AmplitudeGrid, StandardFormLp]] = {}
-        for state in states:
-            _require_lp_ready(state)
-            window = (state.rank, state.offset)
-            if window in self._lps:
-                continue
-            if state.rank not in grids:
-                grids[state.rank] = build_grid(state.rank, delta)
-            grid = grids[state.rank]
-            self._lps[window] = (grid, assemble_lp(state, grid))
+        self._grids: dict[int, AmplitudeGrid] = {}
+        self._lps: dict[tuple[int, int], StandardFormLp] = {}
 
-    def estimate(
-        self, state: FockDiagonalState, max_iter: int = simplex.DEFAULT_MAX_ITER
-    ) -> Estimate:
-        """One-sided estimate and its optimal histogram for a state whose
-        window was among those given at construction."""
+    def estimate(self, state: FockDiagonalState) -> Estimate:
+        """One-sided estimate and its optimal histogram."""
         _require_lp_ready(state)
+        if state.rank not in self._grids:
+            self._grids[state.rank] = build_grid(state.rank, self.delta)
+        grid = self._grids[state.rank]
         window = (state.rank, state.offset)
         if window not in self._lps:
-            raise ValueError(f"no lattice LP was built for window (rank, offset) {window}")
+            self._lps[window] = assemble_lp(state, grid)
         _warn_fine_populations(state, self.delta)
-        grid, lp = self._lps[window]
-        lp = lp.with_rhs(_population_rhs(state))
-        return _solve_on_grid(state, grid, lp, max_iter)[0]
+        lp = self._lps[window].with_rhs(_population_rhs(state))
+        return _solve_on_grid(state, grid, lp)[0]
 
 
-def estimate_nonclassicality(
-    state: FockDiagonalState,
-    delta: float,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
-) -> Estimate:
+def estimate_nonclassicality(state: FockDiagonalState, delta: float) -> Estimate:
     """One-sided nonclassicality estimate on the full lattice of spacing delta,
     with its optimal histogram."""
-    return LatticeLps([state], delta).estimate(state, max_iter=max_iter)
+    return LatticeLps(delta).estimate(state)
 
 
-def refine(
-    state: FockDiagonalState,
-    delta_start: float,
-    levels: int,
-    max_iter: int = simplex.DEFAULT_MAX_ITER,
-) -> list[Estimate]:
+def refine(state: FockDiagonalState, delta_start: float, levels: int) -> list[Estimate]:
     """Estimate with local grid refinement around the optimal support.
 
     Level 1 solves on the full lattice at ``delta_start``.  Each further
@@ -305,28 +284,21 @@ def refine(
             )
             if basis is not None:
                 basis = [[2 * l for l in key] for key in basis]
-        estimate, basis = _solve_on_grid(state, grid, assemble_lp(state, grid), max_iter, basis)
+        estimate, basis = _solve_on_grid(state, grid, assemble_lp(state, grid), basis)
         steps.append(estimate)
     return steps
 
 
-def expand_histogram(
-    state: FockDiagonalState, estimate: Estimate, phase_order: int | None = None
-) -> ExplicitDecomposition:
+def expand_histogram(state: FockDiagonalState, estimate: Estimate) -> ExplicitDecomposition:
     """Expand an estimate's histogram into an explicit phase-complete ensemble.
 
-    Every support point of weight w becomes ``phase_order`` atoms of
-    probability w/phase_order with amplitudes x_k * exp(2πi*j*(M-1-k)/P).
-    P at least max(3, M) makes the mixture reproduce the diagonal state and
-    cancels the ensemble average of <a>²; the default is max(4, M).
+    Every support point of weight w becomes P = max(4, M) atoms of
+    probability w/P with amplitudes x_k * exp(2πi*j*(M-1-k)/P).  Any P of at
+    least max(3, M) makes the mixture reproduce the diagonal state and
+    cancels the ensemble average of <a>².
     """
     m = state.rank
-    if phase_order is None:
-        phase_order = max(4, m)
-    if phase_order < max(3, m):
-        raise ValueError(
-            f"phase_order must be >= max(3, M) = {max(3, m)}, got {phase_order}"
-        )
+    phase_order = max(4, m)
     ks = np.arange(m)
     atoms: list[tuple[float, PureFockWindowState]] = []
     for row, w in zip(estimate.amplitudes, estimate.weights):

@@ -64,6 +64,7 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
+    NUMERICAL = "Numerical"
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -189,7 +190,8 @@ class SparseVector:
 class LpSolution:
     """Result of :func:`solve`.  ``iterations`` counts all pivots and
     ``phase1_iterations`` those spent finding a feasible basis, 0 when the
-    ``start`` basis was accepted."""
+    ``start`` basis was accepted.  A NUMERICAL solution carries no primal
+    point, basis or pivot count."""
 
     status: LpStatus
     objective_value: float
@@ -396,54 +398,54 @@ def _crash_tableau(a, b, start):
     return tab
 
 
-def solve(
-    lp: StandardFormLp,
-    max_iter: int = DEFAULT_MAX_ITER,
-    start: Sequence[int] | None = None,
-) -> LpSolution:
+def solve(lp: StandardFormLp, start: Sequence[int] | None = None) -> LpSolution:
     """Solve the LP with a two-phase revised simplex.
 
     ``start`` optionally names one structural column per row.  When those
     columns form a nonsingular basis whose basic solution is nonnegative
     within ``FEAS_TOL``, phase 1 is skipped; otherwise the solve proceeds as
-    without it.  Deterministic for fixed inputs: pricing scans blocks in a
-    fixed order and all tie-breaking is index-based, so repeated calls return
-    the same basis.
+    without it.  Both phases together take at most ``DEFAULT_MAX_ITER``
+    pivots, the module constant as it is at the call, and end with
+    ITERATION_LIMIT beyond it.  A basis found singular on refactorization ends the solve with
+    NUMERICAL.  Deterministic for fixed inputs: pricing scans blocks in a
+    fixed order and all tie-breaking is index-based, so repeated calls
+    return the same basis.
     """
-    if max_iter <= 0:
-        raise ValueError("max_iter must be positive")
-
     rows, cols = lp.n_rows, lp.n_cols
     if start is not None:
         start = _check_start(start, rows, cols)
     a, b = _rows_of(lp), lp.rhs
-
-    tab = None if start is None else _crash_tableau(a, b, start)
-    phase1 = 0
-    if tab is None:
-        # Phase 1: an implicit artificial on every row, maximize minus their sum.
-        tab = _Tableau(a, b, list(range(cols, cols + rows)))
-        outcome, phase1 = _run_phase(tab, np.zeros(cols), max_iter, artificial_cost=-1.0)
-        if outcome == "iter_limit":
-            return _finish(lp, tab, cols, LpStatus.ITERATION_LIMIT, phase1, phase1)
-        artificial_mass = sum(
-            tab.x_b[r] for r in range(len(tab.basis)) if tab.basis[r] >= cols
-        )
-        if artificial_mass > FEAS_TOL:
-            return LpSolution(
-                LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols),
-                list(tab.basis), phase1, phase1,
+    try:
+        tab = None if start is None else _crash_tableau(a, b, start)
+        phase1 = 0
+        if tab is None:
+            # Phase 1: an implicit artificial on every row, maximize minus their sum.
+            tab = _Tableau(a, b, list(range(cols, cols + rows)))
+            outcome, phase1 = _run_phase(
+                tab, np.zeros(cols), DEFAULT_MAX_ITER, artificial_cost=-1.0
             )
-        _drive_out_artificials(tab)
+            if outcome == "iter_limit":
+                return _finish(lp, tab, cols, LpStatus.ITERATION_LIMIT, phase1, phase1)
+            artificial_mass = sum(
+                tab.x_b[r] for r in range(len(tab.basis)) if tab.basis[r] >= cols
+            )
+            if artificial_mass > FEAS_TOL:
+                return LpSolution(
+                    LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols),
+                    list(tab.basis), phase1, phase1,
+                )
+            _drive_out_artificials(tab)
 
-    outcome, phase2 = _run_phase(tab, lp.objective, max_iter - phase1)
-    if outcome == "unbounded":
-        return LpSolution(
-            LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols),
-            list(tab.basis), phase1 + phase2, phase1,
-        )
-    status = LpStatus.OPTIMAL if outcome == "optimal" else LpStatus.ITERATION_LIMIT
-    return _finish(lp, tab, cols, status, phase1 + phase2, phase1)
+        outcome, phase2 = _run_phase(tab, lp.objective, DEFAULT_MAX_ITER - phase1)
+        if outcome == "unbounded":
+            return LpSolution(
+                LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols),
+                list(tab.basis), phase1 + phase2, phase1,
+            )
+        status = LpStatus.OPTIMAL if outcome == "optimal" else LpStatus.ITERATION_LIMIT
+        return _finish(lp, tab, cols, status, phase1 + phase2, phase1)
+    except np.linalg.LinAlgError:
+        return LpSolution(LpStatus.NUMERICAL, float("nan"), _empty_primal(cols), [], 0)
 
 
 def _finish(lp, tab, n_struct, status, iterations, phase1) -> LpSolution:

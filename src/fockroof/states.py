@@ -223,14 +223,16 @@ def truncated_thermal(n_th: float, rank: int) -> FockDiagonalState:
     """Thermal state renormalized after projecting out photon numbers >= rank.
 
     Populations are geometric, p_k ∝ n_th^k / (1+n_th)^(k+1), renormalized by
-    1 / (1 - (n_th/(1+n_th))^rank).
+    1 / (1 - (n_th/(1+n_th))^rank), and then by their sum.  Above about
+    n_th = 9e15 the ratio rounds to 1 and only the sum normalizes.
     """
     if n_th <= 0:
         raise ValueError(f"n_th must be positive, got {n_th}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     q = n_th / (1.0 + n_th)
-    norm = 1.0 / (1.0 - q**rank)
+    tail = 1.0 - q**rank
+    norm = 1.0 / tail if tail else 1.0
     k = np.arange(rank)
     pops = norm * n_th**k / (1.0 + n_th) ** (k + 1.0)
     pops = pops / pops.sum()  # remove residual rounding so the sum is exactly 1

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fockroof import FockDiagonalState, moments, phases
+from fockroof import FockDiagonalState, moments, phases, simplex
 
 
 def random_trimmed_state(rng, max_rank=4, max_offset=3, floor=0.05):
@@ -47,6 +47,22 @@ def kernel_ansatz(state, label):
         feasible=bool(np.all(ansatz.feasible)),
         params={name: float(v[0]) for name, v in ansatz.params.items()},
     )
+
+
+def singular_on_second_refactor(monkeypatch):
+    """Make the simplex refactorize after every pivot and find the basis
+    singular on its second refactorization, as a drifted basis would be."""
+    calls = []
+    refactor = simplex._Tableau.refactor
+
+    def failing(tab):
+        calls.append(None)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        refactor(tab)
+
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+    monkeypatch.setattr(simplex._Tableau, "refactor", failing)
 
 
 def parse_dump(path):

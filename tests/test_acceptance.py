@@ -285,7 +285,7 @@ def test_criterion_10_property_suites(rng):
         if not (power - 1e-9 <= est.value <= simple_bound(s) + slack):
             failures.append(f"sandwich violated on state {i}")
         if i % 10 == 0:
-            dec = expand_histogram(s, est, max(4, s.rank))
+            dec = expand_histogram(s, est)
             rho = reconstruct_density(dec, s.rank)
             off = np.abs(rho - np.diag(np.diag(rho))).max()
             diag_err = np.abs(np.diag(rho).real - s.populations).max()

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from fockroof.cli import main
-from fockroof import FockDiagonalState, assemble_lp, build_grid, classify
+from fockroof import FockDiagonalState, assemble_lp, build_grid, classify, simplex
 
-from conftest import parse_dump
+from conftest import parse_dump, singular_on_second_refactor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,12 +96,6 @@ class TestEval:
         assert row["ansatz_value"] == pytest.approx(0.01625, abs=1e-6)
         assert row["metrological_power"] == 0.0
 
-    def test_custom_expansion_order(self, capsys):
-        payload = run_json(
-            capsys, "eval", "--p", "0.84,0.16", "--delta", "0.01", "--expansion-P", "6"
-        )
-        assert len(payload["rows"][0]["decomposition"]) == 6
-
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(
             capsys, "eval", "--p", "0.84,0.16", "--delta", "0.01", "--format", "csv"
@@ -145,18 +139,17 @@ class TestExitCodes:
         assert code == 4
         assert "21084251 points" in capsys.readouterr().err
 
-    def test_solver_failure(self, capsys):
-        code, _ = run_cli(
-            capsys, "eval", "--p", "0.6,0.2,0.2", "--delta", "0.05", "--max-iter", "1"
-        )
+    def test_solver_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
+        code = main(["eval", "--p", "0.6,0.2,0.2", "--delta", "0.05"])
         assert code == 3
+        assert "IterationLimit" in capsys.readouterr().err
 
-    def test_expansion_order_validation(self, capsys):
-        code, _ = run_cli(
-            capsys, "eval", "--p", "0.4,0.3,0.2,0.1", "--delta", "0.1",
-            "--expansion-P", "3",
-        )
-        assert code == 2
+    def test_singular_basis_is_a_solver_failure(self, capsys, monkeypatch):
+        singular_on_second_refactor(monkeypatch)
+        code = main(["eval", "--p", "0.6,0.2,0.2", "--delta", "0.05"])
+        assert code == 3
+        assert "Numerical" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -164,8 +157,6 @@ class TestExitCodes:
             "eval --p 1 --delta 0.7",
             "eval --p 1 --delta 0",
             "eval --p 1 --n -1",
-            "eval --p 1 --max-iter 0",
-            "eval --p 0.5,0.5 --expansion-P 2",
             "eval --p 1 --format xml",
             "sweep3 --step 0",
             "sweep3 --step 0.6",
@@ -201,6 +192,12 @@ class TestExitCodes:
         # itself
         assert run("eval") == 2
         assert run("sweep4", "--threads", "2") == 2
+        # the removed solve knobs are unknown options on every subcommand
+        assert run("eval", "--p", "0.84,0.16", "--expansion-P", "6") == 2
+        for command in (
+            "eval --p 1", "sweep3", "sweep4", "thermal --nth 1", "grid-info --m 2 --delta 0.1"
+        ):
+            assert run(*command.split(), "--max-iter", "10") == 2, command
         assert run("grid-info", "--m", "4", "--delta", "0.003") == 4
 
 
@@ -339,6 +336,26 @@ class TestThermal:
         assert rows[0]["n_lp"] == 0.0
         assert rows[1]["ratio"] == pytest.approx(0.25, abs=1e-9)
         assert rows[2]["ratio"] < rows[1]["ratio"]
+
+    def test_ratio_rounding_to_one(self, capsys):
+        # n_th / (1 + n_th) rounds to 1: the populations are uniform
+        payload = run_json(
+            capsys, "thermal", "--nth", "1e17", "--m-range", "1:4", "--delta", "0.1"
+        )
+        rows = payload["rows"]
+        assert rows[1]["populations"] == [0.5, 0.5]
+        assert rows[1]["n_lp"] == pytest.approx(0.25, abs=1e-3)
+        assert rows[1]["n_lp"] >= 0.25
+        assert [r["mean_photon"] for r in rows] == [0.0, 0.5, 1.0, 1.5]
+
+    @pytest.mark.filterwarnings("ignore::fockroof.GridResolutionWarning")
+    def test_top_populations_underflow(self, capsys):
+        payload = run_json(capsys, "thermal", "--nth", "1e-100", "--m-range", "1:6")
+        rows = payload["rows"]
+        assert [r["rank"] for r in rows] == [1, 2, 3, 4, 5, 6]
+        assert rows[5]["populations"][-2:] == [0.0, 0.0]
+        # ranks 4-6 solve the same rank-4 window
+        assert rows[3]["n_lp"] == rows[4]["n_lp"] == rows[5]["n_lp"] > 0.0
 
     def test_bad_range(self, capsys):
         code, _ = run_cli(capsys, "thermal", "--nth", "0.5", "--m-range", "3:1")

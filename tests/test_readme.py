@@ -1,13 +1,14 @@
 """The README's library quickstart and command-line examples run against
 the current API."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from fockroof.cli import main
+from fockroof.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +41,23 @@ def test_command_line_examples_run(tmp_path, capsys):
             argv[at] = str(tmp_path / argv[at])
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_flags_paragraph_names_every_option():
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    paragraph = re.search(r"^Flags: .*?(?=\n\n)", text, flags=re.S | re.M).group(0)
+    named = set(re.findall(r"`(--[A-Za-z][\w-]*)", paragraph))
+    (subcommands,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert named - accepted == set(), "named in the README but accepted nowhere"
+    assert accepted - named == set(), "accepted but not named in the README"

@@ -79,10 +79,13 @@ class TestAssemble:
 
     def test_lattice_lps_share_one_matrix_per_rank(self):
         s0, s2 = state(0, [0.5, 0.3, 0.2]), state(2, [0.3, 0.45, 0.25])
-        lattices = LatticeLps([s0, s2], 0.05)
-        (grid0, lp0), (grid2, lp2) = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
-        assert grid0 is grid2
-        assert lp0.row_matrix is lp2.row_matrix is grid0
+        lattices = LatticeLps(0.05)
+        assert not lattices._grids and not lattices._lps
+        lattices.estimate(s0)
+        lattices.estimate(s2)
+        lp0, lp2 = lattices._lps[(3, 0)], lattices._lps[(3, 2)]
+        assert list(lattices._grids) == [3]
+        assert lp0.row_matrix is lp2.row_matrix is lattices._grids[3]
 
     @pytest.mark.parametrize("pops", [[0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
     def test_shared_matrix_solves_as_a_copy(self, pops):
@@ -93,8 +96,8 @@ class TestAssemble:
             shared.objective, shared.row_matrix.columns(np.arange(shared.n_cols)), shared.rhs
         )
         assert not np.shares_memory(copied.row_matrix, grid.codes)
-        est, _ = roof._solve_on_grid(s, grid, shared, simplex.DEFAULT_MAX_ITER)
-        est_copy, _ = roof._solve_on_grid(s, grid, copied, simplex.DEFAULT_MAX_ITER)
+        est, _ = roof._solve_on_grid(s, grid, shared)
+        est_copy, _ = roof._solve_on_grid(s, grid, copied)
         assert est.value == est_copy.value
         np.testing.assert_array_equal(est.amplitudes, est_copy.amplitudes)
         np.testing.assert_array_equal(est.weights, est_copy.weights)
@@ -178,19 +181,19 @@ class TestEstimate:
             state(0, [0.5, 0.25, 0.25]),
             state(2, [0.7, 0.3]),
         ]
-        lattices = LatticeLps(states, 0.05)
-        for s in states:
+        lattices = LatticeLps(0.05)
+        # the last state's window (3, 3) is new after its rank's grid
+        for s in states + [state(3, [0.6, 0.2, 0.2])]:
             shared = lattices.estimate(s)
             alone = estimate_nonclassicality(s, 0.05)
             assert (shared.value, shared.delta) == (alone.value, alone.delta)
             np.testing.assert_array_equal(shared.amplitudes, alone.amplitudes)
             np.testing.assert_array_equal(shared.weights, alone.weights)
-        with pytest.raises(ValueError, match="window"):
-            lattices.estimate(state(3, [0.6, 0.2, 0.2]))
 
-    def test_solver_failure_propagates(self):
-        with pytest.raises(SolverFailure):
-            estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.05, max_iter=1)
+    def test_solver_failure_propagates(self, monkeypatch):
+        monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
+        with pytest.raises(SolverFailure, match="IterationLimit"):
+            estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.05)
 
     @pytest.mark.parametrize("shift", [1e-6, -1.0])
     def test_histogram_residuals_are_checked(self, monkeypatch, shift):
@@ -368,7 +371,7 @@ class TestCrashStart:
     @pytest.mark.parametrize("delta", [0.05, 0.02])
     def test_same_value_as_phase_one(self, monkeypatch, delta):
         states = [state(n, p) for n, p in self.STATES]
-        lattices = LatticeLps(states, delta)
+        lattices = LatticeLps(delta)
         crashed = [lattices.estimate(s).value for s in states]
         _start_from_phase_one(monkeypatch)
         plain = [lattices.estimate(s).value for s in states]
@@ -435,11 +438,11 @@ class TestCrashStart:
             kuhn.append(kuhn_start(st, grid))
             return kuhn[-1]
 
-        def missing_column(st, grid, lp, max_iter, carried=None):
+        def missing_column(st, grid, lp, carried=None):
             if carried is not None:
                 # a point outside the ball is on no grid
                 carried = [[grid.squares.size] * (st.rank - 1)] + carried[1:]
-            return solve_on_grid(st, grid, lp, max_iter, carried)
+            return solve_on_grid(st, grid, lp, carried)
 
         monkeypatch.setattr(roof, "_kuhn_start", recorded)
         monkeypatch.setattr(roof, "_solve_on_grid", missing_column)
@@ -480,16 +483,10 @@ class TestCrashStart:
 
 
 class TestExpansion:
-    def test_rejects_small_phase_order(self):
-        s = state(0, [0.84, 0.16])
-        est = estimate_nonclassicality(s, 0.01)
-        with pytest.raises(ValueError, match="phase_order"):
-            expand_histogram(s, est, 2)
-
     def test_rank2_four_prong(self):
         s = state(0, [0.84, 0.16])
         est = estimate_nonclassicality(s, 0.01)
-        dec = expand_histogram(s, est, 4)
+        dec = expand_histogram(s, est)
         assert len(dec.atoms) == 4
         for q, psi in dec.atoms:
             assert q == pytest.approx(0.25, abs=1e-9)
@@ -498,14 +495,16 @@ class TestExpansion:
     def test_rank3_cube_roots(self):
         s = state(0, [0.5, 0.25, 0.25])
         est = estimate_nonclassicality(s, 0.05)
-        dec = expand_histogram(s, est, 3)
+        dec = expand_histogram(s, est)
+        # P = max(4, M): quartic roots, though any P >= max(3, M) cancels <a>²
+        assert dec.phase_order == 4
         sq, _ = ensemble_alpha_stats(dec)
         assert abs(sq) <= 1e-10
 
     def test_rank4_reconstruction(self):
         s = state(0, [0.4, 0.3, 0.2, 0.1])
         est = estimate_nonclassicality(s, 0.05)
-        dec = expand_histogram(s, est, 4)
+        dec = expand_histogram(s, est)
         assert len(dec.atoms) == 4 * est.weights.size
         rho = reconstruct_density(dec, s.rank)
         np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
@@ -521,7 +520,8 @@ class TestExpansion:
         steps = refine(s, 0.05, 2)
         assert steps[-1].value <= steps[0].value + 1e-12
         est = estimate_nonclassicality(s, 0.05)
-        dec = expand_histogram(s, est, 5)
+        dec = expand_histogram(s, est)
+        assert dec.phase_order == 5
         rho = reconstruct_density(dec, s.rank)
         np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
         assert np.abs(rho - np.diag(np.diag(rho))).max() <= 1e-10
@@ -530,7 +530,7 @@ class TestExpansion:
         for _ in range(12):
             s = random_trimmed_state(rng, max_rank=4)
             est = estimate_nonclassicality(s, 0.05)
-            dec = expand_histogram(s, est, max(4, s.rank))
+            dec = expand_histogram(s, est)
             rho = reconstruct_density(dec, s.rank)
             np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
             assert np.abs(rho - np.diag(np.diag(rho))).max() <= 1e-10
@@ -584,7 +584,7 @@ class TestExports:
     def test_decomposition_json(self):
         s = state(0, [0.84, 0.16])
         est = estimate_nonclassicality(s, 0.01)
-        atoms = expand_histogram(s, est, 4).to_jsonable()
+        atoms = expand_histogram(s, est).to_jsonable()
         assert len(atoms) == 4
         for atom in atoms:
             assert set(atom) == {"probability", "amplitudes"}

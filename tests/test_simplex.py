@@ -20,7 +20,7 @@ from fockroof import (
 from fockroof import roof, simplex
 from fockroof.grid import AmplitudeGrid, neighborhood_grid
 
-from conftest import parse_dump
+from conftest import parse_dump, singular_on_second_refactor
 
 
 def residuals(lp, sol):
@@ -104,12 +104,21 @@ class TestBasics:
         sol = solve(lp)
         assert sol.status is LpStatus.UNBOUNDED
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         rng = np.random.default_rng(3)
         lp = bounded_random_lp(rng, 4, 30)
-        sol = solve(lp, max_iter=1)
+        monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
+        sol = solve(lp)
         assert sol.status is LpStatus.ITERATION_LIMIT
         assert sol.iterations == 1
+
+    def test_singular_refactorization_is_numerical(self, monkeypatch):
+        singular_on_second_refactor(monkeypatch)
+        rng = np.random.default_rng(3)
+        sol = solve(bounded_random_lp(rng, 4, 30))
+        assert sol.status is LpStatus.NUMERICAL
+        assert np.isnan(sol.objective_value)
+        assert sol.primal.nnz == 0
 
     def test_negative_rhs_rows_are_flipped(self):
         lp = make_lp([1.0, 2.0], [[-1.0, -1.0]], [-1.0])

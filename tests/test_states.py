@@ -247,6 +247,23 @@ class TestTruncatedThermal:
             assert np.all(np.diff(pops) < 0.0)
             assert abs(pops.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n_th", [1e16, 1e17, 1e20])
+    def test_ratio_rounding_to_one(self, n_th):
+        # n_th / (1 + n_th) rounds to 1, so 1 - q**rank is 0
+        assert n_th / (1.0 + n_th) == 1.0
+        for rank in (1, 2, 3, 4):
+            pops = truncated_thermal(n_th, rank).populations
+            np.testing.assert_allclose(pops, np.full(rank, 1.0 / rank), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_th", [1e-100, 0.1, 0.5, 2.0, 10.0, 1e15])
+    def test_closed_form_normalizer_where_it_is_defined(self, n_th):
+        for rank in (1, 2, 4, 7):
+            q = n_th / (1.0 + n_th)
+            k = np.arange(rank)
+            pops = 1.0 / (1.0 - q**rank) * n_th**k / (1.0 + n_th) ** (k + 1.0)
+            expected = pops / pops.sum()
+            np.testing.assert_array_equal(truncated_thermal(n_th, rank).populations, expected)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             truncated_thermal(0.0, 3)
