@@ -23,7 +23,6 @@ from .roof import (
 from .simplex import (
     LpSolution,
     LpStatus,
-    SparseVector,
     StandardFormLp,
     solve,
     write_lp,
@@ -57,7 +56,6 @@ __all__ = [
     "PureFockWindowState",
     "QfiReport",
     "SolverFailure",
-    "SparseVector",
     "StandardFormLp",
     "assemble_lp",
     "build_grid",

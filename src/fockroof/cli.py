@@ -71,8 +71,8 @@ def _spacing(text: str) -> float:
 
 def _positive(text: str) -> float:
     value = _number(text, float)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 

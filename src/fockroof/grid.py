@@ -21,11 +21,10 @@ code takes one byte while isqrt(L) <= 255, that is for delta above about
 the narrowest unsigned dtypes too; only the run starts, and a few
 transients per run, are eight bytes wide.  At rank 6 and delta = 0.05 that
 is 58,201 runs for 662,629 points, 1.36 MB instead of the 31.8 MB of the
-dense (M, N) matrix, or the 3.46 MB with float run rows.  Amplitudes are
-recomputed from the squares where they are needed; the square root of a
-correctly rounded square is exact, so they are the same bits as l_k*delta.
-Callers name a point by its integer steps; only this module reads the
-codes and the table.
+dense (M, N) matrix.  Amplitudes are recomputed from the squares where they
+are needed; the square root of a correctly rounded square is exact, so
+they are the same bits as l_k*delta.  Callers name a point by its integer
+steps; only this module reads the codes and the table.
 """
 
 from __future__ import annotations
@@ -36,14 +35,17 @@ from math import isqrt
 
 import numpy as np
 
+from . import simplex
+
 DEFAULT_MAX_POINTS = 5_000_000
-# columns per block of the objective computation; a grid keeps what it
-# decodes only for blocks up to this width, the solver's pricing block
-_BLOCK = 16_384
 
 
 class GridCapacityError(Exception):
-    """Requested grid would exceed the point budget, ``DEFAULT_MAX_POINTS``."""
+    """Requested grid would exceed the point budget, ``DEFAULT_MAX_POINTS``.
+
+    A spacing whose table of squares alone exceeds the budget is refused
+    for full lattices and refinement neighbourhoods alike, with that
+    table's length as the lower bound (see ``_lattice_radius_sq``)."""
 
     def __init__(self, requested: int, budget: int, at_least: bool = False):
         bound = "at least " if at_least else ""
@@ -60,10 +62,24 @@ def _lattice_radius_sq(delta: float) -> int:
     The relative epsilon keeps endpoint lattice points (e.g. x = 1.0 for
     delta = 0.01) that exact-decimal spacings would otherwise lose to float
     rounding of 1/delta^2.
+
+    Every grid of the spacing holds the table of the isqrt(L) + 1 squares,
+    as many as the points of its rank-2 lattice and so at most as many as
+    those of any full lattice.  Past ``DEFAULT_MAX_POINTS`` entries this
+    raises :class:`GridCapacityError`.  It decides on floor(1/delta) <=
+    isqrt(L) first, in exact integers, so L is formed in floats only where
+    delta^2 neither underflows nor has an overflowing reciprocal.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return int((1.0 + 1e-12) / (delta * delta) + 1e-9)
+    num, den = float(delta).as_integer_ratio()
+    top = den // num
+    if top < DEFAULT_MAX_POINTS:
+        limit = int((1.0 + 1e-12) / (delta * delta) + 1e-9)
+        top = isqrt(limit)
+    if top >= DEFAULT_MAX_POINTS:
+        raise GridCapacityError(top + 1, DEFAULT_MAX_POINTS, at_least=True)
+    return limit
 
 
 def count_grid_points(rank: int, delta: float) -> int:
@@ -75,7 +91,9 @@ def count_grid_points(rank: int, delta: float) -> int:
     ``left = L - (their squares)`` for the rest: ``counts[j]``, the number
     of points of the other M - 3 free coordinates with sum of squares at
     most j, starts from one coordinate's ``isqrt(j) + 1`` and is convolved
-    with the squares once per further coordinate.
+    with the squares once per further coordinate.  A spacing whose table
+    of squares exceeds ``DEFAULT_MAX_POINTS`` raises
+    :class:`GridCapacityError`, as the count does too.
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
@@ -306,7 +324,7 @@ class AmplitudeGrid:
         key = (lo, hi)
         if self._last[0] == key:
             return self._last[1:]
-        if hi - lo > _BLOCK:
+        if hi - lo > simplex._PRICING_BLOCK:
             runs, counts = self._span(lo, hi)
             return counts, self._run_values(runs)
         span = self._spans.get(key)
@@ -388,15 +406,16 @@ class AmplitudeGrid:
         """Squared coherence kernel of every point for a window starting at offset.
 
         (sum_k x_k * x_{k+1} * sqrt(offset + k + 1))², in that operation
-        order, one block of columns at a time: only the result is as long as
-        the grid.  The prefix amplitudes and the prefix's part of the ground
-        amplitude's sum of squares are computed once per run of a block and
-        repeated over its columns.
+        order, one pricing block of columns at a time: only the result is as
+        long as the grid.  The prefix amplitudes and the prefix's part of the
+        ground amplitude's sum of squares are computed once per run of a block
+        and repeated over its columns.
         """
         scale = np.sqrt(offset + np.arange(1.0, self.rank))
         alpha = np.zeros(self.n_points)
-        for lo in range(0, self.n_points, _BLOCK):
-            hi = min(lo + _BLOCK, self.n_points)
+        block = simplex._PRICING_BLOCK
+        for lo in range(0, self.n_points, block):
+            hi = min(lo + block, self.n_points)
             runs, counts = self._span(lo, hi)
             prefix = np.take(self.squares, self.run_codes[:, runs])
             last = np.take(self.squares, self.codes[lo:hi])

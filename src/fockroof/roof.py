@@ -181,26 +181,27 @@ def _kuhn_start(state: FockDiagonalState, grid: AmplitudeGrid) -> list[int] | No
 
 def _solve_on_grid(
     state: FockDiagonalState,
-    grid: AmplitudeGrid,
     lp: StandardFormLp,
     carried: list[list[int]] | None = None,
 ) -> tuple[Estimate, list[list[int]] | None]:
     """Estimate with its checked optimal histogram, and the optimal basis as
     the integer coordinates of its columns (None unless one structural
-    column per row).  The solve starts from the ``carried`` basis of an
-    earlier solve when all of its columns are on the grid, else from the
-    Kuhn simplex, else in phase 1.
+    column per row).  ``lp`` is a lattice program, whose row matrix is its
+    grid.  The solve starts from the ``carried`` basis of an earlier solve
+    when all of its columns are on the grid, else from the Kuhn simplex,
+    else in phase 1.
     """
+    grid = lp.row_matrix
     start = None if carried is None else [grid.column_index(k) for k in carried]
     if start is None or min(start) < 0:
         start = _kuhn_start(state, grid)
     sol = simplex.solve(lp, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
-    keep = sol.primal.values > SUPPORT_TOL
-    order = np.argsort(sol.primal.indices[keep])
-    idx = sol.primal.indices[keep][order]
-    weights = sol.primal.values[keep][order]
+    # the primal's columns are in ascending order, so the support is in
+    # lattice order
+    keep = sol.values > SUPPORT_TOL
+    idx, weights = sol.indices[keep], sol.values[keep]
     amplitudes = np.ascontiguousarray(grid.amplitudes(idx).T)
     reproduced = np.concatenate([[weights.sum()], weights @ amplitudes[:, 1:] ** 2])
     residual = float(np.max(np.abs(reproduced - lp.rhs)))
@@ -234,15 +235,14 @@ class LatticeLps:
     def estimate(self, state: FockDiagonalState) -> Estimate:
         """One-sided estimate and its optimal histogram."""
         _require_lp_ready(state)
-        if state.rank not in self._grids:
-            self._grids[state.rank] = build_grid(state.rank, self.delta)
-        grid = self._grids[state.rank]
         window = (state.rank, state.offset)
         if window not in self._lps:
-            self._lps[window] = assemble_lp(state, grid)
+            if state.rank not in self._grids:
+                self._grids[state.rank] = build_grid(state.rank, self.delta)
+            self._lps[window] = assemble_lp(state, self._grids[state.rank])
         _warn_fine_populations(state, self.delta)
         lp = self._lps[window].with_rhs(_population_rhs(state))
-        return _solve_on_grid(state, grid, lp)[0]
+        return _solve_on_grid(state, lp)[0]
 
 
 def estimate_nonclassicality(state: FockDiagonalState, delta: float) -> Estimate:
@@ -284,7 +284,7 @@ def refine(state: FockDiagonalState, delta_start: float, levels: int) -> list[Es
             )
             if basis is not None:
                 basis = [[2 * l for l in key] for key in basis]
-        estimate, basis = _solve_on_grid(state, grid, assemble_lp(state, grid), basis)
+        estimate, basis = _solve_on_grid(state, assemble_lp(state, grid), basis)
         steps.append(estimate)
     return steps
 

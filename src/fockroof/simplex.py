@@ -174,35 +174,25 @@ class StandardFormLp:
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Nonnegative primal point stored as (index, value) pairs."""
-
-    size: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-
-@dataclass(frozen=True)
 class LpSolution:
-    """Result of :func:`solve`.  ``iterations`` counts all pivots and
-    ``phase1_iterations`` those spent finding a feasible basis, 0 when the
-    ``start`` basis was accepted.  A NUMERICAL solution carries no primal
-    point, basis or pivot count."""
+    """Result of :func:`solve`.
+
+    The primal point is ``indices``, its basic structural columns in
+    ascending column order, and ``values``, theirs; every other column is
+    zero.  ``basis`` keeps the order the pivots reached, artificials
+    included.  ``iterations`` counts all pivots and ``phase1_iterations``
+    those spent finding a feasible basis, 0 when the ``start`` basis was
+    accepted.  An INFEASIBLE, UNBOUNDED or NUMERICAL solution has an empty
+    primal point and the objective nan, inf or nan; a NUMERICAL one has no
+    basis or pivot count either."""
 
     status: LpStatus
     objective_value: float
-    primal: SparseVector
+    indices: np.ndarray
+    values: np.ndarray
     basis: list[int]
     iterations: int
-    phase1_iterations: int = 0
-
-
-def _empty_primal(size: int) -> SparseVector:
-    return SparseVector(size, np.empty(0, dtype=np.intp), np.empty(0))
+    phase1_iterations: int
 
 
 class _Tableau:
@@ -303,13 +293,13 @@ def _choose_leaving(tab: _Tableau, w, bland):
 
 def _run_phase(
     tab: _Tableau, c, pivots_left: int, artificial_cost: float = 0.0
-) -> tuple[str, int]:
+) -> tuple[LpStatus, int]:
     """Iterate to optimality of c over the current feasible basis, taking at
     most ``pivots_left`` pivots.
 
     ``c`` covers the structural columns of ``tab.a``, the only ones priced;
     a basic artificial costs ``artificial_cost``.  Returns the outcome
-    ("optimal", "unbounded" or "iter_limit") and the number of pivots taken.
+    (OPTIMAL, UNBOUNDED or ITERATION_LIMIT) and the number of pivots taken.
     """
     n = tab.a.shape[1]
     bland = False
@@ -319,18 +309,18 @@ def _run_phase(
     pivots = 0
     while True:
         if pivots >= pivots_left:
-            return "iter_limit", pivots
+            return LpStatus.ITERATION_LIMIT, pivots
         c_b = np.array([c[j] if j < n else artificial_cost for j in tab.basis])
         y = tab.b_inv.T @ c_b
         entering, cursor = _choose_entering(
             c, tab.a, y, cursor, _PRICING_BLOCK, FEAS_TOL, bland
         )
         if entering < 0:
-            return "optimal", pivots
+            return LpStatus.OPTIMAL, pivots
         w = tab.b_inv @ tab.a.columns(entering)
         leaving = _choose_leaving(tab, w, bland)
         if leaving < 0:
-            return "unbounded", pivots
+            return LpStatus.UNBOUNDED, pivots
         step = tab.pivot(entering, leaving, w)
         pivots += 1
         since_refactor += 1
@@ -406,10 +396,10 @@ def solve(lp: StandardFormLp, start: Sequence[int] | None = None) -> LpSolution:
     within ``FEAS_TOL``, phase 1 is skipped; otherwise the solve proceeds as
     without it.  Both phases together take at most ``DEFAULT_MAX_ITER``
     pivots, the module constant as it is at the call, and end with
-    ITERATION_LIMIT beyond it.  A basis found singular on refactorization ends the solve with
-    NUMERICAL.  Deterministic for fixed inputs: pricing scans blocks in a
-    fixed order and all tie-breaking is index-based, so repeated calls
-    return the same basis.
+    ITERATION_LIMIT beyond it.  A basis found singular on refactorization
+    ends the solve with NUMERICAL.  Deterministic for fixed inputs: pricing
+    scans blocks in a fixed order and all tie-breaking is index-based, so
+    repeated calls return the same basis.
     """
     rows, cols = lp.n_rows, lp.n_cols
     if start is not None:
@@ -421,48 +411,42 @@ def solve(lp: StandardFormLp, start: Sequence[int] | None = None) -> LpSolution:
         if tab is None:
             # Phase 1: an implicit artificial on every row, maximize minus their sum.
             tab = _Tableau(a, b, list(range(cols, cols + rows)))
-            outcome, phase1 = _run_phase(
+            status, phase1 = _run_phase(
                 tab, np.zeros(cols), DEFAULT_MAX_ITER, artificial_cost=-1.0
             )
-            if outcome == "iter_limit":
-                return _finish(lp, tab, cols, LpStatus.ITERATION_LIMIT, phase1, phase1)
+            if status is LpStatus.ITERATION_LIMIT:
+                return _finish(lp, tab, status, phase1, phase1)
             artificial_mass = sum(
                 tab.x_b[r] for r in range(len(tab.basis)) if tab.basis[r] >= cols
             )
             if artificial_mass > FEAS_TOL:
-                return LpSolution(
-                    LpStatus.INFEASIBLE, float("nan"), _empty_primal(cols),
-                    list(tab.basis), phase1, phase1,
-                )
+                return _finish(lp, tab, LpStatus.INFEASIBLE, phase1, phase1)
             _drive_out_artificials(tab)
 
-        outcome, phase2 = _run_phase(tab, lp.objective, DEFAULT_MAX_ITER - phase1)
-        if outcome == "unbounded":
-            return LpSolution(
-                LpStatus.UNBOUNDED, float("inf"), _empty_primal(cols),
-                list(tab.basis), phase1 + phase2, phase1,
-            )
-        status = LpStatus.OPTIMAL if outcome == "optimal" else LpStatus.ITERATION_LIMIT
-        return _finish(lp, tab, cols, status, phase1 + phase2, phase1)
+        status, phase2 = _run_phase(tab, lp.objective, DEFAULT_MAX_ITER - phase1)
+        return _finish(lp, tab, status, phase1 + phase2, phase1)
     except np.linalg.LinAlgError:
-        return LpSolution(LpStatus.NUMERICAL, float("nan"), _empty_primal(cols), [], 0)
+        return _finish(lp, None, LpStatus.NUMERICAL, 0, 0)
 
 
-def _finish(lp, tab, n_struct, status, iterations, phase1) -> LpSolution:
-    """The solution on the final basis, refactorized in column-index order so
-    that the primal's bits depend on the basis set, not on the pivots that
-    reached it; ``basis`` keeps the pivot order."""
-    basis = list(tab.basis)
-    tab.basis = sorted(basis)
-    tab.refactor()
-    idx, vals = [], []
-    for r, j in enumerate(tab.basis):
-        if j < n_struct:
-            idx.append(j)
-            vals.append(max(tab.x_b[r], 0.0))
-    primal = SparseVector(n_struct, np.asarray(idx, dtype=np.intp), np.asarray(vals))
-    obj = float(lp.objective[primal.indices] @ primal.values) if primal.nnz else 0.0
-    return LpSolution(status, obj, primal, basis, iterations, phase1)
+def _finish(lp, tab, status, iterations, phase1) -> LpSolution:
+    """The solution on the final basis.  An OPTIMAL or ITERATION_LIMIT basis
+    is refactorized in column-index order, so that the primal's bits depend
+    on the basis set, not on the pivots that reached it, and its structural
+    columns come out in that order; ``basis`` keeps the pivot order.  Any
+    other status has no primal point, and no basis without a tableau."""
+    basis = [] if tab is None else list(tab.basis)
+    indices, values = np.empty(0, dtype=np.intp), np.empty(0)
+    if status not in (LpStatus.OPTIMAL, LpStatus.ITERATION_LIMIT):
+        objective = float("inf" if status is LpStatus.UNBOUNDED else "nan")
+    else:
+        tab.basis = sorted(basis)
+        tab.refactor()
+        indices = np.asarray(tab.basis, dtype=np.intp)
+        structural = indices < lp.n_cols
+        indices, values = indices[structural], tab.x_b[structural]
+        objective = float(lp.objective[indices] @ values)
+    return LpSolution(status, objective, indices, values, basis, iterations, phase1)
 
 
 def write_lp(lp: StandardFormLp, path) -> None:

@@ -11,6 +11,7 @@ result, the simple-decomposition upper bound, and truncated thermal states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,16 +225,24 @@ def truncated_thermal(n_th: float, rank: int) -> FockDiagonalState:
 
     Populations are geometric, p_k ∝ n_th^k / (1+n_th)^(k+1), renormalized by
     1 / (1 - (n_th/(1+n_th))^rank), and then by their sum.  Above about
-    n_th = 9e15 the ratio rounds to 1 and only the sum normalizes.
+    n_th = 9e15 the ratio rounds to 1 and only the sum normalizes.  Where
+    (1+n_th)^rank overflows, the populations are the ratio's powers,
+    normalized by their sum alone.
     """
-    if n_th <= 0:
-        raise ValueError(f"n_th must be positive, got {n_th}")
+    if not 0.0 < n_th < math.inf:
+        raise ValueError(f"n_th must be positive and finite, got {n_th}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     q = n_th / (1.0 + n_th)
     tail = 1.0 - q**rank
     norm = 1.0 / tail if tail else 1.0
     k = np.arange(rank)
-    pops = norm * n_th**k / (1.0 + n_th) ** (k + 1.0)
+    with np.errstate(over="ignore"):
+        # n_th^k stays below this, so it is finite where this is
+        scale = (1.0 + n_th) ** (k + 1.0)
+    if np.all(np.isfinite(scale)):
+        pops = norm * n_th**k / scale
+    else:
+        pops = q**k
     pops = pops / pops.sum()  # remove residual rounding so the sum is exactly 1
     return FockDiagonalState(0, pops)

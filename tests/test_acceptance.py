@@ -273,7 +273,7 @@ def test_criterion_10_property_suites(rng):
         cols = int(local.integers(10, 201))
         lp = bounded_random_lp(local, rows, cols)
         sol = solve(lp)
-        if np.count_nonzero(sol.primal.values > 1e-10) > rows:
+        if np.count_nonzero(sol.values > 1e-10) > rows:
             failures.append(f"vertex support > rows at seed {seed}")
 
     # decomposition roundtrip and sandwich on random states

@@ -133,6 +133,23 @@ class TestExitCodes:
         assert code == 4
         assert "at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "grid-info --m 2 --delta 1e-300",
+            "eval --p 0.5,0.5 --delta 1e-300",
+            "grid-info --m 3 --delta 1e-160",
+            "grid-info --m 3 --delta 1e-150",
+            "eval --p 0.3,0.3,0.4 --delta 1e-9",
+            # the neighbourhoods of level 20 have 5,242,881 squares
+            "thermal --nth 0.5 --m-range 2:2 --delta 0.1 --levels 20",
+            "thermal --nth 0.5 --m-range 2:2 --delta 0.1 --levels 30",
+        ],
+    )
+    def test_capacity_of_the_table_of_squares(self, capsys, argv):
+        assert main(argv.split()) == 4
+        assert "at least" in capsys.readouterr().err
+
     def test_sweep_capacity(self, capsys):
         # C(503, 3) rows at step 0.002, counted before any row is built
         code = main(["sweep4", "--step", "0.002"])
@@ -356,6 +373,21 @@ class TestThermal:
         assert rows[5]["populations"][-2:] == [0.0, 0.0]
         # ranks 4-6 solve the same rank-4 window
         assert rows[3]["n_lp"] == rows[4]["n_lp"] == rows[5]["n_lp"] > 0.0
+
+    def test_overflowing_powers(self, capsys):
+        # (1 + n_th)^2 overflows: the populations are q^k, uniform at q = 1
+        payload = run_json(
+            capsys, "thermal", "--nth", "1e300", "--m-range", "1:3", "--delta", "0.1"
+        )
+        rows = payload["rows"]
+        assert [r["populations"] for r in rows[1:]] == [[0.5, 0.5], [1 / 3] * 3]
+        assert [r["mean_photon"] for r in rows] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("nth", ["inf", "-inf", "nan"])
+    def test_non_finite_nth(self, capsys, nth):
+        code = main(["thermal", f"--nth={nth}", "--m-range", "1:3"])
+        assert code == 2
+        assert "argument --nth: must be positive and finite" in capsys.readouterr().err
 
     def test_bad_range(self, capsys):
         code, _ = run_cli(capsys, "thermal", "--nth", "0.5", "--m-range", "3:1")

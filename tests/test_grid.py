@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -15,7 +16,7 @@ from fockroof import (
     truncated_thermal,
 )
 from fockroof import grid as grid_module
-from fockroof import roof
+from fockroof import roof, simplex
 from fockroof.grid import DEFAULT_MAX_POINTS, AmplitudeGrid, neighborhood_grid
 
 
@@ -192,6 +193,19 @@ class TestGridGeometry:
         assert grid.steps([0, 2]).tolist() == [[0, 2]]
         np.testing.assert_array_equal(grid.columns(np.arange(3)), [[1.0] * 3, [0.0, 0.25, 1.0]])
 
+    @pytest.mark.parametrize("block", [512, 2 * simplex._PRICING_BLOCK])
+    def test_pricing_caches_follow_the_solver_block(self, block, monkeypatch):
+        # a pricing block keeps its span whatever the solver's width; only a
+        # wider scan keeps nothing
+        grid = build_grid(4, 0.02)
+        assert grid.n_points > 2 * block
+        monkeypatch.setattr(simplex, "_PRICING_BLOCK", block)
+        y = np.arange(1.0, 5.0)
+        grid.dot(y, block, 2 * block)
+        assert list(grid._spans) == [(block, 2 * block)]
+        grid.dot(y, 0, 2 * block)
+        assert list(grid._spans) == [(block, 2 * block)]
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.inf, math.nan])
     def test_rejects_a_spacing_outside_the_unit_interval(self, delta):
         with pytest.raises(ValueError, match="delta"):
@@ -350,11 +364,12 @@ class TestMemory:
 
 class TestCapacity:
     def test_capacity_error(self, monkeypatch):
-        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 100)
+        # the 101 squares of delta = 0.01 fit the budget, its 7,900 points not
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 1000)
         with pytest.raises(GridCapacityError) as err:
             build_grid(3, 0.01)
         assert err.value.requested == count_grid_points(3, 0.01)
-        assert err.value.budget == 100
+        assert err.value.budget == 1000
 
     def test_fine_rank3_spacing_rejected_before_allocating(self):
         # an exact count at rank 3 reads one budget per first coordinate,
@@ -380,10 +395,50 @@ class TestCapacity:
     @pytest.mark.parametrize("rank", [4, 5, 6, 7])
     @pytest.mark.parametrize("delta", [0.3, 0.11, 0.05])
     def test_volume_bound_is_a_lower_bound(self, rank, delta, monkeypatch):
-        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 1)
+        # a budget that the table of squares just fits
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", isqrt(radius_sq(delta)) + 1)
         with pytest.raises(GridCapacityError, match="at least") as err:
             build_grid(rank, delta)
-        assert 1 < err.value.requested <= count_grid_points(rank, delta)
+        assert isqrt(radius_sq(delta)) + 1 < err.value.requested
+        assert err.value.requested <= count_grid_points(rank, delta)
+
+    def test_fine_table_of_squares_rejected_before_allocating(self):
+        # a count at rank 3 and delta = 1e-9 would start from one run of
+        # 10^9 + 1 first coordinates
+        err, peak = traced_peak(lambda: pytest.raises(GridCapacityError, build_grid, 3, 1e-9))
+        assert peak < 2**20
+        err.match("at least")
+        assert 10**9 - 1 <= err.value.requested <= 10**9 + 1
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e-150, 5e-324])
+    def test_spacing_finer_than_the_budget_is_refused(self, delta):
+        # floor(1/delta) + 1 squares, a lower bound on every lattice, decided
+        # before L = 1/delta^2 underflows, overflows or outgrows numpy's
+        # integer types
+        with pytest.raises(GridCapacityError, match="at least") as err:
+            count_grid_points(2, delta)
+        assert err.value.requested == int(1 / Fraction(delta)) + 1
+        for rank in (2, 3, 4):
+            with pytest.raises(GridCapacityError, match="at least"):
+                build_grid(rank, delta)
+
+    def test_table_of_squares_is_checked_exactly(self, monkeypatch):
+        # floor(1/0.01) = 99 < 100, but the slack keeps the endpoint: 101
+        # squares against a budget of 100
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 100)
+        with pytest.raises(GridCapacityError) as err:
+            count_grid_points(2, 0.01)
+        assert err.value.requested == 101
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 101)
+        assert count_grid_points(2, 0.01) == 101
+
+    def test_fine_neighbourhood_is_refused(self):
+        # a neighbourhood of a few points would still hold the spacing's
+        # whole table of squares, 10^7 + 1 at delta = 1e-7
+        with pytest.raises(GridCapacityError, match="at least"):
+            neighborhood_grid(2, 1e-7, np.array([[0.5]]), radius=1e-6)
+        with pytest.raises(GridCapacityError, match="at least"):
+            neighborhood_grid(3, 1e-300, np.array([[0.5, 0.5]]), radius=1e-299)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

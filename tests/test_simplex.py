@@ -1,14 +1,14 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+import fockroof
 from fockroof import (
     FockDiagonalState,
-    LpSolution,
     LpStatus,
-    SparseVector,
     StandardFormLp,
     assemble_lp,
     build_grid,
@@ -25,9 +25,8 @@ from conftest import parse_dump, singular_on_second_refactor
 
 def residuals(lp, sol):
     """(inf-norm of A·q - b, most negative primal entry clamped to <= 0)."""
-    q = sol.primal
-    ax = lp.row_matrix[:, q.indices] @ q.values if q.nnz else np.zeros(lp.n_rows)
-    neg = float(min(0.0, q.values.min())) if q.nnz else 0.0
+    ax = lp.row_matrix[:, sol.indices] @ sol.values
+    neg = float(sol.values.min(initial=0.0))
     return float(np.max(np.abs(ax - lp.rhs))), neg
 
 
@@ -90,8 +89,8 @@ class TestBasics:
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
-        assert sol.primal.indices.tolist() == [0]
-        assert sol.primal.values == pytest.approx([1.0])
+        assert sol.indices.tolist() == [0]
+        assert sol.values == pytest.approx([1.0])
         assert residuals(lp, sol) == (pytest.approx(0.0, abs=1e-12), 0.0)
 
     def test_infeasible_system(self):
@@ -118,7 +117,7 @@ class TestBasics:
         sol = solve(bounded_random_lp(rng, 4, 30))
         assert sol.status is LpStatus.NUMERICAL
         assert np.isnan(sol.objective_value)
-        assert sol.primal.nnz == 0
+        assert sol.indices.size == sol.values.size == 0
 
     def test_negative_rhs_rows_are_flipped(self):
         lp = make_lp([1.0, 2.0], [[-1.0, -1.0]], [-1.0])
@@ -162,8 +161,8 @@ class TestBasics:
             sol, ref = solve(lp), solve(flipped)
             assert sol.status is ref.status
             assert sol.objective_value.hex() == ref.objective_value.hex()
-            assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
-            assert sol.primal.values.tobytes() == ref.primal.values.tobytes()
+            assert sol.indices.tolist() == ref.indices.tolist()
+            assert sol.values.tobytes() == ref.values.tobytes()
             assert sol.basis == ref.basis
             assert (sol.iterations, sol.phase1_iterations) == (
                 ref.iterations,
@@ -218,6 +217,109 @@ class TestBasics:
             make_lp([1.0, 1.0], [[1.0, np.nan]], [1.0])
 
 
+def dense_program():
+    return bounded_random_lp(np.random.default_rng(7), 3, 40)
+
+
+def lattice_program():
+    state = FockDiagonalState(0, np.array([0.6, 0.2, 0.15, 0.05]))
+    return assemble_lp(state, build_grid(4, 0.05))
+
+
+def unbounded_program():
+    """Three random rows through a feasible point and no ones row."""
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 40))
+    x0 = np.zeros(40)
+    x0[[3, 9, 30]] = 0.5
+    return make_lp(rng.normal(size=40), a, a @ x0)
+
+
+def infeasible_rhs(lp):
+    # the lattice's populations cannot sum past the weight; the dense
+    # program's ones row cannot reach a negative weight
+    if isinstance(lp.row_matrix, AmplitudeGrid):
+        return np.append(1.0, np.full(lp.n_rows - 1, 0.9))
+    return lp.rhs * np.append(-1.0, np.ones(lp.n_rows - 1))
+
+
+PRICING_BLOCKS = (7, 512, simplex._PRICING_BLOCK)
+
+
+class TestSolutionFields:
+    """What a solution holds, on a dense and a lattice program, at several
+    pricing blocks."""
+
+    @pytest.fixture(params=PRICING_BLOCKS)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(simplex, "_PRICING_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("program", [dense_program, lattice_program])
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_primal_is_the_sorted_structural_basis(self, program, limit, block, monkeypatch):
+        lp = program()
+        if limit is not None:
+            # stopped in phase 1, with an artificial still basic
+            monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", limit)
+        sol = solve(lp)
+        assert sol.status is (LpStatus.OPTIMAL if limit is None else LpStatus.ITERATION_LIMIT)
+        idx, values = sol.indices, sol.values
+        assert idx.dtype == np.intp and idx.shape == values.shape
+        assert np.all(np.diff(idx) > 0)
+        assert idx.tolist() == sorted(j for j in sol.basis if j < lp.n_cols)
+        if limit is not None:
+            assert max(sol.basis) >= lp.n_cols
+            assert (sol.iterations, sol.phase1_iterations) == (2, 2)
+        assert sol.objective_value == float(lp.objective[idx] @ values)
+
+    @pytest.mark.parametrize(
+        "program,pinned",
+        [
+            (dense_program, {7: ([40, 18, 9], 4), 512: ([40, 18, 9], 3)}),
+            (lattice_program, {7: ([248, 4663, 4664, 20], 40), 512: ([334, 4663, 4664, 20], 2)}),
+        ],
+        ids=["dense", "lattice"],
+    )
+    def test_infeasible_fields(self, program, pinned, block):
+        lp = program()
+        sol = solve(lp.with_rhs(infeasible_rhs(lp)))
+        basis, pivots = pinned[min(block, 512)]
+        assert sol.status is LpStatus.INFEASIBLE
+        assert np.isnan(sol.objective_value)
+        assert sol.indices.size == sol.values.size == 0
+        assert sol.basis == basis
+        assert (sol.iterations, sol.phase1_iterations) == (pivots, pivots)
+
+    @pytest.mark.parametrize("start", [None, [3, 9, 30]])
+    def test_unbounded_fields(self, start, block):
+        # a lattice program is bounded by its ones row, so only a dense one
+        sol = solve(unbounded_program(), start=start)
+        pinned = {7: ([2, 0, 3], 4, 3), 512: ([11, 8, 3], 5, 3)}[min(block, 512)]
+        if start is not None:
+            pinned = (start, 0, 0)
+        assert sol.status is LpStatus.UNBOUNDED
+        assert sol.objective_value == float("inf")
+        assert sol.indices.size == sol.values.size == 0
+        assert (sol.basis, sol.iterations, sol.phase1_iterations) == pinned
+
+    @pytest.mark.parametrize("program", [dense_program, lattice_program])
+    def test_numerical_fields(self, program, block, monkeypatch):
+        lp = program()
+        singular_on_second_refactor(monkeypatch)
+        sol = solve(lp)
+        assert sol.status is LpStatus.NUMERICAL
+        assert np.isnan(sol.objective_value)
+        assert sol.indices.size == sol.values.size == 0
+        assert (sol.basis, sol.iterations, sol.phase1_iterations) == ([], 0, 0)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(fockroof.__all__)) == len(fockroof.__all__)
+    for name in fockroof.__all__:
+        assert getattr(fockroof, name) is not None
+
+
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force(self, seed):
@@ -241,7 +343,7 @@ class TestVertexProperty:
         lp = bounded_random_lp(rng, rows, cols)
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
-        assert np.count_nonzero(sol.primal.values > 1e-10) <= rows
+        assert np.count_nonzero(sol.values > 1e-10) <= rows
         eq, neg = residuals(lp, sol)
         assert eq <= 1e-9
         assert neg >= -1e-9
@@ -331,7 +433,7 @@ class TestLatticeProgram:
             sols.append(solve(lp))
         for sol in sols:
             assert sol.status is LpStatus.OPTIMAL
-            assert sol.primal.indices.tolist() == [0, 53214, 53215, 53248]
+            assert sol.indices.tolist() == [0, 53214, 53215, 53248]
             assert sol.objective_value == pytest.approx(
                 sols[0].objective_value, abs=1e-12
             )
@@ -351,7 +453,7 @@ class TestLatticeProgram:
         for matrix in (dense, np.asfortranarray(dense)):
             ref = solve(StandardFormLp(lp.objective, matrix, lp.rhs))
             assert sol.status is ref.status is LpStatus.OPTIMAL
-            assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
+            assert sol.indices.tolist() == ref.indices.tolist()
             assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-12)
 
     def test_solve_makes_no_copy_of_the_matrix(self, lp):
@@ -534,8 +636,8 @@ class TestStart:
             ref.iterations,
             ref.phase1_iterations,
         )
-        np.testing.assert_array_equal(sol.primal.indices, ref.primal.indices)
-        np.testing.assert_array_equal(sol.primal.values, ref.primal.values)
+        np.testing.assert_array_equal(sol.indices, ref.indices)
+        np.testing.assert_array_equal(sol.values, ref.values)
 
     @pytest.mark.parametrize(
         "start,match",
@@ -595,8 +697,8 @@ class TestDeterminism:
         second = solve(lp)
         assert first.basis == second.basis
         assert first.iterations == second.iterations
-        np.testing.assert_array_equal(first.primal.indices, second.primal.indices)
-        np.testing.assert_array_equal(first.primal.values, second.primal.values)
+        np.testing.assert_array_equal(first.indices, second.indices)
+        np.testing.assert_array_equal(first.values, second.values)
 
     def test_basis_order_does_not_move_the_solution(self):
         # one optimal basis set reached in every pivot order gives the same
@@ -608,8 +710,8 @@ class TestDeterminism:
             assert sol.iterations == 0
             assert sol.basis == list(order)
             assert sol.objective_value.hex() == ref.objective_value.hex()
-            assert sol.primal.indices.tolist() == ref.primal.indices.tolist()
-            assert sol.primal.values.tobytes() == ref.primal.values.tobytes()
+            assert sol.indices.tolist() == ref.indices.tolist()
+            assert sol.values.tobytes() == ref.values.tobytes()
 
 
 class TestResiduals:
@@ -618,18 +720,8 @@ class TestResiduals:
         lp = bounded_random_lp(rng, 3, 20)
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
-        j = int(sol.primal.indices[0])
-        bumped = LpSolution(
-            status=sol.status,
-            objective_value=sol.objective_value,
-            primal=SparseVector(
-                sol.primal.size,
-                sol.primal.indices,
-                sol.primal.values + np.where(sol.primal.indices == j, 1e-3, 0.0),
-            ),
-            basis=sol.basis,
-            iterations=sol.iterations,
-        )
+        j = int(sol.indices[0])
+        bumped = replace(sol, values=sol.values + np.where(sol.indices == j, 1e-3, 0.0))
         eq, _ = residuals(lp, bumped)
         column_norm = np.abs(lp.row_matrix[:, j]).max()
         assert eq >= 1e-3 * column_norm - 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -264,7 +266,20 @@ class TestTruncatedThermal:
             expected = pops / pops.sum()
             np.testing.assert_array_equal(truncated_thermal(n_th, rank).populations, expected)
 
+    @pytest.mark.parametrize("n_th,rank", [(1e300, 3), (1e200, 2), (1e15, 21), (1e30, 11)])
+    def test_overflowing_powers_give_the_ratio_powers(self, n_th, rank):
+        # (1 + n_th)^rank overflows; no overflow warning, and the populations
+        # are the powers of q = n_th / (1 + n_th), normalized
+        assert rank * math.log10(1.0 + n_th) > math.log10(np.finfo(float).max)
+        q = n_th / (1.0 + n_th)
+        pops = truncated_thermal(n_th, rank).populations
+        expected = q ** np.arange(rank)
+        np.testing.assert_array_equal(pops, expected / expected.sum())
+
     def test_rejects_bad_arguments(self):
+        for n_th in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_th must be positive and finite"):
+                truncated_thermal(n_th, 3)
         with pytest.raises(ValueError):
             truncated_thermal(0.0, 3)
         with pytest.raises(ValueError):
