@@ -5,7 +5,8 @@ Every command emits either CSV (RFC-4180 quoting) or JSON (one object with
 ``meta`` and ``rows``).  Output is deterministic: fixed field order, floats
 as shortest round-trip decimals, rows in lattice order.
 
-Exit codes: 0 success, 2 invalid input, 3 solver failure, 4 grid capacity.
+Exit codes: 0 success, 2 invalid input (an unwritable ``--out`` path too),
+3 solver failure, 4 grid capacity.
 """
 
 from __future__ import annotations
@@ -380,7 +381,8 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (argparse.ArgumentError, ValueError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError) as exc:
+        # an --out path that cannot be written is invalid input too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -319,14 +319,11 @@ class AmplitudeGrid:
         decoded rows.  A pricing block keeps its span for its next pricing,
         and the last block priced keeps its run rows too: each pivot prices
         first the block where the previous one found its entering column.
-        A wider scan keeps nothing, so what is kept stays about one count
-        per run and one block's run rows."""
+        The solver prices no more than one block at a time, so what is kept
+        stays about one count per run and one block's run rows."""
         key = (lo, hi)
         if self._last[0] == key:
             return self._last[1:]
-        if hi - lo > simplex._PRICING_BLOCK:
-            runs, counts = self._span(lo, hi)
-            return counts, self._run_values(runs)
         span = self._spans.get(key)
         if span is None:
             span = self._spans[key] = self._span(lo, hi)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 import numpy as np
@@ -109,15 +109,13 @@ def assemble_lp(state: FockDiagonalState, grid: AmplitudeGrid) -> StandardFormLp
     coherence kernel; equality rows are the weight normalization and the
     populations of levels 1..M-1.  The level-0 row is implied by the others
     and is omitted to keep the rows independent.  The row matrix is the
-    grid itself, shared by every program on that grid.  The grid and its
-    objective are finite by construction, so neither is scanned.
+    grid itself, shared by every program on that grid and not scanned; the
+    objective and rhs are checked like every program's.
     """
     _require_lp_ready(state)
     if grid.rank != state.rank:
         raise ValueError(f"grid rank {grid.rank} != state rank {state.rank}")
-    return StandardFormLp._of_finite(
-        grid.objective_coeffs(state.offset), grid, _population_rhs(state)
-    )
+    return StandardFormLp(grid.objective_coeffs(state.offset), grid, _population_rhs(state))
 
 
 def _population_rhs(state: FockDiagonalState) -> np.ndarray:
@@ -241,7 +239,7 @@ class LatticeLps:
                 self._grids[state.rank] = build_grid(state.rank, self.delta)
             self._lps[window] = assemble_lp(state, self._grids[state.rank])
         _warn_fine_populations(state, self.delta)
-        lp = self._lps[window].with_rhs(_population_rhs(state))
+        lp = replace(self._lps[window], rhs=_population_rhs(state))
         return _solve_on_grid(state, lp)[0]
 
 

@@ -7,7 +7,9 @@ vectorized over column blocks (partial pricing, Dantzig rule within a block);
 the basis inverse is kept dense and refactorized periodically.  Cycling at
 degenerate vertices is handled by a lexicographic ratio test with a fallback
 to Bland's rule after a run of degenerate pivots, kept until the next pivot
-that moves the objective.
+that moves the objective.  Bland's rule and the drive-out of the phase-1
+artificials read the same blocks, from the first, so no pricing reads more
+than one block.
 
 A caller that knows a feasible basis passes it as ``start`` (one structural
 column per row).  If those columns are nonsingular and their basic solution
@@ -67,23 +69,20 @@ class LpStatus(enum.Enum):
     NUMERICAL = "Numerical"
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``.
+def _checked_view(name: str, arr: np.ndarray) -> np.ndarray:
+    """A read-only view of a finite array.
 
-    The solver reads the program's arrays without copying, and one matrix
-    may be shared by many programs.  The caller's own array keeps its
-    flags.
+    The check reads the array's least and greatest entries, which are nan
+    or infinite when any entry is, so it allocates no mask as long as the
+    array.  The solver reads the program's arrays without copying, and one
+    matrix may be shared by many programs.  The caller's own array keeps
+    its flags.
     """
+    if arr.size and not np.isfinite((arr.min(), arr.max())).all():
+        raise ValueError(f"{name} contains non-finite entries")
     view = arr.view()
     view.setflags(write=False)
     return view
-
-
-def _checked_view(name: str, arr: np.ndarray) -> np.ndarray:
-    """A read-only view of a finite array."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return _read_only(arr)
 
 
 class _DenseRows:
@@ -95,12 +94,7 @@ class _DenseRows:
         self.shape = a.shape
 
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        cols = self.a[:, lo:hi]
-        if len(cols) == 1:
-            # the same bits as matmul, which has no BLAS path for a single
-            # row; np.dot copies a matrix whose rows are strided
-            return np.dot(y, cols)
-        return y @ cols
+        return y @ self.a[:, lo:hi]
 
     def columns(self, idx) -> np.ndarray:
         return self.a.take(idx, axis=1)
@@ -116,9 +110,12 @@ def _rows_of(lp: StandardFormLp):
 class StandardFormLp:
     """maximize objective·q  subject to  row_matrix·q = rhs,  q >= 0.
 
-    The public constructor takes three arrays and stores them as read-only
-    views, each checked to be finite.  A lattice program's row matrix is its
-    grid instead, one of any row matrices with the solver's three members.
+    The row matrix is an array, checked to be finite and stored as a
+    read-only view, or any row matrix with the solver's three members,
+    stored as it is: a lattice program's is its grid.  The objective and
+    rhs are always checked to be finite and stored as read-only views.  So
+    ``dataclasses.replace(lp, rhs=...)`` is the same program on another
+    right-hand side, sharing its row matrix.
     """
 
     objective: np.ndarray
@@ -127,10 +124,12 @@ class StandardFormLp:
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
-        a = np.asarray(self.row_matrix, dtype=float)
+        a = self.row_matrix
+        if not hasattr(a, "columns"):
+            a = np.asarray(a, dtype=float)
+            if a.ndim != 2:
+                raise ValueError("row_matrix must be 2-d")
         b = np.asarray(self.rhs, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("row_matrix must be 2-d")
         rows, cols = a.shape
         if c.shape != (cols,) or b.shape != (rows,):
             raise ValueError(
@@ -139,30 +138,8 @@ class StandardFormLp:
         if rows > cols:
             raise ValueError(f"need at least as many columns as rows ({rows}x{cols})")
         for name, arr in (("objective", c), ("row_matrix", a), ("rhs", b)):
-            object.__setattr__(self, name, _checked_view(name, arr))
-
-    @classmethod
-    def _of_finite(cls, objective, row_matrix, rhs) -> StandardFormLp:
-        """The program on a float objective and a read-only row matrix (an
-        array or a row matrix with the solver's three members) that are
-        finite by construction and of matching shapes, neither copied nor
-        scanned; only ``rhs`` is checked."""
-        b = np.asarray(rhs, dtype=float)
-        if b.shape != (row_matrix.shape[0],):
-            raise ValueError(f"rhs has shape {b.shape}, need {(row_matrix.shape[0],)}")
-        lp = object.__new__(cls)
-        object.__setattr__(lp, "objective", _read_only(objective))
-        object.__setattr__(lp, "row_matrix", row_matrix)
-        object.__setattr__(lp, "rhs", _checked_view("rhs", b))
-        return lp
-
-    def with_rhs(self, rhs) -> StandardFormLp:
-        """The same program with another right-hand side.
-
-        Only ``rhs`` is checked; the objective and row matrix are this
-        program's read-only views, neither copied nor scanned again.
-        """
-        return self._of_finite(self.objective, self.row_matrix, rhs)
+            if isinstance(arr, np.ndarray):
+                object.__setattr__(self, name, _checked_view(name, arr))
 
     @property
     def n_rows(self) -> int:
@@ -245,26 +222,20 @@ def _choose_entering(c, a, y, cursor, block, tol, bland):
 
     Partial pricing: scan fixed-size column blocks starting at ``cursor`` and
     take the best reduced cost in the first block containing one above
-    ``tol``.  Under Bland's rule the whole column range is scanned and the
-    smallest eligible index wins.
+    ``tol``.  Under Bland's rule the scan starts at block 0 and takes the
+    first eligible column of the first block that holds one, which is the
+    smallest eligible index; the cursor stays where it was.
     """
     n = a.shape[1]
-    if bland:
-        d = _price_block(c, a, y, 0, n)
-        eligible = np.nonzero(d > tol)[0]
-        if eligible.size == 0:
-            return -1, cursor
-        return int(eligible[0]), cursor
-    start = cursor
+    lo = start = 0 if bland else cursor
     while True:
-        lo = cursor
         hi = min(lo + block, n)
         d = _price_block(c, a, y, lo, hi)
-        j = int(d.argmax())
+        j = int(np.argmax(d > tol) if bland else d.argmax())
         if d[j] > tol:
-            return lo + j, cursor
-        cursor = hi if hi < n else 0
-        if cursor == start:
+            return lo + j, cursor if bland else lo
+        lo = hi if hi < n else 0
+        if lo == start:
             return -1, cursor
 
 
@@ -339,22 +310,26 @@ def _run_phase(
 def _drive_out_artificials(tab: _Tableau):
     """Pivot zero-level artificial variables out of the basis.
 
-    An artificial that no structural column can replace belongs to a row
-    that depends on the others: its row of B^-1 A is zero, so it stays basic
-    at zero and no pivot moves it.  An artificial never re-enters, so the
-    one for row ``r`` sits at basis position ``r``.
+    The artificial of row ``r`` is replaced by the first column outside the
+    basis whose entry in row r of B^-1 A exceeds 1e-8 in magnitude, priced
+    one block at a time.  An artificial that no structural column can
+    replace belongs to a row that depends on the others: its row of
+    B^-1 A is zero, so it stays basic at zero and no pivot moves it.  An
+    artificial never re-enters, so the one for row ``r`` sits at basis
+    position ``r``.
     """
-    n_struct = tab.a.shape[1]
+    n = tab.a.shape[1]
     for r in range(len(tab.basis)):
-        if tab.basis[r] < n_struct:
+        if tab.basis[r] < n:
             continue
-        row = tab.a.dot(tab.b_inv[r], 0, n_struct)
         in_basis = set(tab.basis)
-        candidates = np.nonzero(np.abs(row) > 1e-8)[0]
-        entering = next((int(j) for j in candidates if j not in in_basis), -1)
-        if entering >= 0:
-            w = tab.b_inv @ tab.a.columns(entering)
-            tab.pivot(entering, r, w)
+        for lo in range(0, n, _PRICING_BLOCK):
+            row = tab.a.dot(tab.b_inv[r], lo, min(lo + _PRICING_BLOCK, n))
+            nonzero = lo + np.flatnonzero(np.abs(row) > 1e-8)
+            entering = next((int(j) for j in nonzero if j not in in_basis), -1)
+            if entering >= 0:
+                tab.pivot(entering, r, tab.b_inv @ tab.a.columns(entering))
+                break
     tab.refactor()
 
 

@@ -186,24 +186,43 @@ class TestExitCodes:
             "grid-info --m 1 --delta 0.1",
             "grid-info --m 3 --delta 0.9",
             "dump-lp --p 0.84,0.16 --delta 0.7 --out OUT",
+            # malformed numbers
+            "eval --p 1 --delta abc",
+            "eval --p 1 --n 1e3",
+            "sweep4 --lp-check 1.5",
+            "eval --p ,",
+            # a window of one level has no program to dump
+            "dump-lp --p 0,1,0 --out OUT",
+            # an --out path in a missing directory
+            "eval --p 0.5,0.5 --out MISSING",
+            "eval --p 0.5,0.5 --format csv --out MISSING",
+            "dump-lp --p 0.5,0.5 --delta 0.1 --out MISSING",
         ],
     )
     def test_invalid_argument(self, argv, tmp_path, capsys):
-        out = tmp_path / "program.lp"
-        code = main([str(out) if tok == "OUT" else tok for tok in argv.split()])
+        paths = {"OUT": tmp_path / "program.lp", "MISSING": tmp_path / "missing" / "x"}
+        code = main([str(paths.get(tok, tok)) for tok in argv.split()])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_process_exit_codes(self):
-        def run(*argv):
+    def test_process_exit_codes(self, tmp_path):
+        def process(*argv):
             env = {**os.environ, "PYTHONPATH": str(SRC)}
             cmd = [sys.executable, "-m", "fockroof.cli", *argv]
-            return subprocess.run(cmd, env=env, capture_output=True).returncode
+            return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+        def run(*argv):
+            return process(*argv).returncode
 
         assert run("eval", "--p", "0.84,0.16", "--delta", "0.1") == 0
+        missing = tmp_path / "missing" / "x.csv"
+        for argv in (("eval", "--p", "0.5,0.5"), ("dump-lp", "--p", "0.5,0.5", "--delta", "0.1")):
+            proc = process(*argv, "--out", str(missing))
+            assert proc.returncode == 2, argv
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert run("eval", "--p", "0.84,0.16", "--delta", "0.7") == 2
         # a missing required option or an unknown one exits through argparse
         # itself

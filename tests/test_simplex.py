@@ -178,11 +178,8 @@ class TestBasics:
         assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
         assert residuals(lp, sol) == (pytest.approx(0.0, abs=simplex.FEAS_TOL), 0.0)
         # a row that is a combination of two others, in a larger program
-        rng = np.random.default_rng(8)
-        base = bounded_random_lp(rng, 4, 30)
-        a = np.vstack([base.row_matrix, base.row_matrix[1] - 2.0 * base.row_matrix[2]])
-        b = np.append(base.rhs, base.rhs[1] - 2.0 * base.rhs[2])
-        lp = make_lp(base.objective, a, b)
+        base = bounded_random_lp(np.random.default_rng(8), 4, 30)
+        lp = redundant_program()
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(solve(base).objective_value, abs=1e-9)
@@ -191,8 +188,9 @@ class TestBasics:
         assert neg == 0.0
 
     def test_with_rhs_checks_only_the_new_rhs(self):
+        # a new rhs goes through dataclasses.replace, which checks it
         lp = make_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
-        other = lp.with_rhs([3.0, 4.0])
+        other = replace(lp, rhs=[3.0, 4.0])
         assert other.rhs.tolist() == [3.0, 4.0]
         assert lp.rhs.tolist() == [1.0, 2.0]
         assert np.shares_memory(other.row_matrix, lp.row_matrix)
@@ -200,9 +198,29 @@ class TestBasics:
         with pytest.raises(ValueError, match="read-only"):
             other.rhs[0] = 5.0
         with pytest.raises(ValueError, match="finite"):
-            lp.with_rhs([np.nan, 1.0])
+            replace(lp, rhs=[np.nan, 1.0])
         with pytest.raises(ValueError, match="shape"):
-            lp.with_rhs([1.0, 2.0, 3.0])
+            replace(lp, rhs=[1.0, 2.0, 3.0])
+
+    def test_grid_program_is_checked_but_its_grid_is_kept(self):
+        lp = lattice_program()
+        grid = lp.row_matrix
+        assert isinstance(grid, AmplitudeGrid)
+        other = replace(lp, rhs=np.flip(lp.rhs))
+        assert other.row_matrix is grid
+        assert np.shares_memory(other.objective, lp.objective)
+        for name in ("objective", "rhs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(other, name)[0] = 5.0
+        for bad in (np.nan, np.inf):
+            objective = lp.objective.copy()
+            objective[-1] = bad
+            with pytest.raises(ValueError, match="objective contains non-finite"):
+                StandardFormLp(objective, grid, lp.rhs)
+        with pytest.raises(ValueError, match="shape"):
+            StandardFormLp(lp.objective[:-1], grid, lp.rhs)
+        with pytest.raises(ValueError, match="shape"):
+            replace(lp, rhs=lp.rhs[:-1])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -283,7 +301,7 @@ class TestSolutionFields:
     )
     def test_infeasible_fields(self, program, pinned, block):
         lp = program()
-        sol = solve(lp.with_rhs(infeasible_rhs(lp)))
+        sol = solve(replace(lp, rhs=infeasible_rhs(lp)))
         basis, pivots = pinned[min(block, 512)]
         assert sol.status is LpStatus.INFEASIBLE
         assert np.isnan(sol.objective_value)
@@ -417,6 +435,147 @@ class TestDegeneracy:
         )
 
 
+def redundant_program():
+    """A bounded random program with a fifth row that combines two others."""
+    base = bounded_random_lp(np.random.default_rng(8), 4, 30)
+    a = np.vstack([base.row_matrix, base.row_matrix[1] - 2.0 * base.row_matrix[2]])
+    return make_lp(base.objective, a, np.append(base.rhs, base.rhs[1] - 2.0 * base.rhs[2]))
+
+
+def zero_row_program():
+    """A program whose phase 1 ends with two artificials basic at zero: row
+    2 (rhs 0, entries 0 on columns 0-19 and negative on 20-39) is driven out
+    by column 20, and row 3, the sum of rows 0 and 1, keeps one of them."""
+    rng = np.random.default_rng(0)
+    a = np.vstack([np.ones(40), rng.normal(size=40), np.zeros(40)])
+    a[2, 20:] = -rng.uniform(0.5, 1.0, size=20)
+    x0 = np.zeros(40)
+    x0[[2, 5, 11]] = [0.3, 0.3, 0.4]
+    b = a @ x0
+    return make_lp(
+        rng.normal(size=40), np.vstack([a, a[0] + a[1]]), np.append(b, b[0] + b[1])
+    )
+
+
+def lattice(pops, rank, delta):
+    state = truncated_thermal(0.5, rank) if pops is None else FockDiagonalState(0, np.array(pops))
+    return lambda: assemble_lp(state, build_grid(rank, delta))
+
+
+class TestBlandsRule:
+    """Solves with Bland's rule from the first degenerate pivot, from phase
+    1.  The pins were taken with Bland's rule and the drive-out each
+    scanning the whole column range at once; block by block, they must
+    pick the same columns."""
+
+    @pytest.mark.parametrize(
+        "program,block,pinned",
+        [
+            (lattice([0.4, 0.5, 0.0, 0.1], 4, 0.05), None,
+             (26, 4, "0x1.c645a1cac082dp-3", [20, 4007, 4182, 4199])),
+            (lattice([0.4, 0.5, 0.0, 0.1], 4, 0.05), 512,
+             (99, 52, "0x1.c645a1cac082dp-3", [20, 4007, 4182, 4199])),
+            (lattice([0.6, 0.2, 0.15, 0.05], 4, 0.05), None,
+             (20, 4, "0x1.2cd8122cae7ecp-1", [0, 3527, 3754, 3755])),
+            (lattice([0.6, 0.2, 0.15, 0.05], 4, 0.05), 512,
+             (71, 26, "0x1.2cd8122cae7ecp-1", [0, 3527, 3754, 3755])),
+            (lattice([0.5, 0.3, 0.2], 3, 0.05), 512,
+             (12, 3, "0x1.137f94675ee99p-1", [205, 223, 224])),
+            (lattice(None, 5, 0.1), None,
+             (24, 5, "0x1.ddd43ea362908p-2", [648, 2553, 3667, 3675, 3723])),
+            (lattice(None, 5, 0.1), 512,
+             (89, 27, "0x1.ddd43ea362908p-2", [648, 2553, 3667, 3675, 3723])),
+            (lattice([0.3, 0.2, 0.0, 0.25, 0.25], 5, 0.1), None,
+             (21, 7, "0x1.3b3b286ef16e9p-1", [722, 808, 2048, 3432, 3776])),
+            (lattice([0.3, 0.2, 0.0, 0.25, 0.25], 5, 0.1), 512,
+             (69, 34, "0x1.3b3b286ef16e9p-1", [722, 808, 2048, 3432, 3776])),
+            (redundant_program, None,
+             (8, 5, "0x1.5facea33ae1a5p+1", [2, 9, 19, 27], [9, 31, 27, 2, 19])),
+            (redundant_program, 7,
+             (9, 5, "0x1.5facea33ae1a5p+1", [2, 9, 19, 27], [2, 31, 9, 27, 19])),
+            (zero_row_program, None,
+             (6, 2, "0x1.f1f9ab5acb1bap+0", [14, 19, 29], [40, 19, 29, 14])),
+            (zero_row_program, 7,
+             (8, 2, "0x1.f1f9ab5acb1bap+0", [14, 19, 29], [40, 19, 29, 14])),
+        ],
+    )
+    def test_pinned_solves(self, program, block, pinned, monkeypatch):
+        lp = program()
+        monkeypatch.setattr(simplex, "_BLAND_AFTER_STALLS", 1)
+        if block is not None:
+            monkeypatch.setattr(simplex, "_PRICING_BLOCK", block)
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        got = (sol.iterations, sol.phase1_iterations, sol.objective_value.hex(), sol.indices.tolist())
+        assert got == pinned[:4]
+        if len(pinned) > 4:
+            assert sol.basis == pinned[4]
+
+    def test_ratio_tie_leaves_by_smallest_basis_index(self, monkeypatch):
+        # a degenerate integer program whose ratio test ties between the
+        # basic columns 1 and 4 while Bland's rule is on
+        lp = make_lp(
+            [0, 3, -2, 2, 1], [[1, 1, 1, 1, 1], [-2, -2, 2, 1, 2], [0, 1, 2, 1, 1]], [1, 2, 2]
+        )
+        ties = []
+        choose = simplex._choose_leaving
+
+        def spy(tab, w, bland):
+            eligible = w > simplex._PIVOT_TOL
+            ratios = np.full(w.size, np.inf)
+            ratios[eligible] = tab.x_b[eligible] / w[eligible]
+            tied = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+            row = choose(tab, w, bland)
+            if bland and tied.size > 1:
+                ties.append(([tab.basis[r] for r in tied], tab.basis[row]))
+            return row
+
+        monkeypatch.setattr(simplex, "_choose_leaving", spy)
+        monkeypatch.setattr(simplex, "_BLAND_AFTER_STALLS", 1)
+        sol = solve(lp)
+        assert ties == [([1, 4], 1)]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(brute_force_optimum(lp), abs=1e-12)
+
+    def test_drive_out_replaces_the_artificial_of_a_dependent_zero_row(self, monkeypatch):
+        # column 20 is in the third block of 7
+        replaced = []
+        drive_out_artificials = simplex._drive_out_artificials
+
+        def drive_out(tab):
+            before = list(tab.basis)
+            drive_out_artificials(tab)
+            replaced.extend((r, j) for r, (i, j) in enumerate(zip(before, tab.basis)) if i != j)
+
+        monkeypatch.setattr(simplex, "_drive_out_artificials", drive_out)
+        monkeypatch.setattr(simplex, "_PRICING_BLOCK", 7)
+        sol = solve(zero_row_program())
+        assert replaced == [(2, 20)]
+        assert sol.basis[0] == 40  # row 0's artificial, at zero for good
+
+    @pytest.mark.parametrize(
+        "program,block",
+        [(lattice([0.4, 0.5, 0.0, 0.1], 4, 0.05), 512), (zero_row_program, 7)],
+        ids=["lattice", "dense-redundant"],
+    )
+    def test_no_pricing_spans_more_than_a_block(self, program, block, monkeypatch):
+        lp = program()
+        spans = []
+        monkeypatch.setattr(simplex, "_BLAND_AFTER_STALLS", 1)
+        monkeypatch.setattr(simplex, "_PRICING_BLOCK", block)
+        if isinstance(lp.row_matrix, AmplitudeGrid):
+            owner, dot = lp.row_matrix, lp.row_matrix.dot
+            wrapped = lambda y, lo, hi: spans.append(hi - lo) or dot(y, lo, hi)
+        else:
+            owner, dot = simplex._DenseRows, simplex._DenseRows.dot
+            wrapped = lambda self, y, lo, hi: spans.append(hi - lo) or dot(self, y, lo, hi)
+        monkeypatch.setattr(owner, "dot", wrapped)
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL and sol.phase1_iterations > 0
+        assert lp.n_cols > block and len(spans) > sol.iterations
+        assert max(spans) <= block
+
+
 class TestLatticeProgram:
     """A rank-4 lattice program at delta = 0.02: 68,393 columns, several
     pricing blocks even at the default block size."""
@@ -477,7 +636,7 @@ class TestRunMatrix:
         for lo, hi in ((0, 16384), (16384, 32768), (32768, 40000), (0, 40000)):
             got = simplex._price_block(c, dense, y, lo, hi)
             assert got.tobytes() == (c[lo:hi] - y @ a[:, lo:hi]).tobytes()
-            # a single row is priced by np.dot, the same bits as matmul
+            # a single row too
             got = simplex._price_block(c, one_row, y[:1], lo, hi)
             assert got.tobytes() == (c[lo:hi] - y[:1] @ a[:1, lo:hi]).tobytes()
         idx = np.array([3, 39999, 0])
@@ -578,7 +737,7 @@ class TestRunMatrix:
         # members exactly as through the grid itself
         s = truncated_thermal(0.5, 6) if pops is None else FockDiagonalState(0, np.array(pops))
         lp = assemble_lp(s, build_grid(rank, delta))
-        duck = StandardFormLp._of_finite(lp.objective, FloatRunForm.of(lp.row_matrix), lp.rhs)
+        duck = StandardFormLp(lp.objective, FloatRunForm.of(lp.row_matrix), lp.rhs)
         sol, ref = solve(duck), solve(lp)
         assert sol.status is ref.status is LpStatus.OPTIMAL
         assert sol.iterations == ref.iterations == pivots
@@ -666,6 +825,17 @@ class TestStart:
         singular = make_lp(lp.objective, a, lp.rhs)
         self.assert_same_solution(solve(singular, start=[0, 1, 2]), solve(singular))
 
+    def test_ill_conditioned_start_is_ignored(self):
+        # two nearly parallel columns: the start's basic solution is
+        # nonnegative, but its condition number is past 1/(rows * eps)
+        a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0, 1.0]])
+        lp = make_lp([1.0, 2.0, 0.5, 0.3], a, [1.0, 1.0])
+        assert np.all(np.linalg.inv(a[:, :2]) @ lp.rhs >= 0.0)
+        sol, ref = solve(lp, start=[0, 1]), solve(lp)
+        assert sol.phase1_iterations > 0
+        assert sol.objective_value == ref.objective_value
+        self.assert_same_solution(sol, ref)
+
     def test_infeasible_start_is_ignored(self, lp):
         infeasible = next(
             list(cols)
@@ -747,7 +917,7 @@ class TestDumpFormat:
         # the dump reads a row matrix through the solver's members alone
         grid = build_grid(4, 0.05)
         lp = assemble_lp(FockDiagonalState(0, np.array([0.5, 0.3, 0.1, 0.1])), grid)
-        duck = StandardFormLp._of_finite(lp.objective, FloatRunForm.of(grid), lp.rhs)
+        duck = StandardFormLp(lp.objective, FloatRunForm.of(grid), lp.rhs)
         write_lp(lp, tmp_path / "grid.lp")
         write_lp(duck, tmp_path / "duck.lp")
         assert (tmp_path / "grid.lp").read_bytes() == (tmp_path / "duck.lp").read_bytes()
