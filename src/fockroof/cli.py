@@ -25,7 +25,7 @@ from .grid import (
     DEFAULT_MAX_POINTS,
     GridCapacityError,
     build_grid,
-    checked_count,
+    count_grid_points,
     grid_nbytes,
 )
 from .metrology import quadrature_qfi
@@ -39,8 +39,10 @@ from .roof import (
     refine,
 )
 from .states import (
+    MAX_PHOTON_NUMBER,
     FockDiagonalState,
     check_populations,
+    check_window,
     mean_photon,
     simple_bound,
     truncated_thermal,
@@ -77,16 +79,23 @@ def _positive(text: str) -> float:
     return value
 
 
-def _at_least(floor: int):
-    """Argument type: an integer no smaller than ``floor``."""
+def _at_least(floor: int, ceiling: int | None = None):
+    """Argument type: an integer no smaller than ``floor`` and, if a
+    ``ceiling`` is given, no larger than it."""
 
     def parse(text: str) -> int:
         value = _number(text, int)
         if value < floor:
             raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be <= {ceiling}, got {value}")
         return value
 
     return parse
+
+
+# --n, a window's lowest photon number; check_window checks its top one
+_photon_number = _at_least(0, MAX_PHOTON_NUMBER)
 
 
 def _rank_range(text: str) -> tuple[int, int]:
@@ -101,13 +110,11 @@ def _rank_range(text: str) -> tuple[int, int]:
 
 
 def _parse_populations(text: str) -> list[float]:
+    """Every comma-separated field as a float; an empty field is an error."""
     try:
-        pops = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse populations {text!r}") from exc
-    if not pops:
-        raise ValueError("populations must be nonempty")
-    return pops
 
 
 def _json(value) -> str:
@@ -217,6 +224,7 @@ def _cmd_sweep(args, rank: int) -> int:
     lattice LPs shared by the windows of one rank and offset.
     """
     n = args.n
+    check_window(n, rank)
     # the epsilon keeps the top corner of steps such as 0.00032, whose
     # reciprocal rounds just below an integer
     count = int(1.0 / args.step + 1e-9)
@@ -287,7 +295,7 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_grid_info(args) -> int:
-    points = checked_count(args.m, args.delta)
+    points = count_grid_points(args.m, args.delta)
     # the grid is the LP's row matrix; the LP adds its objective and no copy
     grid_bytes = grid_nbytes(args.m, args.delta, points)
     lp_bytes = grid_bytes + 8 * points
@@ -332,14 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = add_parser("eval", help="evaluate one state")
     p_eval.add_argument("--p", required=True, help="comma-separated populations")
-    p_eval.add_argument("--n", type=_at_least(0), default=0, help="lowest photon number")
+    p_eval.add_argument("--n", type=_photon_number, default=0, help="lowest photon number")
     p_eval.add_argument("--delta", type=_spacing, default=0.01)
     add_common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     for rank, word, step in ((3, "three", 0.05), (4, "four", 0.1)):
         p_sw = add_parser(f"sweep{rank}", help=f"{word}-level phase diagram")
-        p_sw.add_argument("--n", type=_at_least(0), default=0)
+        p_sw.add_argument("--n", type=_photon_number, default=0)
         p_sw.add_argument("--step", type=_spacing, default=step)
         p_sw.add_argument("--delta", type=_spacing, default=0.01)
         p_sw.add_argument("--lp-check", type=_at_least(0), default=0, metavar="STRIDE")
@@ -362,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dump = add_parser("dump-lp", help="write the LP in interchange format")
     p_dump.add_argument("--p", required=True)
-    p_dump.add_argument("--n", type=_at_least(0), default=0)
+    p_dump.add_argument("--n", type=_photon_number, default=0)
     p_dump.add_argument("--delta", type=_spacing, default=0.01)
     p_dump.add_argument("--out", required=True)
     p_dump.set_defaults(func=_cmd_dump_lp)

@@ -29,7 +29,6 @@ steps; only this module reads the codes and the table.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from math import isqrt
 
@@ -43,9 +42,11 @@ DEFAULT_MAX_POINTS = 5_000_000
 class GridCapacityError(Exception):
     """Requested grid would exceed the point budget, ``DEFAULT_MAX_POINTS``.
 
-    A spacing whose table of squares alone exceeds the budget is refused
-    for full lattices and refinement neighbourhoods alike, with that
-    table's length as the lower bound (see ``_lattice_radius_sq``)."""
+    ``requested`` is the grid's exact size, or a lower bound on it where
+    the message says "at least": the length of the spacing's table of
+    squares, which refuses full lattices and refinement neighbourhoods
+    alike (see ``_lattice_radius_sq``), or L + 1 or the count of a shorter
+    lattice (see :func:`count_grid_points`)."""
 
     def __init__(self, requested: int, budget: int, at_least: bool = False):
         bound = "at least " if at_least else ""
@@ -83,7 +84,9 @@ def _lattice_radius_sq(delta: float) -> int:
 
 
 def count_grid_points(rank: int, delta: float) -> int:
-    """Number of lattice points for the given window rank, without building them.
+    """Number of lattice points for the given window rank, without building
+    them.  This is the one check of a full lattice against the budget: past
+    ``DEFAULT_MAX_POINTS`` it raises :class:`GridCapacityError`.
 
     Up to M = 4 the count is the total length of the lattice's runs, one
     per prefix of at most two coordinates.  From M = 5 the points of two
@@ -91,55 +94,42 @@ def count_grid_points(rank: int, delta: float) -> int:
     ``left = L - (their squares)`` for the rest: ``counts[j]``, the number
     of points of the other M - 3 free coordinates with sum of squares at
     most j, starts from one coordinate's ``isqrt(j) + 1`` and is convolved
-    with the squares once per further coordinate.  A spacing whose table
-    of squares exceeds ``DEFAULT_MAX_POINTS`` raises
-    :class:`GridCapacityError`, as the count does too.
+    with the squares once per further coordinate.
+
+    From M = 4 the tables hold L + 1 entries, a lower bound on the count:
+    the unit cells of the rank-4 points cover the orthant ball of volume
+    pi L^{3/2} / 6 > L + 1 (L >= 8; below, by direct count), and a higher
+    rank pads them with zeros.  So L + 1 past the budget is refused "at
+    least" L + 1, and so is a count past it before a round, that of a
+    shorter lattice.  The table, nondecreasing in j, then stays below
+    (isqrt(L) + 1) times the budget, and no sum wraps.
     """
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     limit = _lattice_radius_sq(delta)
     top = isqrt(limit)
-    if rank <= 4:
-        return int(_ball_runs(limit, [0] * (rank - 1), [top] * (rank - 1))[1].sum())
-    (l1,), runs = _ball_runs(limit, [0, 0], [top, top])
-    # the squares are looked up in intp, where no sum of them wraps
-    squares = np.square(np.arange(top + 1, dtype=np.intp))
-    left = limit - np.repeat(squares[l1], runs) - squares[_runs(0, runs)]
-    counts = _isqrt(np.arange(limit + 1), np.intp) + 1
-    for _ in range(rank - 4):
-        acc = np.zeros(limit + 1, dtype=np.intp)
-        for sq in squares:
-            acc[sq:] += counts[: limit + 1 - sq]
-        counts = acc
-    return int(counts[left].sum())
-
-
-def checked_count(rank: int, delta: float) -> int:
-    """:func:`count_grid_points`, raising :class:`GridCapacityError` past
-    ``DEFAULT_MAX_POINTS``.
-
-    An exact count of rank >= 4 holds arrays of about L entries (L = the
-    squared lattice radius).  Where L + 1 is more than the budget, the
-    volume of the positive-orthant ball of radius sqrt(L) is checked first:
-    the unit cells [l, l + 1) of the lattice points cover that ball, so the
-    count is at least its volume.
-    """
-    limit = _lattice_radius_sq(delta)
     if rank >= 4 and limit + 1 > DEFAULT_MAX_POINTS:
-        dims = rank - 1
-        log_volume = (
-            dims / 2 * math.log(math.pi * limit)
-            - math.lgamma(dims / 2 + 1)
-            - dims * math.log(2.0)
-        )
-        # rounded down to stay a lower bound; e^700 exceeds any budget
-        bound = math.ceil(math.exp(min(log_volume, 700.0)) * (1.0 - 1e-9))
-        if bound > DEFAULT_MAX_POINTS:
-            raise GridCapacityError(bound, DEFAULT_MAX_POINTS, at_least=True)
-    n = count_grid_points(rank, delta)
-    if n > DEFAULT_MAX_POINTS:
-        raise GridCapacityError(n, DEFAULT_MAX_POINTS)
-    return n
+        raise GridCapacityError(limit + 1, DEFAULT_MAX_POINTS, at_least=True)
+    if rank <= 4:
+        count = int(_ball_runs(limit, [0] * (rank - 1), [top] * (rank - 1))[1].sum())
+    else:
+        (l1,), runs = _ball_runs(limit, [0, 0], [top, top])
+        # the squares are looked up in intp, where no sum of them wraps
+        squares = np.square(np.arange(top + 1, dtype=np.intp))
+        left = limit - np.repeat(squares[l1], runs) - squares[_runs(0, runs)]
+        counts = _isqrt(np.arange(limit + 1), np.intp) + 1
+        for _ in range(rank - 4):
+            count = int(counts[left].sum())
+            if count > DEFAULT_MAX_POINTS:
+                raise GridCapacityError(count, DEFAULT_MAX_POINTS, at_least=True)
+            acc = np.zeros(limit + 1, dtype=np.intp)
+            for sq in squares:
+                acc[sq:] += counts[: limit + 1 - sq]
+            counts = acc
+        count = int(counts[left].sum())
+    if count > DEFAULT_MAX_POINTS:
+        raise GridCapacityError(count, DEFAULT_MAX_POINTS)
+    return count
 
 
 def grid_nbytes(rank: int, delta: float, points: int) -> int:
@@ -259,9 +249,9 @@ class AmplitudeGrid:
 
     A block of columns is priced by decoding only its own runs into the
     float prefix rows that ``y[:-1] @`` reads, and the last row as
-    ``take(y[-1] * squares, codes)``: one product per table entry and the
-    same bits as the product with each column's value.  So pricing reads
-    one code per column and M - 2 per run.
+    ``y[-1] * take(squares, codes)``: one product per column, the same bits
+    as the product with each column's value, and nothing as long as the
+    table.  So pricing reads one code per column and M - 2 per run.
     """
 
     def __init__(self, rank: int, delta: float, prefix, first, counts):
@@ -343,9 +333,10 @@ class AmplitudeGrid:
     def dot(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``y @ A[:, lo:hi]``: the run rows' products once per run, repeated
         over its columns, plus the last row's products."""
-        # one product per table entry, gathered: the same bits as the
-        # product of y[-1] with each column's value
-        out = (y[-1] * self.squares).take(self.codes[lo:hi])
+        # the block's squares gathered, then scaled in place: the same bits
+        # as the product of y[-1] with each column's value
+        out = self.squares.take(self.codes[lo:hi])
+        out *= y[-1]
         counts, values = self._priced_runs(lo, hi)
         out += (y[:-1] @ values).repeat(counts)
         return out
@@ -437,12 +428,12 @@ class AmplitudeGrid:
 def build_grid(rank: int, delta: float) -> AmplitudeGrid:
     """Enumerate the full amplitude lattice for a rank-M window.
 
-    Points are ordered lexicographically in the integer coordinates.  Raises
-    :class:`GridCapacityError` before materializing anything too large.
+    Points are ordered lexicographically in the integer coordinates.  The
+    lattice is counted first (:func:`count_grid_points`), so a rank below 2
+    raises ``ValueError`` and a lattice past the budget
+    :class:`GridCapacityError` before anything is built.
     """
-    if rank < 2:
-        raise ValueError(f"rank must be >= 2, got {rank}")
-    checked_count(rank, delta)
+    count_grid_points(rank, delta)
     limit = _lattice_radius_sq(delta)
     prefix, counts = _ball_runs(limit, [0] * (rank - 1), [isqrt(limit)] * (rank - 1))
     return AmplitudeGrid(rank, delta, prefix, 0, counts)

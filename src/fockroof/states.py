@@ -21,11 +21,26 @@ import numpy as np
 CONSTRUCTION_TOL = 1e-12
 ARITHMETIC_TOL = 1e-10
 
+# The highest photon number a window may reach: up to it every photon number,
+# and every n + k + 1 of the window, is an exact double.
+MAX_PHOTON_NUMBER = 2**53
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def check_window(offset, rank: int) -> None:
+    """Raise ValueError unless ``offset`` is a nonnegative integer and the
+    window's top photon number, offset + rank - 1, is at most
+    MAX_PHOTON_NUMBER."""
+    if offset < 0 or int(offset) != offset:
+        raise ValueError(f"offset must be a nonnegative integer, got {offset}")
+    top = int(offset) + rank - 1
+    if top > MAX_PHOTON_NUMBER:
+        raise ValueError(f"top photon number {top} exceeds 2**53 = {MAX_PHOTON_NUMBER}")
 
 
 def check_populations(populations: np.ndarray) -> None:
@@ -58,11 +73,10 @@ class FockDiagonalState:
     populations: np.ndarray
 
     def __post_init__(self):
-        if self.offset < 0 or int(self.offset) != self.offset:
-            raise ValueError(f"offset must be a nonnegative integer, got {self.offset}")
         pops = np.asarray(self.populations, dtype=float)
         if pops.ndim != 1 or pops.size < 1:
             raise ValueError("populations must be a nonempty 1-d vector")
+        check_window(self.offset, pops.size)
         check_populations(pops)
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "populations", _readonly(pops))
@@ -102,11 +116,10 @@ class PureFockWindowState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.offset < 0 or int(self.offset) != self.offset:
-            raise ValueError(f"offset must be a nonnegative integer, got {self.offset}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
+        check_window(self.offset, amps.size)
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > CONSTRUCTION_TOL:
             raise ValueError(f"state must be normalized (|c|^2 sums to {norm_sq!r})")

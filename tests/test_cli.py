@@ -150,6 +150,14 @@ class TestExitCodes:
         assert main(argv.split()) == 4
         assert "at least" in capsys.readouterr().err
 
+    def test_capacity_at_high_rank(self, capsys):
+        # the count stops before it would wrap int64, which once printed
+        # -3,260,489,455,153,893,728 points
+        assert main(["grid-info", "--m", "400000", "--delta", "0.5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "at least" in captured.err
+
     def test_sweep_capacity(self, capsys):
         # C(503, 3) rows at step 0.002, counted before any row is built
         code = main(["sweep4", "--step", "0.002"])
@@ -191,6 +199,18 @@ class TestExitCodes:
             "eval --p 1 --n 1e3",
             "sweep4 --lp-check 1.5",
             "eval --p ,",
+            # an empty field is an error, not a dropped level
+            "eval --p 0.4,,0.6",
+            "eval --p 0.5,0.5,",
+            "dump-lp --p ,1 --out OUT",
+            # photon numbers past 2**53 are not exact doubles
+            "eval --p 0.5,0.5 --n 9007199254740992 --delta 0.1",
+            "eval --p 0.5,0.5 --n 9223372036854775807 --delta 0.1",
+            "eval --p 0.5,0.5 --n 9223372036854775808 --delta 0.1",
+            "sweep3 --n 9223372036854775808",
+            # a sweep's window tops out at n + 2 or n + 3
+            "sweep3 --n 9007199254740991",
+            "sweep4 --n 9007199254740990",
             # a window of one level has no program to dump
             "dump-lp --p 0,1,0 --out OUT",
             # an --out path in a missing directory
@@ -235,6 +255,15 @@ class TestExitCodes:
         ):
             assert run(*command.split(), "--max-iter", "10") == 2, command
         assert run("grid-info", "--m", "4", "--delta", "0.003") == 4
+        # a huge offset is invalid input, not a wrapped answer or a traceback
+        for argv in (
+            "eval --p 0.5,0.5 --n 9223372036854775807 --delta 0.1",
+            "eval --p 0.5,0.5 --n 9223372036854775808 --delta 0.1",
+            "sweep3 --n 9223372036854775808",
+        ):
+            proc = process(*argv.split())
+            assert proc.returncode == 2, argv
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestSweep3:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,7 @@ from fockroof import (
     truncated_thermal,
 )
 from fockroof import grid as grid_module
-from fockroof import roof, simplex
+from fockroof import cli, roof, simplex
 from fockroof.grid import DEFAULT_MAX_POINTS, AmplitudeGrid, neighborhood_grid
 
 
@@ -74,6 +75,26 @@ def reference_count(rank, delta):
     return int(ways.sum())
 
 
+def expected_count(rank, delta):
+    """``(requested, at_least)`` as ``count_grid_points`` reports them, from
+    reference counts: L + 1 from rank 4 where the counting tables would
+    outgrow the budget, else the count of the first lattice of rank 4 to
+    M - 1 past the budget, both "at least"; else the exact count."""
+    limit = radius_sq(delta)
+    if rank >= 4 and limit + 1 > DEFAULT_MAX_POINTS:
+        return limit + 1, True
+    for shorter in range(4, rank):
+        count = reference_count(shorter, delta)
+        if count > DEFAULT_MAX_POINTS:
+            return count, True
+    return reference_count(rank, delta), False
+
+
+def refusal(err):
+    """``(requested, at_least)`` of a raised :class:`GridCapacityError`."""
+    return err.value.requested, "at least" in str(err.value)
+
+
 def reference_neighborhood(delta, centers, center_delta, radius):
     """Every box point by itertools, deduplicated with np.unique(axis=0)."""
     limit = radius_sq(delta)
@@ -115,11 +136,11 @@ class TestCounts:
     @pytest.mark.parametrize("delta", [0.3, 0.05, 0.01])
     @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
     def test_matches_recursive_enumeration(self, rank, delta):
-        count = count_grid_points(rank, delta)
+        count = reference_count(rank, delta)
         if count > DEFAULT_MAX_POINTS:
             with pytest.raises(GridCapacityError) as err:
                 build_grid(rank, delta)
-            assert err.value.requested == count
+            assert refusal(err) == expected_count(rank, delta)
             return
         grid = build_grid(rank, delta)
         expected = recursive_lattice(radius_sq(delta), rank - 1)
@@ -133,19 +154,35 @@ class TestCounts:
 
     @pytest.mark.parametrize("rank,count", [(2, 1001), (3, 786388), (4, 524_776_511)])
     def test_fine_spacing_pins(self, rank, count):
-        # a radius range of 10^6 squared units, counted without building
-        assert count_grid_points(rank, 0.001) == count
-        if count > DEFAULT_MAX_POINTS:
+        # a radius range of 10^6 squared units, counted without building;
+        # past the budget the count is exact in the refusal
+        if count <= DEFAULT_MAX_POINTS:
+            assert count_grid_points(rank, 0.001) == count
+            return
+        for call in (count_grid_points, build_grid):
             with pytest.raises(GridCapacityError) as err:
-                build_grid(rank, 0.001)
-            assert err.value.requested == count
+                call(rank, 0.001)
+            assert refusal(err) == (count, False)
 
     @pytest.mark.parametrize("rank", [5, 6, 7])
     @pytest.mark.parametrize("delta", [0.05, 0.003])
     def test_high_ranks_match_an_int64_count(self, rank, delta):
         # the coordinates are uint8 at 0.05, where l_1² reaches 400, and
-        # uint16 at 0.003
-        assert count_grid_points(rank, delta) == reference_count(rank, delta)
+        # uint16 at 0.003; past the budget the refusal reads the int64 count
+        # of the lattice that passed it
+        requested, at_least = expected_count(rank, delta)
+        if requested <= DEFAULT_MAX_POINTS:
+            assert count_grid_points(rank, delta) == requested
+            return
+        with pytest.raises(GridCapacityError) as err:
+            count_grid_points(rank, delta)
+        assert refusal(err) == (requested, at_least)
+
+    @pytest.mark.parametrize("rank,count", [(5, 20), (20, 5_055), (60, 489_465)])
+    def test_half_spacing_closed_form(self, rank, count):
+        # at delta = 0.5, L = 4: up to four steps of 1, or one step of 2
+        assert count == sum(math.comb(rank - 1, j) for j in range(5)) + rank - 1
+        assert count_grid_points(rank, 0.5) == count
 
     def test_paper_scale_pin(self):
         # the published rank-4 instance: 537052 columns at spacing 0.00999
@@ -304,7 +341,7 @@ EXACT_CASES = [
     (rank, delta)
     for rank in range(2, 8)
     for delta in (0.5, 0.3, 0.1, 0.05, 0.02, 0.00999)
-    if count_grid_points(rank, delta) <= DEFAULT_MAX_POINTS
+    if reference_count(rank, delta) <= DEFAULT_MAX_POINTS
 ]
 
 
@@ -358,6 +395,15 @@ class TestMemory:
         # next is built; the traced peak was 0.2423 of the dense matrix
         assert peak <= 0.28 * full
 
+    def test_pricing_scales_only_the_block_squares(self, capsys):
+        # the level-19 neighbourhood holds 9 points and a table of 2,621,441
+        # squares (20 MiB); scaling the whole table on every pricing peaked
+        # at 40.2 MiB
+        argv = "thermal --nth 0.5 --m-range 2:2 --delta 0.1 --levels 19".split()
+        code, peak = traced_peak(lambda: cli.main(argv))
+        assert code == 0
+        assert peak < 24 * 2**20
+
 
 class TestCapacity:
     def test_capacity_error(self, monkeypatch):
@@ -365,7 +411,7 @@ class TestCapacity:
         monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", 1000)
         with pytest.raises(GridCapacityError) as err:
             build_grid(3, 0.01)
-        assert err.value.requested == count_grid_points(3, 0.01)
+        assert err.value.requested == reference_count(3, 0.01)
         assert err.value.budget == 1000
 
     def test_fine_rank3_spacing_rejected_before_allocating(self):
@@ -375,8 +421,8 @@ class TestCapacity:
         assert peak < 2**20
 
     def test_fine_spacing_rejected_before_allocating(self):
-        # an exact rank-4 count at delta = 1e-4 would hold arrays of 10^8 + 1
-        # int64 entries
+        # an exact rank-4 count at delta = 1e-4 would hold arrays of L + 1 =
+        # 10^8 + 1 int64 entries, and L + 1 is the lower bound refused on
         tracemalloc.start()
         try:
             with pytest.raises(GridCapacityError, match="at least") as err:
@@ -385,19 +431,60 @@ class TestCapacity:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        # an eighth of the volume of the 3-ball of radius sqrt(L)
-        limit = radius_sq(1e-4)
-        assert err.value.requested == pytest.approx(math.pi / 6 * limit**1.5, rel=1e-8)
+        assert err.value.requested == radius_sq(1e-4) + 1 == 100_000_001
+
+    @pytest.mark.parametrize("rank,delta", [(5, 1e-4), (6, 3e-4)])
+    def test_fine_spacing_at_high_rank_rejected_before_allocating(self, rank, delta):
+        # the counting tables would hold L + 1 entries: 599 MiB at (5, 1e-4),
+        # and 47 s of convolution at (6, 3e-4)
+        err, peak = traced_peak(
+            lambda: pytest.raises(GridCapacityError, count_grid_points, rank, delta)
+        )
+        assert peak < 2**20
+        assert refusal(err) == (radius_sq(delta) + 1, True)
+
+    def test_high_rank_is_refused_without_wrapping(self):
+        # the exact count at rank 130,000 and delta = 0.5 is about 1.2e19,
+        # past int64; the count stops at the first shorter lattice past the
+        # budget
+        start = time.perf_counter()
+        with pytest.raises(GridCapacityError, match="at least") as err:
+            count_grid_points(130_000, 0.5)
+        assert time.perf_counter() - start < 1.0
+        exact = sum(math.comb(129_999, j) for j in range(5)) + 129_999
+        assert DEFAULT_MAX_POINTS < err.value.requested <= exact
+
+    @pytest.mark.parametrize(
+        "rank,delta,words",
+        [
+            (4, 0.001, "524776511"),
+            (5, 0.01, "31901961"),
+            (7, 0.05, "6974412"),
+            (10, 0.1, "18286018"),
+            (4, 1e-4, "at least 100000001"),
+            (6, 0.01, "at least 31901961"),
+        ],
+    )
+    def test_refusal_message(self, rank, delta, words):
+        # exact where the count completes, "at least" a lower bound elsewhere
+        with pytest.raises(GridCapacityError) as err:
+            count_grid_points(rank, delta)
+        assert str(err.value) == (
+            f"grid would contain {words} points, exceeding the budget of 5000000"
+        )
 
     @pytest.mark.parametrize("rank", [4, 5, 6, 7])
-    @pytest.mark.parametrize("delta", [0.3, 0.11, 0.05])
+    @pytest.mark.parametrize("delta", [0.3, 0.11, 0.05, 0.5])
     def test_volume_bound_is_a_lower_bound(self, rank, delta, monkeypatch):
-        # a budget that the table of squares just fits
+        # a budget that the table of squares just fits refuses L + 1, which
+        # the orthant ball's volume bounds the count by from L = 8 on; at
+        # delta = 0.5, L = 4 and the count is checked directly
         monkeypatch.setattr(grid_module, "DEFAULT_MAX_POINTS", isqrt(radius_sq(delta)) + 1)
         with pytest.raises(GridCapacityError, match="at least") as err:
             build_grid(rank, delta)
+        assert err.value.requested == radius_sq(delta) + 1
         assert isqrt(radius_sq(delta)) + 1 < err.value.requested
-        assert err.value.requested <= count_grid_points(rank, delta)
+        assert err.value.requested <= reference_count(rank, delta)
 
     def test_fine_table_of_squares_rejected_before_allocating(self):
         # a count at rank 3 and delta = 1e-9 would start from one run of

@@ -15,7 +15,7 @@ from fockroof import (
     truncated_thermal,
 )
 
-from fockroof.states import check_populations
+from fockroof.states import MAX_PHOTON_NUMBER, check_populations
 
 from conftest import random_trimmed_state, real_alpha
 
@@ -32,6 +32,18 @@ class TestFockDiagonalState:
     def test_rejects_negative_offset(self):
         with pytest.raises(ValueError, match="offset"):
             FockDiagonalState(-1, [1.0])
+
+    @pytest.mark.parametrize(
+        "cls,values", [(FockDiagonalState, [0.5, 0.5]), (PureFockWindowState, [0.6, 0.8])]
+    )
+    def test_top_photon_number_is_an_exact_double(self, cls, values):
+        # the top photon number offset + M - 1 may reach 2**53, not pass it
+        assert MAX_PHOTON_NUMBER == 2**53
+        assert cls(2**53 - 1, values).offset == 2**53 - 1
+        assert cls(2**53, [1.0]).offset == 2**53
+        for offset in (2**53, 2**63 - 1, 2**63, np.int64(2**63 - 1)):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                cls(offset, values)
 
     def test_sum_tolerance_is_tight(self):
         FockDiagonalState(0, [0.5, 0.5 + 5e-13])  # inside 1e-12
