@@ -29,11 +29,8 @@ from .simplex import (
 )
 from .states import (
     FockDiagonalState,
-    MomentTriple,
     PureFockWindowState,
     mean_photon,
-    moments,
-    pure_nonclassicality,
     rank2_nonclassicality,
     simple_bound,
     truncated_thermal,
@@ -51,7 +48,6 @@ __all__ = [
     "GridResolutionWarning",
     "LpSolution",
     "LpStatus",
-    "MomentTriple",
     "PhaseLabel",
     "PureFockWindowState",
     "QfiReport",
@@ -65,8 +61,6 @@ __all__ = [
     "estimate_nonclassicality",
     "expand_histogram",
     "mean_photon",
-    "moments",
-    "pure_nonclassicality",
     "quadrature_qfi",
     "rank2_nonclassicality",
     "refine",

@@ -226,8 +226,11 @@ def _cmd_sweep(args, rank: int) -> int:
     n = args.n
     check_window(n, rank)
     # the epsilon keeps the top corner of steps such as 0.00032, whose
-    # reciprocal rounds just below an integer
-    count = int(1.0 / args.step + 1e-9)
+    # reciprocal rounds just below an integer; a subnormal step's reciprocal
+    # overflows, and is floored in exact integers instead
+    reciprocal = 1.0 / args.step + 1e-9
+    num, den = args.step.as_integer_ratio()
+    count = int(reciprocal) if reciprocal < math.inf else den // num
     n_rows = math.comb(count + rank - 1, rank - 1)
     if n_rows > DEFAULT_MAX_POINTS:
         raise GridCapacityError(n_rows, DEFAULT_MAX_POINTS)

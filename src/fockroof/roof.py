@@ -194,6 +194,14 @@ def _solve_on_grid(
     if start is None or min(start) < 0:
         start = _kuhn_start(state, grid)
     sol = simplex.solve(lp, start=start)
+    if sol.status is LpStatus.INFEASIBLE:
+        # with 1/delta an integer, the lattice holds every corner x_k = 1
+        raise SolverFailure(
+            sol.status,
+            f"the populations lie outside what the lattice of spacing {grid.delta!r} "
+            f"can mix: no x_k^2 on it exceeds {grid.squares[-1]:.15g}; a spacing "
+            "whose reciprocal is an integer reaches every population",
+        )
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(sol.status)
     # the primal's columns are in ascending order, so the support is in

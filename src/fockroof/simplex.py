@@ -159,9 +159,10 @@ class LpSolution:
     zero.  ``basis`` keeps the order the pivots reached, artificials
     included.  ``iterations`` counts all pivots and ``phase1_iterations``
     those spent finding a feasible basis, 0 when the ``start`` basis was
-    accepted.  An INFEASIBLE, UNBOUNDED or NUMERICAL solution has an empty
-    primal point and the objective nan, inf or nan; a NUMERICAL one has no
-    basis or pivot count either."""
+    accepted.  Only an OPTIMAL solution has a primal point: any other has
+    an empty one and the objective inf if UNBOUNDED, else nan.  An
+    ITERATION_LIMIT solution keeps the basis it stopped on, artificials
+    included; a NUMERICAL one has no basis or pivot count."""
 
     status: LpStatus
     objective_value: float
@@ -279,8 +280,6 @@ def _run_phase(
     since_refactor = 0
     pivots = 0
     while True:
-        if pivots >= pivots_left:
-            return LpStatus.ITERATION_LIMIT, pivots
         c_b = np.array([c[j] if j < n else artificial_cost for j in tab.basis])
         y = tab.b_inv.T @ c_b
         entering, cursor = _choose_entering(
@@ -288,6 +287,9 @@ def _run_phase(
         )
         if entering < 0:
             return LpStatus.OPTIMAL, pivots
+        # the limit stops a pivot, not the pricing that proves optimality
+        if pivots >= pivots_left:
+            return LpStatus.ITERATION_LIMIT, pivots
         w = tab.b_inv @ tab.a.columns(entering)
         leaving = _choose_leaving(tab, w, bland)
         if leaving < 0:
@@ -405,14 +407,14 @@ def solve(lp: StandardFormLp, start: Sequence[int] | None = None) -> LpSolution:
 
 
 def _finish(lp, tab, status, iterations, phase1) -> LpSolution:
-    """The solution on the final basis.  An OPTIMAL or ITERATION_LIMIT basis
-    is refactorized in column-index order, so that the primal's bits depend
-    on the basis set, not on the pivots that reached it, and its structural
-    columns come out in that order; ``basis`` keeps the pivot order.  Any
-    other status has no primal point, and no basis without a tableau."""
+    """The solution on the final basis.  An OPTIMAL basis is refactorized
+    in column-index order, so that the primal's bits depend on the basis
+    set, not on the pivots that reached it, and its structural columns come
+    out in that order; ``basis`` keeps the pivot order.  Any other status
+    has no primal point, and no basis without a tableau."""
     basis = [] if tab is None else list(tab.basis)
     indices, values = np.empty(0, dtype=np.intp), np.empty(0)
-    if status not in (LpStatus.OPTIMAL, LpStatus.ITERATION_LIMIT):
+    if status is not LpStatus.OPTIMAL:
         objective = float("inf" if status is LpStatus.UNBOUNDED else "nan")
     else:
         tab.basis = sorted(basis)

@@ -3,10 +3,10 @@
 A single bosonic mode whose density matrix is diagonal in the Fock basis is
 fully described by the populations of a contiguous photon-number window
 [n, n + M - 1].  This module holds the two state types used everywhere else
-(diagonal mixed states and pure states supported on the same window), the
-first/second ladder-operator moments, and the handful of quantities that have
-closed forms: the pure-state nonclassicality, the two-level mixed-state
-result, the simple-decomposition upper bound, and truncated thermal states.
+(diagonal mixed states, and pure states on the same window, which are the
+atoms of an explicit decomposition), the mean photon number, and the
+quantities that have closed forms: the two-level mixed-state result, the
+simple-decomposition upper bound, and truncated thermal states.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Normalization is checked strictly at construction; quantities derived by
-# floating-point arithmetic downstream are held to the looser 1e-10.
+# Normalization is checked strictly at construction.
 CONSTRUCTION_TOL = 1e-12
-ARITHMETIC_TOL = 1e-10
 
 # The highest photon number a window may reach: up to it every photon number,
 # and every n + k + 1 of the window, is an exact double.
@@ -87,10 +85,6 @@ class FockDiagonalState:
         return self.populations.size
 
     @property
-    def photon_numbers(self) -> np.ndarray:
-        return self.offset + np.arange(self.rank)
-
-    @property
     def is_trimmed(self) -> bool:
         return self.populations[0] > 0.0 and self.populations[-1] > 0.0
 
@@ -126,66 +120,6 @@ class PureFockWindowState:
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
-    @property
-    def rank(self) -> int:
-        return self.amplitudes.size
-
-
-@dataclass(frozen=True)
-class MomentTriple:
-    """First and second ladder-operator moments of a window state.
-
-    ``n_bar`` is <a†a>, ``alpha_bar`` is <a> and ``xi_bar`` is <a²>.
-    """
-
-    n_bar: float
-    alpha_bar: complex
-    xi_bar: complex
-
-    def __post_init__(self):
-        # Cauchy-Schwarz on the window: <a†a> >= |<a>|².
-        if self.n_bar < abs(self.alpha_bar) ** 2 - ARITHMETIC_TOL:
-            raise ValueError(
-                f"inconsistent moments: n_bar={self.n_bar!r} < |alpha_bar|^2="
-                f"{abs(self.alpha_bar) ** 2!r}"
-            )
-
-
-def mean_photon(state: FockDiagonalState) -> float:
-    """<a†a> of a Fock-diagonal state."""
-    return float(np.dot(state.photon_numbers, state.populations))
-
-
-def moments(psi: PureFockWindowState) -> MomentTriple:
-    """Compute (<a†a>, <a>, <a²>) for a pure window state."""
-    c = psi.amplitudes
-    n = psi.offset
-    k = np.arange(c.size)
-    n_bar = float(np.sum((n + k) * np.abs(c) ** 2))
-    alpha = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n + k[:-1] + 1)))
-    if c.size >= 3:
-        xi = complex(
-            np.sum(
-                np.conj(c[:-2])
-                * c[2:]
-                * np.sqrt((n + k[:-2] + 1) * (n + k[:-2] + 2.0))
-            )
-        )
-    else:
-        xi = 0.0 + 0.0j
-    return MomentTriple(n_bar=n_bar, alpha_bar=alpha, xi_bar=xi)
-
-
-def pure_nonclassicality(psi: PureFockWindowState) -> float:
-    """Nonclassicality of a pure state: max quadrature variance minus 1/2.
-
-    Evaluates <a†a> - |<a>|² + |<a²> - <a>²|, which equals the variance of
-    the optimal quadrature minus the coherent-state value 1/2.  Zero for the
-    vacuum, m for the Fock state |m>.
-    """
-    m = moments(psi)
-    return m.n_bar - abs(m.alpha_bar) ** 2 + abs(m.xi_bar - m.alpha_bar**2)
-
 
 def rank2_nonclassicality(offset: int, p_upper: float) -> float:
     """Closed-form nonclassicality of p|n+1><n+1| + (1-p)|n><n|.
@@ -199,11 +133,16 @@ def rank2_nonclassicality(offset: int, p_upper: float) -> float:
     return n + p_upper - (n + 1) * p_upper * (1.0 - p_upper)
 
 
+def mean_photon(state: FockDiagonalState) -> float:
+    """<a†a> of a Fock-diagonal state."""
+    return float(mean_photons(state.offset, state.populations[None, :])[0])
+
+
 def mean_photons(offset: int, populations: np.ndarray) -> np.ndarray:
     """<a†a> of every row of an (N, M) population array.
 
-    One np.dot per row, as in :func:`mean_photon`: a whole-array product sum
-    or matrix product rounds differently on some rows.
+    One np.dot per row: a whole-array product sum or matrix product rounds
+    differently on some rows.
     """
     k = offset + np.arange(populations.shape[1], dtype=float)
     return np.array([np.dot(k, row) for row in populations])

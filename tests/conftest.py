@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fockroof import FockDiagonalState, moments, phases, simplex
+from fockroof import FockDiagonalState, phases, simplex
 
 
 def random_trimmed_state(rng, max_rank=4, max_offset=3, floor=0.05):
@@ -35,6 +35,13 @@ def real_alpha(amplitudes, offset):
         return 0.0
     k = np.arange(x.size - 1)
     return float(np.sum(x[1:] * x[:-1] * np.sqrt(offset + k + 1.0)))
+
+
+def window_alpha(psi):
+    """<a> of a pure window state: the sum of conj(c_k) c_{k+1} sqrt(n+k+1)."""
+    c = psi.amplitudes
+    k = np.arange(c.size - 1)
+    return complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(psi.offset + k + 1.0)))
 
 
 def kernel_ansatz(state, label):
@@ -88,7 +95,7 @@ def ensemble_alpha_stats(decomposition):
     sq = 0.0 + 0.0j
     mag = 0.0
     for q, psi in decomposition.atoms:
-        alpha = moments(psi).alpha_bar
+        alpha = window_alpha(psi)
         sq += q * alpha**2
         mag += q * abs(alpha) ** 2
     return sq, mag

@@ -164,6 +164,27 @@ class TestExitCodes:
         assert code == 4
         assert "21084251 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", ["sweep3 --step 5e-324", "sweep4 --step 1e-310"])
+    def test_sweep_capacity_of_a_subnormal_step(self, capsys, argv):
+        # 1/step overflows to inf, which once raised OverflowError in int()
+        assert main(argv.split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid would contain ")
+
+    def test_infeasible_lattice_gives_the_reason(self, capsys):
+        # 1/0.00999 is not an integer: no x_1^2 on the lattice passes 0.998001
+        assert main(["eval", "--p", "0.001,0.999", "--delta", "0.00999"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: linear program ended with status Infeasible; the populations "
+            "lie outside what the lattice of spacing 0.00999 can mix: no x_k^2 on "
+            "it exceeds 0.998001; a spacing whose reciprocal is an integer reaches "
+            "every population\n"
+        )
+        assert main(["eval", "--p", "0.001,0.999", "--delta", "0.01"]) == 0
+
     def test_solver_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
         code = main(["eval", "--p", "0.6,0.2,0.2", "--delta", "0.05"])
@@ -263,6 +284,11 @@ class TestExitCodes:
         ):
             proc = process(*argv.split())
             assert proc.returncode == 2, argv
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        # a subnormal step's row count passes the budget
+        for argv in ("sweep3 --step 5e-324", "sweep4 --step 1e-310"):
+            proc = process(*argv.split())
+            assert proc.returncode == 4, argv
             assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 

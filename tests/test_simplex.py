@@ -274,22 +274,36 @@ class TestSolutionFields:
         return request.param
 
     @pytest.mark.parametrize("program", [dense_program, lattice_program])
-    @pytest.mark.parametrize("limit", [None, 2])
+    @pytest.mark.parametrize("limit", [None, "exact"])
     def test_primal_is_the_sorted_structural_basis(self, program, limit, block, monkeypatch):
         lp = program()
-        if limit is not None:
-            # stopped in phase 1, with an artificial still basic
-            monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", limit)
         sol = solve(lp)
-        assert sol.status is (LpStatus.OPTIMAL if limit is None else LpStatus.ITERATION_LIMIT)
+        if limit == "exact":
+            # a limit of exactly the pivots taken still ends OPTIMAL
+            monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", sol.iterations)
+            limited = solve(lp)
+            assert limited.iterations == sol.iterations
+            assert limited.basis == sol.basis
+            np.testing.assert_array_equal(limited.values, sol.values)
+            sol = limited
+        assert sol.status is LpStatus.OPTIMAL
         idx, values = sol.indices, sol.values
         assert idx.dtype == np.intp and idx.shape == values.shape
         assert np.all(np.diff(idx) > 0)
         assert idx.tolist() == sorted(j for j in sol.basis if j < lp.n_cols)
-        if limit is not None:
-            assert max(sol.basis) >= lp.n_cols
-            assert (sol.iterations, sol.phase1_iterations) == (2, 2)
         assert sol.objective_value == float(lp.objective[idx] @ values)
+
+    @pytest.mark.parametrize("program", [dense_program, lattice_program], ids=["dense", "lattice"])
+    def test_iteration_limit_fields(self, program, block, monkeypatch):
+        lp = program()
+        # stopped in phase 1, with an artificial still basic
+        monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 2)
+        sol = solve(lp)
+        assert sol.status is LpStatus.ITERATION_LIMIT
+        assert np.isnan(sol.objective_value)
+        assert sol.indices.size == sol.values.size == 0
+        assert len(sol.basis) == lp.n_rows and max(sol.basis) >= lp.n_cols
+        assert (sol.iterations, sol.phase1_iterations) == (2, 2)
 
     @pytest.mark.parametrize(
         "program,pinned",

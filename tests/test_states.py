@@ -5,11 +5,8 @@ import pytest
 
 from fockroof import (
     FockDiagonalState,
-    MomentTriple,
     PureFockWindowState,
     mean_photon,
-    moments,
-    pure_nonclassicality,
     rank2_nonclassicality,
     simple_bound,
     truncated_thermal,
@@ -17,7 +14,7 @@ from fockroof import (
 
 from fockroof.states import MAX_PHOTON_NUMBER, check_populations
 
-from conftest import random_trimmed_state, real_alpha
+from conftest import random_trimmed_state, real_alpha, window_alpha
 
 
 class TestFockDiagonalState:
@@ -105,58 +102,25 @@ class TestMeanPhoton:
     def test_offset_window(self):
         assert mean_photon(FockDiagonalState(2, [0.5, 0.5])) == pytest.approx(2.5)
 
+    def test_is_the_dot_with_the_photon_numbers(self, rng):
+        # bit for bit, with offsets up to 2**40 and interior zeros
+        for _ in range(500):
+            rank = int(rng.integers(1, 9))
+            offset = int(rng.integers(0, 2 ** int(rng.integers(1, 41)) + 1))
+            pops = rng.dirichlet(np.ones(rank))
+            if rank > 2 and rng.random() < 0.5:
+                pops[rng.integers(1, rank - 1)] = 0.0
+            state = FockDiagonalState(offset, pops / pops.sum())
+            expected = float(np.dot(state.offset + np.arange(state.rank), state.populations))
+            assert mean_photon(state) == expected
+
 
 class TestMoments:
-    @pytest.mark.parametrize("m", [0, 1, 4])
-    def test_fock_state(self, m):
-        psi = PureFockWindowState(m, [1.0])
-        triple = moments(psi)
-        assert triple.n_bar == pytest.approx(m)
-        assert triple.alpha_bar == 0
-        assert triple.xi_bar == 0
-
-    def test_two_level_superposition(self):
-        psi = PureFockWindowState(0, [np.sqrt(0.84), np.sqrt(0.16)])
-        triple = moments(psi)
-        assert triple.n_bar == pytest.approx(0.16, abs=1e-14)
-        assert triple.alpha_bar.real == pytest.approx(np.sqrt(0.16 * 0.84), abs=1e-14)
-        assert triple.xi_bar == 0
-
-    def test_three_level_superposition(self):
-        psi = PureFockWindowState(0, [np.sqrt(0.5), 0.5, 0.5])
-        triple = moments(psi)
-        expected = np.sqrt(0.5) * 0.5 + 0.5 * 0.5 * np.sqrt(2.0)
-        assert triple.alpha_bar.real == pytest.approx(expected, abs=1e-14)
-        assert expected == pytest.approx(0.70711, abs=5e-6)
+    """The pure window state, the atom of an explicit decomposition."""
 
     def test_requires_normalization(self):
         with pytest.raises(ValueError, match="normalized"):
             PureFockWindowState(0, [0.5, 0.5])
-
-    def test_cauchy_schwarz_guard(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            MomentTriple(n_bar=0.1, alpha_bar=1.0 + 0j, xi_bar=0j)
-
-
-class TestPureNonclassicality:
-    @pytest.mark.parametrize("m", [0, 1, 2, 5])
-    def test_fock_state_equals_photon_number(self, m):
-        assert pure_nonclassicality(PureFockWindowState(m, [1.0])) == pytest.approx(m)
-
-    def test_two_level_case(self):
-        psi = PureFockWindowState(0, [np.sqrt(0.84), np.sqrt(0.16)])
-        assert pure_nonclassicality(psi) == pytest.approx(0.16, abs=1e-14)
-
-    def test_nonnegative_and_zero_only_for_vacuum(self, rng):
-        for _ in range(200):
-            rank = int(rng.integers(1, 5))
-            offset = int(rng.integers(0, 4))
-            c = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-            c = c / np.linalg.norm(c)
-            value = pure_nonclassicality(PureFockWindowState(offset, c))
-            assert value >= -1e-12
-            if value < 1e-12:
-                assert rank == 1 and offset == 0
 
 
 class TestRealAlpha:
@@ -180,7 +144,7 @@ class TestRealAlpha:
             x /= np.linalg.norm(x)
             psi = PureFockWindowState(offset, x.astype(complex))
             assert real_alpha(x, offset) == pytest.approx(
-                moments(psi).alpha_bar.real, abs=1e-12
+                window_alpha(psi).real, abs=1e-12
             )
 
     def test_rejects_unnormalized(self):
