@@ -29,7 +29,6 @@ from .simplex import (
 )
 from .states import (
     FockDiagonalState,
-    PureFockWindowState,
     mean_photon,
     rank2_nonclassicality,
     simple_bound,
@@ -49,7 +48,6 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "PhaseLabel",
-    "PureFockWindowState",
     "QfiReport",
     "SolverFailure",
     "StandardFormLp",

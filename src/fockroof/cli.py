@@ -31,6 +31,7 @@ from .grid import (
 from .metrology import quadrature_qfi
 from .phases import classify, classify_many
 from .roof import (
+    Estimate,
     LatticeLps,
     SolverFailure,
     assemble_lp,
@@ -47,7 +48,7 @@ from .states import (
     simple_bound,
     truncated_thermal,
 )
-from .simplex import write_lp
+from .simplex import LpStatus, write_lp
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -159,17 +160,11 @@ def _cmd_eval(args) -> int:
     state = FockDiagonalState(args.n, np.asarray(pops))
     work = state.trimmed()
     if work.rank == 1:
-        n_lp = float(work.offset)
-        support = [{"x": [], "weight": 1.0}]
-        decomposition = [{"probability": 1.0, "amplitudes": [{"re": 1.0, "im": 0.0}]}]
+        # a one-level window has no LP: its one support point is the Fock state
+        estimate = Estimate(float(work.offset), args.delta, np.ones((1, 1)), np.ones(1))
     else:
         estimate = estimate_nonclassicality(work, args.delta)
-        n_lp = estimate.value
-        support = [
-            {"x": [float(v) for v in row[1:]], "weight": float(w)}
-            for row, w in zip(estimate.amplitudes, estimate.weights)
-        ]
-        decomposition = expand_histogram(work, estimate).to_jsonable()
+    decomposition = expand_histogram(work, estimate)
     if work.rank in (3, 4):
         ansatz = classify(work)
         ansatz_label, ansatz_value = ansatz.label.value, float(ansatz.value)
@@ -182,20 +177,23 @@ def _cmd_eval(args) -> int:
         "window_offset": work.offset,
         "window_rank": work.rank,
         "mean_photon": mean_photon(state),
-        "n_lp": n_lp,
+        "n_lp": estimate.value,
         "simple_bound": simple_bound(state),
         "ansatz_label": ansatz_label,
         "ansatz_value": ansatz_value,
         "metrological_power": quadrature_qfi(state).power,
-        "support": support,
-        "decomposition": decomposition,
+        "support": [
+            {"x": x[1:], "weight": w}
+            for x, w in zip(estimate.amplitudes.tolist(), estimate.weights.tolist())
+        ],
+        "decomposition": decomposition.to_jsonable(),
     }
     meta = {
         "command": "eval",
         "n": state.offset,
         "populations": [float(p) for p in state.populations],
         "delta": args.delta,
-        "expansion_P": max(4, work.rank),
+        "expansion_P": decomposition.phase_order,
     }
     _emit(meta, [row], args)
     return EXIT_OK
@@ -221,7 +219,9 @@ def _cmd_sweep(args, rank: int) -> int:
     against the point budget before the lattice is built; the whole lattice
     is then checked and classified in one array pass.  With --lp-check K
     every K-th point also gets the LP estimate of its trimmed window, on
-    lattice LPs shared by the windows of one rank and offset.
+    lattice LPs shared by the windows of one rank and offset; a checked point
+    whose program is infeasible on the lattice keeps a null estimate, and one
+    warning line on stderr counts such points.
     """
     n = args.n
     check_window(n, rank)
@@ -244,9 +244,21 @@ def _cmd_sweep(args, rank: int) -> int:
     checked = range(0, len(pops), args.lp_check) if args.lp_check else ()
     lattices = LatticeLps(args.delta)
     lps = {}
+    outside = 0
     for idx in checked:
         w = FockDiagonalState(n, pops[idx]).trimmed()
-        lps[idx] = float(w.offset if w.rank == 1 else lattices.estimate(w).value)
+        try:
+            lps[idx] = float(w.offset if w.rank == 1 else lattices.estimate(w).value)
+        except SolverFailure as exc:
+            if exc.status is not LpStatus.INFEASIBLE:
+                raise
+            outside += 1  # the lattice cannot mix it: n_lp stays null
+    if outside:
+        print(
+            f"warning: {outside} of {len(checked)} checked points lie outside what "
+            f"the lattice of spacing {args.delta!r} can mix; their n_lp is null",
+            file=sys.stderr,
+        )
     # the lattice LPs are freed before the output rows are built
     del lattices
     rows = []

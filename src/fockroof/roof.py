@@ -30,7 +30,7 @@ import numpy as np
 from . import simplex
 from .grid import AmplitudeGrid, build_grid, neighborhood_grid
 from .simplex import LpStatus, StandardFormLp
-from .states import FockDiagonalState, PureFockWindowState, mean_photon
+from .states import FockDiagonalState, mean_photon
 
 SUPPORT_TOL = 1e-10
 
@@ -68,16 +68,20 @@ class Estimate:
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitDecomposition:
     """Explicit pure-state ensemble reproducing a Fock-diagonal state.
 
+    Atom i is the pure state with amplitudes ``atoms[i]`` on the window
+    [offset, offset + M - 1], taken with probability ``probabilities[i]``.
     Atoms come in groups of ``phase_order`` per histogram support point; the
     members of a group share amplitude moduli and differ by roots-of-unity
     phase patterns, which cancels the ensemble average of <a>².
     """
 
-    atoms: list[tuple[float, PureFockWindowState]]
+    offset: int
+    probabilities: np.ndarray
+    atoms: np.ndarray
     phase_order: int
 
     def to_jsonable(self) -> list[dict]:
@@ -85,11 +89,10 @@ class ExplicitDecomposition:
             {
                 "probability": q,
                 "amplitudes": [
-                    {"re": float(c.real), "im": float(c.imag)}
-                    for c in psi.amplitudes
+                    {"re": re, "im": im} for re, im in zip(row.real.tolist(), row.imag.tolist())
                 ],
             }
-            for q, psi in self.atoms
+            for q, row in zip(self.probabilities.tolist(), self.atoms)
         ]
 
 
@@ -299,18 +302,15 @@ def expand_histogram(state: FockDiagonalState, estimate: Estimate) -> ExplicitDe
     """Expand an estimate's histogram into an explicit phase-complete ensemble.
 
     Every support point of weight w becomes P = max(4, M) atoms of
-    probability w/P with amplitudes x_k * exp(2πi*j*(M-1-k)/P).  Any P of at
-    least max(3, M) makes the mixture reproduce the diagonal state and
-    cancels the ensemble average of <a>².
+    probability w/P with amplitudes x_k * exp(2πi*j*(M-1-k)/P), j < P, in
+    support order.  Any P of at least max(3, M) makes the mixture reproduce
+    the diagonal state and cancels the ensemble average of <a>².  A
+    one-level window has <a> = 0 already and expands with P = 1.
     """
     m = state.rank
-    phase_order = max(4, m)
+    phase_order = max(4, m) if m > 1 else 1
     ks = np.arange(m)
-    atoms: list[tuple[float, PureFockWindowState]] = []
-    for row, w in zip(estimate.amplitudes, estimate.weights):
-        for j in range(phase_order):
-            phases = np.exp(2j * np.pi * j * (m - 1 - ks) / phase_order)
-            psi = PureFockWindowState(state.offset, row * phases)
-            atoms.append((float(w) / phase_order, psi))
-    return ExplicitDecomposition(atoms=atoms, phase_order=phase_order)
-
+    table = np.exp(2j * np.pi * np.arange(phase_order)[:, None] * (m - 1 - ks) / phase_order)
+    atoms = (estimate.amplitudes[:, None, :] * table).reshape(-1, m)
+    probabilities = np.repeat(estimate.weights / phase_order, phase_order)
+    return ExplicitDecomposition(state.offset, probabilities, atoms, phase_order)

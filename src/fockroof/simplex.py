@@ -17,7 +17,7 @@ is nonnegative within the feasibility tolerance, phase 1 is skipped;
 otherwise the solve runs phase 1 exactly as without a start.  The lattice
 programs start from the Kuhn simplex around sqrt(p) (``roof._kuhn_start``):
 the seven programs that ``eval_rank4`` and ``sweep4_lpcheck`` solve at
-delta = 0.00999 take 1,395 pivots from phase 1 and 423 from that start.
+delta = 0.00999 take 1,501 pivots from phase 1 and 423 from that start.
 A refined level of ``roof.refine`` starts from the previous level's optimal
 basis, whose columns are on the refined grid bit for bit, and from the Kuhn
 simplex only when one of them is not: the fifteen ``thermal_refine``

@@ -2,11 +2,10 @@
 
 A single bosonic mode whose density matrix is diagonal in the Fock basis is
 fully described by the populations of a contiguous photon-number window
-[n, n + M - 1].  This module holds the two state types used everywhere else
-(diagonal mixed states, and pure states on the same window, which are the
-atoms of an explicit decomposition), the mean photon number, and the
-quantities that have closed forms: the two-level mixed-state result, the
-simple-decomposition upper bound, and truncated thermal states.
+[n, n + M - 1].  This module holds that state type, the checks on a window
+and its populations, the mean photon number, and the quantities that have
+closed forms: the two-level mixed-state result, the simple-decomposition
+upper bound, and truncated thermal states.
 """
 
 from __future__ import annotations
@@ -100,25 +99,6 @@ class FockDiagonalState:
         if lo == 0 and hi == pops.size:
             return self
         return FockDiagonalState(self.offset + lo, pops[lo:hi])
-
-
-@dataclass(frozen=True, eq=False)
-class PureFockWindowState:
-    """Pure state supported on the window [offset, offset + M - 1]."""
-
-    offset: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("amplitudes must be a nonempty 1-d vector")
-        check_window(self.offset, amps.size)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > CONSTRUCTION_TOL:
-            raise ValueError(f"state must be normalized (|c|^2 sums to {norm_sq!r})")
-        object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "amplitudes", _readonly(amps))
 
 
 def rank2_nonclassicality(offset: int, p_upper: float) -> float:

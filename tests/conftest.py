@@ -37,11 +37,12 @@ def real_alpha(amplitudes, offset):
     return float(np.sum(x[1:] * x[:-1] * np.sqrt(offset + k + 1.0)))
 
 
-def window_alpha(psi):
-    """<a> of a pure window state: the sum of conj(c_k) c_{k+1} sqrt(n+k+1)."""
-    c = psi.amplitudes
-    k = np.arange(c.size - 1)
-    return complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(psi.offset + k + 1.0)))
+def window_alpha(amplitudes, offset):
+    """<a> of pure window states: the sum of conj(c_k) c_{k+1} sqrt(n+k+1)
+    over the last axis of their amplitudes."""
+    c = np.asarray(amplitudes, dtype=complex)
+    k = np.arange(c.shape[-1] - 1)
+    return np.sum(np.conj(c[..., :-1]) * c[..., 1:] * np.sqrt(offset + k + 1.0), axis=-1)
 
 
 def kernel_ansatz(state, label):
@@ -81,24 +82,17 @@ def parse_dump(path):
     return np.array([float(t) for t in objective.split()]), table[:, :-1], table[:, -1]
 
 
-def reconstruct_density(decomposition, rank):
+def reconstruct_density(decomposition):
     """Dense window-basis density matrix of an explicit ensemble."""
-    rho = np.zeros((rank, rank), dtype=complex)
-    for q, psi in decomposition.atoms:
-        c = psi.amplitudes
-        rho += q * np.outer(c, np.conj(c))
-    return rho
+    c, q = decomposition.atoms, decomposition.probabilities
+    return (q[:, None] * c).T @ np.conj(c)
 
 
 def ensemble_alpha_stats(decomposition):
     """(sum q <a>^2, sum q |<a>|^2) over the ensemble."""
-    sq = 0.0 + 0.0j
-    mag = 0.0
-    for q, psi in decomposition.atoms:
-        alpha = window_alpha(psi)
-        sq += q * alpha**2
-        mag += q * abs(alpha) ** 2
-    return sq, mag
+    alpha = window_alpha(decomposition.atoms, decomposition.offset)
+    q = decomposition.probabilities
+    return complex(np.sum(q * alpha**2)), float(np.sum(q * np.abs(alpha) ** 2))
 
 
 @pytest.fixture

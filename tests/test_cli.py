@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,14 @@ import numpy as np
 import pytest
 
 from fockroof.cli import main
-from fockroof import FockDiagonalState, assemble_lp, build_grid, classify, simplex
+from fockroof import (
+    FockDiagonalState,
+    GridResolutionWarning,
+    assemble_lp,
+    build_grid,
+    classify,
+    simplex,
+)
 
 from conftest import parse_dump, singular_on_second_refactor
 
@@ -49,16 +57,11 @@ class TestEval:
         assert payload["meta"]["command"] == "eval"
 
     def test_rank4_exception_state(self, capsys):
-        payload = run_json(
-            capsys,
-            "eval",
-            "--p",
-            "0.92,0.06,0.01,0.01",
-            "--delta",
-            "0.05",
-            "--format",
-            "json",
-        )
+        # p_2 = p_3 = 0.01 is below 4*delta^2, which rounds to 0.010000000000000002
+        with pytest.warns(GridResolutionWarning):
+            payload = run_json(
+                capsys, "eval", "--p", "0.92,0.06,0.01,0.01", "--delta", "0.05", "--format", "json"
+            )
         row = payload["rows"][0]
         assert row["ansatz_label"] == "Triplet0"
         assert row["ansatz_value"] == pytest.approx(0.01625, abs=1e-9)
@@ -71,6 +74,35 @@ class TestEval:
         assert row["n_lp"] == 0.0
         assert row["simple_bound"] == 0.0
         assert row["metrological_power"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                "eval --p 0,1,0",
+                '{"meta":{"command":"eval","n":0,"populations":[0.0,1.0,0.0],"delta":0.01,'
+                '"expansion_P":1},"rows":[{"offset":0,"rank":3,"populations":[0.0,1.0,0.0],'
+                '"window_offset":1,"window_rank":1,"mean_photon":1.0,"n_lp":1.0,'
+                '"simple_bound":1.0,"ansatz_label":null,"ansatz_value":null,'
+                '"metrological_power":1.0,"support":[{"x":[],"weight":1.0}],'
+                '"decomposition":[{"probability":1.0,"amplitudes":[{"re":1.0,"im":0.0}]}]}]}',
+            ),
+            (
+                "eval --n 5 --p 0,0,1",
+                '{"meta":{"command":"eval","n":5,"populations":[0.0,0.0,1.0],"delta":0.01,'
+                '"expansion_P":1},"rows":[{"offset":5,"rank":3,"populations":[0.0,0.0,1.0],'
+                '"window_offset":7,"window_rank":1,"mean_photon":7.0,"n_lp":7.0,'
+                '"simple_bound":7.0,"ansatz_label":null,"ansatz_value":null,'
+                '"metrological_power":7.0,"support":[{"x":[],"weight":1.0}],'
+                '"decomposition":[{"probability":1.0,"amplitudes":[{"re":1.0,"im":0.0}]}]}]}',
+            ),
+        ],
+    )
+    def test_one_level_window(self, capsys, argv, expected):
+        # no LP: the Fock state is the one support point and the one atom
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out == expected + "\n"
 
     def test_untrimmed_input_reports_window(self, capsys):
         payload = run_json(capsys, "eval", "--p", "0,0.84,0.16", "--delta", "0.01")
@@ -184,6 +216,47 @@ class TestExitCodes:
             "every population\n"
         )
         assert main(["eval", "--p", "0.001,0.999", "--delta", "0.01"]) == 0
+
+    @pytest.mark.parametrize("command,outside", [("sweep3", [3, 9]), ("sweep4", [3, 9, 19])])
+    def test_infeasible_checked_points_keep_null_rows(self, capsys, command, outside):
+        # no x_k^2 on the lattice of spacing 0.3 passes 0.81, so the points
+        # with 0.9 on a level above the ground one lie outside it
+        with pytest.warns(GridResolutionWarning):
+            code = main([command, "--step", "0.3", "--lp-check", "1", "--delta", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = json.loads(captured.out)["rows"]
+        assert [i for i, r in enumerate(rows) if r["n_lp"] is None] == outside
+        assert captured.err == (
+            f"warning: {len(outside)} of {len(rows)} checked points lie outside what "
+            "the lattice of spacing 0.3 can mix; their n_lp is null\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command,digest",
+        [
+            ("sweep3", "06d942bcfd62b4ba4b56accb55439e72a27f8c830810d17603528affb69b2e32"),
+            ("sweep4", "e91f803a79cc4d4f0aae2220f439c3b5a15f5f3e2846b619d6bca9b262a67c35"),
+        ],
+    )
+    def test_checked_points_on_a_reaching_lattice(self, capsys, command, digest):
+        # 1/0.25 is an integer, so every checked point gets an estimate, with
+        # the bytes the sweep printed before infeasible points kept their rows
+        code = main([command, "--step", "0.3", "--lp-check", "1", "--delta", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert all(r["n_lp"] is not None for r in json.loads(captured.out)["rows"])
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    def test_sweep_solver_failure(self, capsys, monkeypatch):
+        # only an infeasible checked point keeps its row; any other failure
+        # ends the sweep
+        monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)
+        assert main(["sweep3", "--step", "0.25", "--lp-check", "1", "--delta", "0.05"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: linear program ended with status IterationLimit\n"
 
     def test_solver_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(simplex, "DEFAULT_MAX_ITER", 1)

@@ -26,6 +26,7 @@ from fockroof import (
 from fockroof import roof, simplex
 from fockroof.grid import AmplitudeGrid, neighborhood_grid
 from fockroof.roof import LatticeLps
+from fockroof.states import CONSTRUCTION_TOL
 
 from conftest import ensemble_alpha_stats, random_trimmed_state, reconstruct_density
 
@@ -493,10 +494,9 @@ class TestExpansion:
         s = state(0, [0.84, 0.16])
         est = estimate_nonclassicality(s, 0.01)
         dec = expand_histogram(s, est)
-        assert len(dec.atoms) == 4
-        for q, psi in dec.atoms:
-            assert q == pytest.approx(0.25, abs=1e-9)
-            assert abs(psi.amplitudes[1]) == pytest.approx(0.4, abs=1e-12)
+        assert dec.atoms.shape == (4, 2)
+        np.testing.assert_allclose(dec.probabilities, 0.25, atol=1e-9)
+        np.testing.assert_allclose(np.abs(dec.atoms[:, 1]), 0.4, atol=1e-12)
 
     def test_rank3_cube_roots(self):
         s = state(0, [0.5, 0.25, 0.25])
@@ -512,7 +512,7 @@ class TestExpansion:
         est = estimate_nonclassicality(s, 0.05)
         dec = expand_histogram(s, est)
         assert len(dec.atoms) == 4 * est.weights.size
-        rho = reconstruct_density(dec, s.rank)
+        rho = reconstruct_density(dec)
         np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
         off = rho - np.diag(np.diag(rho))
         assert np.abs(off).max() <= 1e-10
@@ -523,12 +523,15 @@ class TestExpansion:
         from fockroof import truncated_thermal
 
         s = truncated_thermal(0.5, 5)
-        steps = refine(s, 0.05, 2)
+        # p_4 = 0.0083 is below 4*delta^2 = 0.01
+        with pytest.warns(GridResolutionWarning):
+            steps = refine(s, 0.05, 2)
         assert steps[-1].value <= steps[0].value + 1e-12
-        est = estimate_nonclassicality(s, 0.05)
+        with pytest.warns(GridResolutionWarning):
+            est = estimate_nonclassicality(s, 0.05)
         dec = expand_histogram(s, est)
         assert dec.phase_order == 5
-        rho = reconstruct_density(dec, s.rank)
+        rho = reconstruct_density(dec)
         np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
         assert np.abs(rho - np.diag(np.diag(rho))).max() <= 1e-10
 
@@ -537,16 +540,38 @@ class TestExpansion:
             s = random_trimmed_state(rng, max_rank=4)
             est = estimate_nonclassicality(s, 0.05)
             dec = expand_histogram(s, est)
-            rho = reconstruct_density(dec, s.rank)
+            rho = reconstruct_density(dec)
             np.testing.assert_allclose(np.diag(rho).real, s.populations, atol=1e-9)
             assert np.abs(rho - np.diag(np.diag(rho))).max() <= 1e-10
             sq, mag = ensemble_alpha_stats(dec)
             assert abs(sq) <= 1e-10
             # the ensemble coherence reproduces the LP objective
             assert mag == pytest.approx(mean_photon(s) - est.value, abs=1e-9)
-            probs = [q for q, _ in dec.atoms]
-            assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-            assert all(q > 0 for q in probs)
+            assert dec.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(dec.probabilities > 0)
+
+    def test_atoms_are_normalized_phase_groups(self, rng):
+        lattices = LatticeLps(0.05)
+        for _ in range(20):
+            s = random_trimmed_state(rng, max_rank=6, max_offset=10**6)
+            est = lattices.estimate(s)
+            dec = expand_histogram(s, est)
+            assert dec.offset == s.offset
+            assert dec.phase_order == max(4, s.rank)
+            assert dec.atoms.shape == (dec.phase_order * est.weights.size, s.rank)
+            norms = np.sum(np.abs(dec.atoms) ** 2, axis=1)
+            assert np.abs(norms - 1.0).max() <= CONSTRUCTION_TOL
+            assert dec.probabilities.sum() == pytest.approx(1.0, abs=CONSTRUCTION_TOL)
+            # the broadcast repeats the arithmetic of one atom at a time
+            p, m, ks = dec.phase_order, s.rank, np.arange(s.rank)
+            looped = [
+                row * np.exp(2j * np.pi * j * (m - 1 - ks) / p)
+                for row in est.amplitudes
+                for j in range(p)
+            ]
+            assert np.array_equal(dec.atoms, looped)
+            repeated = [w / p for w in est.weights.tolist() for _ in range(p)]
+            assert dec.probabilities.tolist() == repeated
 
 
 def simply_decomposed(s, delta):

@@ -5,7 +5,6 @@ import pytest
 
 from fockroof import (
     FockDiagonalState,
-    PureFockWindowState,
     mean_photon,
     rank2_nonclassicality,
     simple_bound,
@@ -30,9 +29,7 @@ class TestFockDiagonalState:
         with pytest.raises(ValueError, match="offset"):
             FockDiagonalState(-1, [1.0])
 
-    @pytest.mark.parametrize(
-        "cls,values", [(FockDiagonalState, [0.5, 0.5]), (PureFockWindowState, [0.6, 0.8])]
-    )
+    @pytest.mark.parametrize("cls,values", [(FockDiagonalState, [0.5, 0.5])])
     def test_top_photon_number_is_an_exact_double(self, cls, values):
         # the top photon number offset + M - 1 may reach 2**53, not pass it
         assert MAX_PHOTON_NUMBER == 2**53
@@ -115,14 +112,6 @@ class TestMeanPhoton:
             assert mean_photon(state) == expected
 
 
-class TestMoments:
-    """The pure window state, the atom of an explicit decomposition."""
-
-    def test_requires_normalization(self):
-        with pytest.raises(ValueError, match="normalized"):
-            PureFockWindowState(0, [0.5, 0.5])
-
-
 class TestRealAlpha:
     def test_single_component(self):
         assert real_alpha([1.0], 5) == 0.0
@@ -142,10 +131,7 @@ class TestRealAlpha:
             offset = int(rng.integers(0, 4))
             x = np.abs(rng.normal(size=rank))
             x /= np.linalg.norm(x)
-            psi = PureFockWindowState(offset, x.astype(complex))
-            assert real_alpha(x, offset) == pytest.approx(
-                window_alpha(psi).real, abs=1e-12
-            )
+            assert real_alpha(x, offset) == pytest.approx(window_alpha(x, offset).real, abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="unit norm"):
