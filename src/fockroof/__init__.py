@@ -9,7 +9,7 @@ bound cross-check the LP from above and below.
 
 from .grid import AmplitudeGrid, GridCapacityError, build_grid, count_grid_points
 from .metrology import QfiReport, quadrature_qfi
-from .phases import AnsatzResult, PhaseLabel, classify, classify_many
+from .phases import PhaseLabel, classify, classify_many
 from .roof import (
     Estimate,
     ExplicitDecomposition,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeGrid",
-    "AnsatzResult",
     "Estimate",
     "ExplicitDecomposition",
     "FockDiagonalState",

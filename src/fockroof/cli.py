@@ -166,8 +166,8 @@ def _cmd_eval(args) -> int:
         estimate = estimate_nonclassicality(work, args.delta)
     decomposition = expand_histogram(work, estimate)
     if work.rank in (3, 4):
-        ansatz = classify(work)
-        ansatz_label, ansatz_value = ansatz.label.value, float(ansatz.value)
+        label, ansatz_value, _, _ = classify(work)
+        ansatz_label = label.value
     else:
         ansatz_label, ansatz_value = None, None
     row = {
@@ -240,7 +240,6 @@ def _cmd_sweep(args, rank: int) -> int:
         rest -= column
     pops = np.column_stack([np.maximum(rest, 0.0), tops[:, ::-1]])
     check_populations(pops)
-    labels, values = classify_many(n, pops)
     checked = range(0, len(pops), args.lp_check) if args.lp_check else ()
     lattices = LatticeLps(args.delta)
     lps = {}
@@ -259,8 +258,10 @@ def _cmd_sweep(args, rank: int) -> int:
             f"the lattice of spacing {args.delta!r} can mix; their n_lp is null",
             file=sys.stderr,
         )
-    # the lattice LPs are freed before the output rows are built
+    # the lattice LPs are freed before the phases are scored and the output
+    # rows built, so neither adds to the solves' peak memory
     del lattices
+    labels, values, _, _ = classify_many(n, pops)
     rows = []
     for idx, (top, label, value) in enumerate(zip(tops.tolist(), labels, values.tolist())):
         row = {f"p{rank - 1 - d}": p for d, p in enumerate(top)}

@@ -9,23 +9,23 @@ add the four analogous single-Fock-state triplet phases and a pair phase
 splitting the state into an inner (n+2, n+1) pair and an outer part.
 
 Three-level values are believed exact; the four-level ones are close upper
-bounds, and every four-level result is flagged accordingly: states slightly
-beating the bounds are known to exist near the quartet/triplet-0 border.
+bounds: states slightly beating them are known to exist near the
+quartet/triplet-0 border.
 
 Every invested fraction f maximizes a probability-weighted coherence of the
 form s*(A*sqrt(f) + B*sqrt(1-f))² with A, B >= 0 read off the populations, so
 the maximizer A²/(A²+B²) and the maximum s*(A²+B²) are closed forms.
 
 Each window rank has one array kernel that scores every ansatz on an (N, M)
-population array in one pass (:func:`classify_many`); :func:`classify` is a
-one-row call of the same kernel.
+population array in one pass, and returns each winner's decomposition: one
+coherent atom plus single Fock states (:func:`classify_many`);
+:func:`classify` is its one-row call.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,32 +48,22 @@ class PhaseLabel(enum.Enum):
     PAIR21 = "Pair21"
 
 
-@dataclass(frozen=True)
-class AnsatzResult:
-    """Winning phase for a state: label, value and decomposition parameters.
-
-    ``upper_bound_only`` is set for every four-level result; those values are
-    close upper bounds rather than certified optima.
-    """
-
-    label: PhaseLabel
-    value: float
-    params: dict = field(default_factory=dict)
-    upper_bound_only: bool = False
-
-
 class _Ansatz(NamedTuple):
     """One ansatz on every row of an (N, M) population array.
 
-    ``value`` is inf where the ansatz puts no weight in its atoms.  Where the
-    ansatz is undefined (its fraction is NaN, or the level it singles out
-    holds the whole population) it is infeasible, so it never wins.
+    Its coherent atom is the amplitude row ``atom`` (N, M) taken with
+    probability ``weight``; the rest of each population is a Fock state of
+    its own.  ``value`` is inf where the ansatz puts no weight in its atoms.
+    Where the ansatz is undefined (its fraction is NaN, or the level it
+    singles out holds the whole population) it is infeasible, so it never
+    wins.
     """
 
     label: PhaseLabel
     value: np.ndarray
+    weight: np.ndarray
+    atom: np.ndarray
     feasible: np.ndarray | bool = True
-    params: dict[str, np.ndarray] = {}
 
 
 def _best_fraction(s, a, b):
@@ -112,22 +102,21 @@ def _rank3(n: int, pops: np.ndarray) -> list[_Ansatz]:
         g = ((1.0 + n) * (-1.0 + p1 + p2)) / (
             -3.0 - 2.0 * n + (1.0 + n) * p1 + (3.0 + 2.0 * n) * p2
         )
-        x = np.stack([np.sqrt(1.0 - f), np.sqrt(f * p1 / s), np.sqrt(f * p2 / s)], axis=1)
-        up = np.where(f > 0.0, mean - s / f * _coherence(n, x), np.inf)
-        x = np.stack([np.sqrt(g * p0 / r), np.sqrt(g * p1 / r), np.sqrt(1.0 - g)], axis=1)
-        low = np.where(g > 0.0, mean - r / g * _coherence(n, x), np.inf)
-    return [
-        # the simple bound in this order; simple_bounds differs in the last bit
-        _Ansatz(PhaseLabel.TRIPLET, 2.0 * p2 + p1 + n - pow_square(cross) * p1),
-        _Ansatz(
-            PhaseLabel.UPPER_PAIR, up, (f > 0.0) & (s <= f + _FEAS_TOL),
-            {"f": np.where(f > 0.0, f, 0.0)},
-        ),
-        _Ansatz(
-            PhaseLabel.LOWER_PAIR, low, (g > 0.0) & (r <= g + _FEAS_TOL),
-            {"g": np.where(g > 0.0, g, 0.0)},
-        ),
-    ]
+        x_up = np.stack([np.sqrt(1.0 - f), np.sqrt(f * p1 / s), np.sqrt(f * p2 / s)], axis=1)
+        up = np.where(f > 0.0, mean - s / f * _coherence(n, x_up), np.inf)
+        x_low = np.stack([np.sqrt(g * p0 / r), np.sqrt(g * p1 / r), np.sqrt(1.0 - g)], axis=1)
+        low = np.where(g > 0.0, mean - r / g * _coherence(n, x_low), np.inf)
+        return [
+            # the simple bound in this order; simple_bounds differs in the last bit
+            _Ansatz(
+                PhaseLabel.TRIPLET,
+                2.0 * p2 + p1 + n - pow_square(cross) * p1,
+                np.ones_like(s),
+                np.sqrt(pops),
+            ),
+            _Ansatz(PhaseLabel.UPPER_PAIR, up, s / f, x_up, (f > 0.0) & (s <= f + _FEAS_TOL)),
+            _Ansatz(PhaseLabel.LOWER_PAIR, low, r / g, x_low, (g > 0.0) & (r <= g + _FEAS_TOL)),
+        ]
 
 
 def _rank4(n: int, pops: np.ndarray) -> list[_Ansatz]:
@@ -144,7 +133,7 @@ def _rank4(n: int, pops: np.ndarray) -> list[_Ansatz]:
     """
     p = list(pops.T)
     mean = mean_photons(n, pops)
-    out = [_Ansatz(PhaseLabel.QUARTET, simple_bounds(n, pops))]
+    out = [_Ansatz(PhaseLabel.QUARTET, simple_bounds(n, pops), np.ones_like(mean), np.sqrt(pops))]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, label in enumerate(_TRIPLETS):
             rest, a, b = 1.0 - p[k], 0.0, 0.0
@@ -157,8 +146,10 @@ def _rank4(n: int, pops: np.ndarray) -> list[_Ansatz]:
                 else:
                     a = a + weight * np.sqrt(p[j] * p[j + 1]) / rest
             f, gain = _best_fraction(rest, a, b)
+            x = np.sqrt((f / rest)[:, None] * pops)
+            x[:, k] = np.sqrt(1.0 - f)
             feasible = (f >= rest - _FEAS_TOL) & (p[k] < 1.0)
-            out.append(_Ansatz(label, mean - gain, feasible, {f"f{k}": f}))
+            out.append(_Ansatz(label, mean - gain, rest / f, x, feasible))
         s = p[1] + p[2]
         g = (3.0 + n) * p[2] / ((1.0 + n) * p[1] + (3.0 + n) * p[2])
         a = math.sqrt(n + 2.0) * np.sqrt(p[1] * p[2]) / s
@@ -170,46 +161,48 @@ def _rank4(n: int, pops: np.ndarray) -> list[_Ansatz]:
         leftover = (1.0 - f) / f * s
         feasible = (f > 0.0) & (s <= f + _FEAS_TOL) & (leftover * g <= p[3] + _FEAS_TOL)
         feasible &= leftover * (1.0 - g) <= p[0] + _FEAS_TOL
-    return out + [_Ansatz(PhaseLabel.PAIR21, mean - gain, feasible, {"f": f, "g": g})]
+        squares = [(1.0 - f) * (1.0 - g), f * p[1] / s, f * p[2] / s, (1.0 - f) * g]
+        x = np.sqrt(np.stack(squares, axis=1))
+        return out + [_Ansatz(PhaseLabel.PAIR21, mean - gain, s / f, x, feasible)]
 
 
 _TRIPLETS = (PhaseLabel.TRIPLET0, PhaseLabel.TRIPLET1, PhaseLabel.TRIPLET2, PhaseLabel.TRIPLET3)
 _KERNELS = {3: _rank3, 4: _rank4}
 
 
-def _winners(ansatzes: list[_Ansatz]) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the first feasible ansatz within _TIE_TOL of the best, and its value."""
+def classify_many(
+    offset: int, populations: np.ndarray
+) -> tuple[list[PhaseLabel], np.ndarray, np.ndarray, np.ndarray]:
+    """Winning phase of every row of an (N, 3) or (N, 4) array of valid
+    populations (see ``states.check_populations``) on the window starting at
+    photon number ``offset``: its labels, values, weights and amplitudes.
+
+    A row's winner is its first feasible ansatz within _TIE_TOL of the best,
+    so ties prefer the triplet at rank 3, and the quartet, then the triplets,
+    at rank 4.  Its decomposition is in :class:`~fockroof.roof.Estimate`'s
+    row layout, weights (N, M+1) on amplitudes (N, M+1, M): row 0 is the
+    winner's coherent atom x with weight w, and row 1+k the Fock state
+    |offset+k> with weight p_k - w x_k², never clamped.  The value is the
+    mean photon number minus w <a>(x)².
+    """
+    if populations.shape[1] not in _KERNELS:
+        raise ValueError(f"no ansatz catalogue for rank {populations.shape[1]}")
+    m, rows = populations.shape[1], np.arange(len(populations))
+    ansatzes = _KERNELS[m](offset, populations)
     scores = np.stack([np.where(a.feasible, a.value, np.inf) for a in ansatzes], axis=1)
     best = scores.min(axis=1)
     pick = np.argmax(scores <= (best + _TIE_TOL)[:, None], axis=1)
-    return pick, scores[np.arange(pick.size), pick]
+    weight = np.stack([a.weight for a in ansatzes])[pick, rows]
+    atom = np.stack([a.atom for a in ansatzes])[pick, rows]
+    weights = np.column_stack([weight, populations - weight[:, None] * atom**2])
+    amplitudes = np.zeros((len(rows), m + 1, m))
+    amplitudes[:, 0], amplitudes[:, 1:] = atom, np.eye(m)
+    labels = [ansatzes[i].label for i in pick.tolist()]
+    return labels, scores[rows, pick], weights, amplitudes
 
 
-def classify_many(offset: int, populations: np.ndarray) -> tuple[list[PhaseLabel], np.ndarray]:
-    """Winning phase label and value of every row of an (N, 3) or (N, 4) array
-    of valid populations (see ``states.check_populations``) on the window
-    starting at photon number ``offset``."""
-    if populations.shape[1] not in _KERNELS:
-        raise ValueError(f"no ansatz catalogue for rank {populations.shape[1]}")
-    ansatzes = _KERNELS[populations.shape[1]](offset, populations)
-    pick, values = _winners(ansatzes)
-    return [ansatzes[i].label for i in pick.tolist()], values
-
-
-def classify(state: FockDiagonalState) -> AnsatzResult:
-    """Best feasible ansatz of a three- or four-level window, with its
-    decomposition parameters: one row of :func:`classify_many`'s kernel.
-
-    Ties prefer the triplet at rank 3, and the quartet, then the triplets,
-    at rank 4.  Every four-level result carries the upper-bound-only flag:
-    the four-level phase map is approximate and slightly better
-    decompositions exist for some states.
-    """
-    if state.rank not in _KERNELS:
-        raise ValueError(f"no ansatz catalogue for rank {state.rank}")
-    ansatzes = _KERNELS[state.rank](state.offset, state.populations[None, :])
-    best = ansatzes[int(_winners(ansatzes)[0][0])]
-    params = {name: float(v[0]) for name, v in best.params.items()}
-    return AnsatzResult(
-        best.label, float(best.value[0]), params, upper_bound_only=state.rank == 4
-    )
+def classify(state: FockDiagonalState) -> tuple[PhaseLabel, float, np.ndarray, np.ndarray]:
+    """Label, value, weights and amplitudes of a three- or four-level
+    window's winning ansatz: :func:`classify_many` on one row."""
+    labels, values, weights, amplitudes = classify_many(state.offset, state.populations[None, :])
+    return labels[0], float(values[0]), weights[0], amplitudes[0]

@@ -47,14 +47,31 @@ def window_alpha(amplitudes, offset):
 
 def kernel_ansatz(state, label):
     """The ``label`` ansatz of the phase kernel of ``state``'s rank, scored
-    on ``state`` alone: scalar ``value``, ``feasible`` and ``params``."""
+    on ``state`` alone: scalar ``value``, ``feasible`` and ``weight``, and
+    the (M,) amplitude row ``atom``."""
     rows = phases._KERNELS[state.rank](state.offset, state.populations[None, :])
     (ansatz,) = [a for a in rows if a.label is label]
     return SimpleNamespace(
         value=float(ansatz.value[0]),
         feasible=bool(np.all(ansatz.feasible)),
-        params={name: float(v[0]) for name, v in ansatz.params.items()},
+        weight=float(ansatz.weight[0]),
+        atom=ansatz.atom[0],
     )
+
+
+def assert_catalogue_supports(offset, populations, values, weights, amplitudes, value_tol=1e-12):
+    """Assert that every row's catalogue decomposition, ``weights`` (N, K) on
+    ``amplitudes`` (N, K, M), reproduces its populations to 1e-12: unit-norm
+    rows, weights of at least -1e-12 summing to one, sum w x_k² = p_k, and a
+    value within ``value_tol`` of the mean photon number minus sum w <a>(x)²."""
+    np.testing.assert_allclose(np.sum(amplitudes**2, axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert weights.min() >= -1e-12
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    mixed = np.einsum("nk,nkm->nm", weights, amplitudes**2)
+    np.testing.assert_allclose(mixed, populations, rtol=0, atol=1e-12)
+    mean = populations @ (offset + np.arange(populations.shape[1], dtype=float))
+    coherence = np.sum(weights * window_alpha(amplitudes, offset).real ** 2, axis=1)
+    assert np.all(np.abs(mean - coherence - values) <= value_tol)
 
 
 def singular_on_second_refactor(monkeypatch):

@@ -120,23 +120,23 @@ def test_criterion_3_grid_count_pin():
 
 @pytest.mark.slow
 def test_criterion_4_exception_state_pins():
-    res_a = classify(state(0, EXCEPTION_STATE_A))
-    res_b = classify(state(0, EXCEPTION_STATE_B))
+    label_a, value_a, *_ = classify(state(0, EXCEPTION_STATE_A))
+    label_b, value_b, *_ = classify(state(0, EXCEPTION_STATE_B))
     lp_a = estimate_nonclassicality(state(0, EXCEPTION_STATE_A), REFERENCE_DELTA).value
     lp_b = estimate_nonclassicality(state(0, EXCEPTION_STATE_B), REFERENCE_DELTA).value
     ok = (
-        res_a.label is PhaseLabel.TRIPLET0
-        and abs(res_a.value - 0.01625) <= 1e-6
+        label_a is PhaseLabel.TRIPLET0
+        and abs(value_a - 0.01625) <= 1e-6
         and abs(lp_a - 0.0153096) <= 5e-6
-        and res_b.label is PhaseLabel.QUARTET
-        and abs(res_b.value - 0.0194274) <= 1e-6
+        and label_b is PhaseLabel.QUARTET
+        and abs(value_b - 0.0194274) <= 1e-6
         and abs(lp_b - 0.0190649) <= 5e-6
     )
     report(
         4,
         "exception states: ansatz and 537k-column LP pins",
         ok,
-        f" (ansatz {res_a.value:.7f}/{res_b.value:.7f}, lp {lp_a:.7f}/{lp_b:.7f})",
+        f" (ansatz {value_a:.7f}/{value_b:.7f}, lp {lp_a:.7f}/{lp_b:.7f})",
     )
 
 
@@ -160,13 +160,14 @@ def test_criterion_6_rank3_phase_geometry():
     for n in (0, 1, 2, 3):
         expected = (2.0 + n) / (3.0 + 2.0 * n)
 
+        # each pair's invested fraction is 1 - x_k² of the level it leaves out
         def upper_margin(p2):
             s = state(n, [1.0 - p2, 0.0, p2])
-            return p2 - kernel_ansatz(s, PhaseLabel.UPPER_PAIR).params["f"]
+            return p2 - (1.0 - kernel_ansatz(s, PhaseLabel.UPPER_PAIR).atom[0] ** 2)
 
         def lower_margin(p2):
             s = state(n, [1.0 - p2, 0.0, p2])
-            return (1.0 - p2) - kernel_ansatz(s, PhaseLabel.LOWER_PAIR).params["g"]
+            return (1.0 - p2) - (1.0 - kernel_ansatz(s, PhaseLabel.LOWER_PAIR).atom[2] ** 2)
 
         up_root = bisect_root(upper_margin, 1e-6, 1.0 - 1e-6)
         low_root = bisect_root(lower_margin, 1e-6, 1.0 - 1e-6)
@@ -204,7 +205,7 @@ def test_criterion_7_rank3_lattice_agreement():
             p2, p1 = 0.05 * i, 0.05 * j
             p0 = max(1.0 - p2 - p1, 0.0)
             full = state(0, [p0, p1, p2])
-            ansatz = classify(full).value
+            ansatz = classify(full)[1]
             work = full.trimmed()
             if work.rank == 1:
                 lp = float(work.offset)
@@ -222,8 +223,8 @@ def test_criterion_7_rank3_lattice_agreement():
 def test_criterion_8_composite_identity():
     whole = estimate_nonclassicality(state(0, [0.6, 0.2, 0.2]), 0.01).value
     part = estimate_nonclassicality(state(0, [0.5, 0.25, 0.25]), 0.01).value
-    label_whole = classify(state(0, [0.6, 0.2, 0.2])).label
-    label_part = classify(state(0, [0.5, 0.25, 0.25])).label
+    label_whole = classify(state(0, [0.6, 0.2, 0.2]))[0]
+    label_part = classify(state(0, [0.5, 0.25, 0.25]))[0]
     ok = (
         abs(whole - 0.2) <= 1e-3
         and abs(whole - 0.8 * part) <= 2e-3

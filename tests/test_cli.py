@@ -17,10 +17,11 @@ from fockroof import (
     assemble_lp,
     build_grid,
     classify,
+    classify_many,
     simplex,
 )
 
-from conftest import parse_dump, singular_on_second_refactor
+from conftest import assert_catalogue_supports, parse_dump, singular_on_second_refactor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -249,6 +250,24 @@ class TestExitCodes:
         assert all(r["n_lp"] is not None for r in json.loads(captured.out)["rows"])
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "command,n,digest",
+        [
+            ("sweep3", 0, "a90ca8412bd5e8006b11393b41215aed21bdd2b8c49614c535be9c04348294af"),
+            ("sweep3", 3, "07b10a1d5d3b1f1ab8f5670af333a3df9534dffd78354947ab9e041eb3ef482c"),
+            ("sweep4", 0, "9279e7e694e8d6f7ffca6e8d632770133510b1f69ebd344d9a47d53a98bcbe88"),
+            ("sweep4", 3, "60f69b20105c5b0614e0ec54a460beb960fd5bb21319eaa17db0e817dd0e48e0"),
+        ],
+    )
+    def test_fine_sweep_bytes(self, capsys, command, n, digest):
+        # step 0.05 (231 and 1,771 rows) crosses most phase borders, which
+        # the step-0.1 golden sweeps miss
+        code = main([command, "--step", "0.05", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
     def test_sweep_solver_failure(self, capsys, monkeypatch):
         # only an infeasible checked point keeps its row; any other failure
         # ends the sweep
@@ -457,9 +476,19 @@ class TestSweepArrayPass:
     def test_rows_equal_one_state_classify(self, capsys, rank, step, n):
         payload = run_json(capsys, f"sweep{rank}", "--n", str(n), "--step", step)
         for row in payload["rows"]:
-            result = classify(FockDiagonalState(n, sweep_populations(row, rank)))
-            assert row["label"] == result.label.value
-            assert row["value"] == result.value
+            label, value, _, _ = classify(FockDiagonalState(n, sweep_populations(row, rank)))
+            assert row["label"] == label.value
+            assert row["value"] == value
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_winner_supports_reproduce_every_row(self, capsys, rank, n):
+        rows = run_json(capsys, f"sweep{rank}", "--n", str(n), "--step", "0.05")["rows"]
+        pops = np.array([sweep_populations(row, rank) for row in rows])
+        labels, values, weights, amplitudes = classify_many(n, pops)
+        assert [label.value for label in labels] == [row["label"] for row in rows]
+        assert values.tolist() == [row["value"] for row in rows]
+        assert_catalogue_supports(n, pops, values, weights, amplitudes)
 
     @pytest.mark.parametrize("rank, step, count", [(3, "0.15", 28), (4, "0.35", 10)])
     def test_step_with_large_fractional_reciprocal(self, capsys, rank, step, count):

@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 
 from fockroof import (
+    Estimate,
     FockDiagonalState,
     PhaseLabel,
     classify,
     classify_many,
     estimate_nonclassicality,
+    expand_histogram,
     mean_photon,
     rank2_nonclassicality,
     simple_bound,
 )
 
-from conftest import kernel_ansatz, random_trimmed_state, real_alpha
+from conftest import (
+    assert_catalogue_supports,
+    ensemble_alpha_stats,
+    kernel_ansatz,
+    random_trimmed_state,
+    real_alpha,
+    reconstruct_density,
+    window_alpha,
+)
 
 
 def state(offset, pops):
@@ -35,12 +45,29 @@ def lower_pair(s):
 
 
 def triplet4(s, k):
-    """Rank-4 triplet-k ansatz; its fraction is ``params[f"f{k}"]``."""
+    """Rank-4 triplet-k ansatz; its fraction is ``fraction(result, k)``."""
     return kernel_ansatz(s, PhaseLabel[f"TRIPLET{k}"])
 
 
 def pair21(s):
     return kernel_ansatz(s, PhaseLabel.PAIR21)
+
+
+def fraction(result, k):
+    """Fraction invested in the atoms of an ansatz that singles out level k,
+    1 - x_k²: k = 0 for the upper pair, 2 for the lower pair, k for triplet-k."""
+    return 1.0 - result.atom[k] ** 2
+
+
+def pair_fraction(result):
+    """Pair21's fraction f = x1² + x2²."""
+    return result.atom[1] ** 2 + result.atom[2] ** 2
+
+
+def pair_split(result):
+    """Pair21's split g = x3² / (x0² + x3²) of the outer levels."""
+    x = result.atom
+    return x[3] ** 2 / (x[0] ** 2 + x[3] ** 2)
 
 
 def upper_boundary_point(n, span):
@@ -85,27 +112,28 @@ class TestRank3Triplet:
 class TestRank3UpperPair:
     def test_worked_example(self):
         result = upper_pair(state(0, [0.6, 0.2, 0.2]))
-        assert result.params["f"] == pytest.approx(0.5, abs=1e-12)
+        assert fraction(result, 0) == pytest.approx(0.5, abs=1e-12)
         assert result.feasible
         assert result.value == pytest.approx(0.2, abs=1e-12)
 
     def test_boundary_coincides_with_triplet(self):
         s = state(0, [0.5, 0.25, 0.25])
         result = upper_pair(s)
-        assert result.params["f"] == pytest.approx(0.5, abs=1e-12)
+        assert fraction(result, 0) == pytest.approx(0.5, abs=1e-12)
+        assert result.weight == pytest.approx(1.0, abs=1e-12)  # the atoms hold everything
         assert result.feasible  # boundary counts as feasible
         assert result.value == pytest.approx(triplet3(s), abs=1e-10)
 
     def test_pure_top_fock_is_infeasible(self):
         result = upper_pair(state(0, [0.0, 0.0, 1.0]))
-        assert result.params["f"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert fraction(result, 0) == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert not result.feasible
 
 
 class TestRank3LowerPair:
     def test_worked_example(self):
         result = lower_pair(state(0, [0.1, 0.1, 0.8]))
-        assert result.params["g"] == pytest.approx(0.2, abs=1e-12)
+        assert fraction(result, 2) == pytest.approx(0.2, abs=1e-12)
         assert result.feasible  # 1 - p2 = 0.2 = g, boundary
 
     def test_feasibility_threshold_at_zero_middle(self):
@@ -120,31 +148,30 @@ class TestRank3LowerPair:
 
 class TestClassifyRank3:
     def test_upper_pair_region(self):
-        result = classify(state(0, [0.6, 0.2, 0.2]))
-        assert result.label is PhaseLabel.UPPER_PAIR
-        assert result.value == pytest.approx(0.2, abs=1e-12)
-        assert result.params["f"] == pytest.approx(0.5, abs=1e-12)
-        assert not result.upper_bound_only
+        label, value, weights, amplitudes = classify(state(0, [0.6, 0.2, 0.2]))
+        assert label is PhaseLabel.UPPER_PAIR
+        assert value == pytest.approx(0.2, abs=1e-12)
+        assert 1.0 - amplitudes[0, 0] ** 2 == pytest.approx(0.5, abs=1e-12)
+        # 0.8 of the boundary state's atom plus 0.2 of the vacuum
+        np.testing.assert_allclose(weights, [0.8, 0.2, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(amplitudes[1:], np.eye(3))
 
     def test_deep_triplet_interior(self):
         s = state(0, [0.2, 0.4, 0.4])
         assert not upper_pair(s).feasible
         assert not lower_pair(s).feasible
-        result = classify(s)
-        assert result.label is PhaseLabel.TRIPLET
+        assert classify(s)[0] is PhaseLabel.TRIPLET
 
     def test_lower_pair_region(self):
-        result = classify(state(0, [0.05, 0.05, 0.9]))
-        assert result.label is PhaseLabel.LOWER_PAIR
+        assert classify(state(0, [0.05, 0.05, 0.9]))[0] is PhaseLabel.LOWER_PAIR
 
     def test_corner_values(self):
-        assert classify(state(0, [1.0, 0.0, 0.0])).value == pytest.approx(0.0)
-        assert classify(state(0, [0.0, 1.0, 0.0])).value == pytest.approx(1.0)
-        assert classify(state(0, [0.0, 0.0, 1.0])).value == pytest.approx(2.0)
+        assert classify(state(0, [1.0, 0.0, 0.0]))[1] == pytest.approx(0.0)
+        assert classify(state(0, [0.0, 1.0, 0.0]))[1] == pytest.approx(1.0)
+        assert classify(state(0, [0.0, 0.0, 1.0]))[1] == pytest.approx(2.0)
 
     def test_boundary_tie_prefers_triplet(self):
-        result = classify(state(0, [0.5, 0.25, 0.25]))
-        assert result.label is PhaseLabel.TRIPLET
+        assert classify(state(0, [0.5, 0.25, 0.25]))[0] is PhaseLabel.TRIPLET
 
     def test_continuity_across_boundaries(self):
         # march straight through the upper-pair boundary and across the
@@ -153,7 +180,7 @@ class TestClassifyRank3:
             [state(0, [1 - 0.2 - p2, 0.2, p2]) for p2 in np.arange(0.05, 0.75, 1e-3)],
             [state(0, [0.3 - p1, p1, 0.7]) for p1 in np.arange(1e-3, 0.299, 1e-3)],
         ):
-            values = np.array([classify(s).value for s in path])
+            values = np.array([classify(s)[1] for s in path])
             assert np.abs(np.diff(values)).max() <= 1e-2
 
     def test_value_between_lp_and_simple_bound(self, rng):
@@ -161,10 +188,10 @@ class TestClassifyRank3:
             s = random_trimmed_state(rng, max_rank=3)
             if s.rank != 3:
                 continue
-            result = classify(s)
-            assert 0.0 <= result.value <= simple_bound(s) + 1e-12
+            value = classify(s)[1]
+            assert 0.0 <= value <= simple_bound(s) + 1e-12
             lp = estimate_nonclassicality(s, 0.02).value
-            assert result.value >= lp - 5e-3
+            assert value >= lp - 5e-3
 
 
 class TestBoundaryCoincidence:
@@ -174,7 +201,7 @@ class TestBoundaryCoincidence:
         for span in np.linspace(0.05, smax, 25):
             s = state(n, upper_boundary_point(n, span))
             up = upper_pair(s)
-            assert up.params["f"] == pytest.approx(span, abs=1e-10)
+            assert fraction(up, 0) == pytest.approx(span, abs=1e-10)
             assert up.value == pytest.approx(triplet3(s), abs=1e-10)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -183,7 +210,7 @@ class TestBoundaryCoincidence:
         for r in np.linspace(0.02, rmax, 25):
             s = state(n, lower_boundary_point(n, r))
             low = lower_pair(s)
-            assert low.params["g"] == pytest.approx(r, abs=1e-10)
+            assert fraction(low, 2) == pytest.approx(r, abs=1e-10)
             assert low.value == pytest.approx(triplet3(s), abs=1e-10)
 
 
@@ -203,7 +230,7 @@ class TestRank4Triplet:
     def test_exception_state_pin(self):
         result = triplet4(state(0, [0.92, 0.06, 0.01, 0.01]), 0)
         assert result.feasible
-        assert result.params["f0"] == pytest.approx(0.36, abs=1e-8)
+        assert fraction(result, 0) == pytest.approx(0.36, abs=1e-8)
         assert result.value == pytest.approx(0.01625, abs=1e-10)
 
     def test_reduces_to_upper_pair_on_bottom_face(self, rng):
@@ -217,7 +244,7 @@ class TestRank4Triplet:
             three = state(n, p)
             t0 = triplet4(four, 0)
             up = upper_pair(three)
-            assert t0.params["f0"] == pytest.approx(up.params["f"], abs=1e-9)
+            assert fraction(t0, 0) == pytest.approx(fraction(up, 0), abs=1e-9)
             assert t0.value == pytest.approx(up.value, abs=1e-10)
             assert t0.feasible == up.feasible
 
@@ -232,7 +259,7 @@ class TestRank4Triplet:
             three = state(n + 1, p)
             t3 = triplet4(four, 3)
             low = lower_pair(three)
-            assert t3.params["f3"] == pytest.approx(low.params["g"], abs=1e-9)
+            assert fraction(t3, 3) == pytest.approx(fraction(low, 2), abs=1e-9)
             assert t3.value == pytest.approx(low.value, abs=1e-10)
             assert t3.feasible == low.feasible
 
@@ -244,7 +271,7 @@ class TestRank4Triplet:
             n = s.offset
             p = s.populations
             for k in range(4):
-                fraction = triplet4(s, k).params[f"f{k}"]
+                f_k = fraction(triplet4(s, k), k)
                 rest = 1.0 - p[k]
 
                 def objective(f):
@@ -254,7 +281,7 @@ class TestRank4Triplet:
 
                 samples = np.linspace(1e-6, 1.0 - 1e-9, 1000)
                 best_sample = max(objective(f) for f in samples)
-                assert objective(fraction) >= best_sample - 1e-12
+                assert objective(f_k) >= best_sample - 1e-12
 
 
 class TestRank4Pair:
@@ -263,13 +290,13 @@ class TestRank4Pair:
         result = pair21(s)
         n, p1, p2 = 0, 0.05, 0.05
         expected_g = (3.0 + n) * p2 / ((1.0 + n) * p1 + (3.0 + n) * p2)
-        assert result.params["g"] == pytest.approx(expected_g, abs=1e-12)
+        assert pair_split(result) == pytest.approx(expected_g, abs=1e-12)
 
     def test_fraction_and_split_ignore_outer_populations(self):
         a = pair21(state(0, [0.58, 0.05, 0.05, 0.32]))
         b = pair21(state(0, [0.70, 0.05, 0.05, 0.20]))
-        assert a.params["f"] == pytest.approx(b.params["f"], abs=1e-9)
-        assert a.params["g"] == pytest.approx(b.params["g"], abs=1e-12)
+        assert pair_fraction(a) == pytest.approx(pair_fraction(b), abs=1e-9)
+        assert pair_split(a) == pytest.approx(pair_split(b), abs=1e-12)
 
     def test_beats_triplets_in_pair_region(self):
         s = state(0, [0.54, 0.05, 0.05, 0.36])
@@ -277,7 +304,7 @@ class TestRank4Pair:
         assert pair.feasible
         assert pair.value < triplet4(s, 0).value - 1e-9
         assert pair.value < triplet4(s, 3).value - 1e-9
-        assert classify(s).label is PhaseLabel.PAIR21
+        assert classify(s)[0] is PhaseLabel.PAIR21
 
     def test_middle_only_state_reduces_to_rank2(self):
         # zero outer populations force the pair fraction to one, which is
@@ -285,8 +312,7 @@ class TestRank4Pair:
         # takes over with exactly the two-level closed form
         s = state(0, [0.0, 0.7, 0.3, 0.0])
         assert not pair21(s).feasible
-        result = classify(s)
-        assert result.value == pytest.approx(rank2_nonclassicality(1, 0.3), abs=1e-12)
+        assert classify(s)[1] == pytest.approx(rank2_nonclassicality(1, 0.3), abs=1e-12)
 
     def test_golden_section_beats_sampling(self, rng):
         for _ in range(10):
@@ -297,7 +323,7 @@ class TestRank4Pair:
             p0, p1, p2, p3 = s.populations
             sm = p1 + p2
             result = pair21(s)
-            g = result.params["g"]
+            g = pair_split(result)
 
             def objective(f):
                 x = np.array(
@@ -312,41 +338,38 @@ class TestRank4Pair:
 
             samples = np.linspace(1e-6, 1.0 - 1e-9, 1000)
             best_sample = max(objective(f) for f in samples)
-            assert objective(result.params["f"]) >= best_sample - 1e-12
+            assert objective(pair_fraction(result)) >= best_sample - 1e-12
 
 
 class TestClassifyRank4:
     def test_exception_state_triplet0(self):
-        result = classify(state(0, [0.92, 0.06, 0.01, 0.01]))
-        assert result.label is PhaseLabel.TRIPLET0
-        assert result.value == pytest.approx(0.01625, abs=1e-10)
-        assert result.upper_bound_only
+        label, value, *_ = classify(state(0, [0.92, 0.06, 0.01, 0.01]))
+        assert label is PhaseLabel.TRIPLET0
+        assert value == pytest.approx(0.01625, abs=1e-10)
 
     def test_exception_state_quartet(self):
-        result = classify(state(0, [0.83, 0.15, 0.01, 0.01]))
-        assert result.label is PhaseLabel.QUARTET
-        assert result.value == pytest.approx(0.0194274, abs=1e-7)
-        assert result.upper_bound_only
+        label, value, *_ = classify(state(0, [0.83, 0.15, 0.01, 0.01]))
+        assert label is PhaseLabel.QUARTET
+        assert value == pytest.approx(0.0194274, abs=1e-7)
 
     def test_pyramid_vertices(self):
         for k, expected in enumerate([0.0, 1.0, 2.0, 3.0]):
             pops = np.zeros(4)
             pops[k] = 1.0
-            result = classify(state(0, pops))
-            assert result.value == pytest.approx(expected, abs=1e-12)
+            assert classify(state(0, pops))[1] == pytest.approx(expected, abs=1e-12)
 
     def test_values_sandwiched(self, rng):
         for _ in range(8):
             s = random_trimmed_state(rng, max_rank=4)
             if s.rank != 4:
                 continue
-            result = classify(s)
-            assert 0.0 <= result.value <= simple_bound(s) + 1e-12
+            value = classify(s)[1]
+            assert 0.0 <= value <= simple_bound(s) + 1e-12
             lp = estimate_nonclassicality(s, 0.02).value
-            assert result.value >= lp - 5e-3
+            assert value >= lp - 5e-3
 
     def test_dispatch(self):
-        assert classify(state(0, [0.6, 0.2, 0.2])).label is PhaseLabel.UPPER_PAIR
+        assert classify(state(0, [0.6, 0.2, 0.2]))[0] is PhaseLabel.UPPER_PAIR
         with pytest.raises(ValueError, match="rank"):
             classify(state(0, [0.5, 0.5]))
 
@@ -384,7 +407,7 @@ class TestFractionClosedForms:
 
                 a, b = link_sums(amplitudes, s.offset)
                 result = triplet4(s, k)
-                assert result.params[f"f{k}"] == pytest.approx(a * a / (a * a + b * b), abs=1e-12)
+                assert fraction(result, k) == pytest.approx(a * a / (a * a + b * b), abs=1e-12)
                 expected = mean_photon(s) - rest * (a * a + b * b)
                 assert result.value == pytest.approx(expected, abs=1e-12)
 
@@ -412,7 +435,7 @@ class TestFractionClosedForms:
 
             a, b = link_sums(amplitudes, n)
             result = pair21(s)
-            assert result.params["f"] == pytest.approx(a * a / (a * a + b * b), abs=1e-12)
+            assert pair_fraction(result) == pytest.approx(a * a / (a * a + b * b), abs=1e-12)
             expected = mean_photon(s) - sm * (a * a + b * b)
             assert result.value == pytest.approx(expected, abs=1e-12)
 
@@ -422,12 +445,12 @@ class TestFractionClosedForms:
         s = state(0, [0.5, 0.0, 0.0, 0.5])
         for k in (0, 3):
             result = triplet4(s, k)
-            assert result.params[f"f{k}"] == 1.0
+            assert result.atom[k] == 0.0
             assert result.feasible
             assert result.value == pytest.approx(1.5, abs=1e-12)
-        best = classify(s)
-        assert best.label is PhaseLabel.QUARTET
-        assert best.value == pytest.approx(1.5, abs=1e-12)
+        label, value, *_ = classify(s)
+        assert label is PhaseLabel.QUARTET
+        assert value == pytest.approx(1.5, abs=1e-12)
 
 
 class TestClassifyMany:
@@ -456,11 +479,13 @@ class TestClassifyMany:
         faces = [c for c in itertools.product(range(11), repeat=rank) if sum(c) == 10 and 0 in c]
         pops = np.concatenate([np.asarray(rows, float), np.asarray(faces) / 10.0])
         for n in (0, 1, 2):
-            labels, values = classify_many(n, pops)
-            for row, label, value in zip(pops, labels, values):
+            labels, values, weights, amplitudes = classify_many(n, pops)
+            for i, (row, label, value) in enumerate(zip(pops, labels, values)):
                 expected = classify(state(n, row))
-                assert label is expected.label
-                assert value == expected.value
+                assert label is expected[0]
+                assert value == expected[1]
+                np.testing.assert_array_equal(weights[i], expected[2])
+                np.testing.assert_array_equal(amplitudes[i], expected[3])
                 assert np.isfinite(value)
                 assert kernel_ansatz(state(n, row), label).feasible
 
@@ -480,11 +505,55 @@ class TestClassifyMany:
             pops = rng.dirichlet(np.ones(rank), size=200)
             pops[:, 0] = 1.0 - pops[:, 1:].sum(axis=1)
             pops = pops[pops[:, 0] >= 0.0]
-            labels, values = classify_many(2, pops)
+            labels, values, _, _ = classify_many(2, pops)
             for row, label, value in zip(pops, labels, values):
-                expected = classify(state(2, row))
-                assert (label, value) == (expected.label, expected.value)
+                assert (label, value) == classify(state(2, row))[:2]
 
     def test_rank_without_catalogue(self):
         with pytest.raises(ValueError, match="rank 5"):
             classify_many(0, np.full((2, 5), 0.2))
+
+
+class TestCatalogueSupports:
+    """Each winner's decomposition, one coherent atom plus single Fock
+    states, reproduces its state and its value."""
+
+    @pytest.mark.parametrize(
+        "label, pops",
+        [
+            (PhaseLabel.TRIPLET, [0.2, 0.4, 0.4]),
+            (PhaseLabel.UPPER_PAIR, [0.6, 0.2, 0.2]),
+            (PhaseLabel.LOWER_PAIR, [0.05, 0.05, 0.9]),
+            (PhaseLabel.QUARTET, [0.83, 0.15, 0.01, 0.01]),
+            (PhaseLabel.TRIPLET0, [0.92, 0.06, 0.01, 0.01]),
+            (PhaseLabel.TRIPLET1, [0.02, 0.77, 0.09, 0.12]),
+            (PhaseLabel.TRIPLET2, [0.05, 0.02, 0.92, 0.01]),
+            (PhaseLabel.TRIPLET3, [0.11, 0.25, 0.06, 0.58]),
+            (PhaseLabel.PAIR21, [0.54, 0.05, 0.05, 0.36]),
+        ],
+    )
+    def test_ensembles_rebuild_the_state(self, label, pops):
+        s = state(0, pops)
+        winner, value, weights, amplitudes = classify(s)
+        assert winner is label
+        # the catalogue has no lattice: delta is 0
+        decomposition = expand_histogram(s, Estimate(value, 0.0, amplitudes, weights))
+        np.testing.assert_allclose(
+            reconstruct_density(decomposition), np.diag(pops), rtol=0, atol=1e-12
+        )
+        alpha = window_alpha(decomposition.atoms, 0)
+        assert abs(np.sum(decomposition.probabilities * alpha)) <= 1e-12
+        mean_square, mean_modulus = ensemble_alpha_stats(decomposition)
+        assert abs(mean_square) <= 1e-12
+        assert mean_modulus == pytest.approx(mean_photon(s) - value, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [10**6, 2**53 - 3])
+    def test_identities_at_large_offsets(self, n):
+        # the rank-4 step-0.05 simplex; the top level of 2**53 - 3 is 2**53
+        counts = [c for c in itertools.product(range(21), repeat=4) if sum(c) == 20]
+        pops = np.asarray(counts) / 20.0
+        _, values, weights, amplitudes = classify_many(n, pops)
+        mean = pops @ (n + np.arange(4.0))
+        assert_catalogue_supports(
+            n, pops, values, weights, amplitudes, value_tol=1e-12 * np.maximum(1.0, mean)
+        )

@@ -601,8 +601,8 @@ class TestCompositeIdentity:
         part = estimate_nonclassicality(state(0, [0.5, 0.25, 0.25]), 0.01).value
         assert whole == pytest.approx(0.2, abs=1e-3)
         assert whole == pytest.approx(0.8 * part, abs=2e-3)
-        assert classify(state(0, [0.6, 0.2, 0.2])).label is PhaseLabel.UPPER_PAIR
-        assert classify(state(0, [0.5, 0.25, 0.25])).label is PhaseLabel.TRIPLET
+        assert classify(state(0, [0.6, 0.2, 0.2]))[0] is PhaseLabel.UPPER_PAIR
+        assert classify(state(0, [0.5, 0.25, 0.25]))[0] is PhaseLabel.TRIPLET
 
 
 class TestExports:
